@@ -11,7 +11,6 @@ from .linalg import (
     EigenDecomposition,
     adjoint,
     hermitian_eigen,
-    mat_mul,
     mat_poly_eval,
     spectral_norm,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "halmos_decompose",
     "hermitian_eigen",
     "load_pair_json",
-    "mat_mul",
     "mat_poly_eval",
     "pair_from_angles",
     "poly_AB",

@@ -160,7 +160,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         raise ValueError(f"input matrices fail projection validation ({detail})")
     blocks = halmos_decompose(pair, tol=args.tol)
     r = blocks.D.shape[0]
-    norm_fg_sq = spectral_norm(pair.f @ pair.g) ** 2
+    norm_fg_sq = pair.norm_fg**2
     norm_d = spectral_norm(blocks.D)
     payload = {
         "input": str(args.input),
@@ -215,14 +215,12 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         args.dim, mode=args.mode, budget=args.budget, seed=args.seed
     )
     save_pair_json(pair, args.out)
-    fg = pair.f @ pair.g
-    gf = pair.g @ pair.f
     payload = {
         "dim": args.dim,
         "mode": args.mode,
         "violation": violation,
-        "norm_fg": spectral_norm(fg),
-        "norm_comm": spectral_norm(fg - gf),
+        "norm_fg": pair.norm_fg,
+        "norm_comm": pair.norm_comm,
         "pair_file": str(args.out),
     }
     sys.stdout.write(_json_text(payload))

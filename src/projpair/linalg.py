@@ -44,15 +44,6 @@ def as_matrix(entries) -> np.ndarray:
     return A
 
 
-def mat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch: {A.shape[0]} vs {B.shape[0]}")
-    return A @ B
-
-
 def adjoint(A: np.ndarray) -> np.ndarray:
     """Conjugate transpose: result[i, j] = conj(A[j, i])."""
     return np.conj(np.swapaxes(np.asarray(A, dtype=np.complex128), -1, -2))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,12 @@ class Provenance:
 
 @dataclass(frozen=True)
 class ProjectionPair:
-    """Two projections of equal dimension plus construction metadata."""
+    """Two projections of equal dimension plus construction metadata.
+
+    The products and norms every check reads (fg, gf, fgf, fg + gf, fg - gf and
+    their norms) are computed on first access and kept, so a pair measures
+    each of them once however many checks read it.
+    """
 
     f: np.ndarray
     g: np.ndarray
@@ -54,6 +60,38 @@ class ProjectionPair:
             )
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
+
+    @cached_property
+    def fg(self) -> np.ndarray:
+        return self.f @ self.g
+
+    @cached_property
+    def gf(self) -> np.ndarray:
+        return self.g @ self.f
+
+    @cached_property
+    def fgf(self) -> np.ndarray:
+        return self.fg @ self.f
+
+    @cached_property
+    def anti(self) -> np.ndarray:
+        return self.fg + self.gf
+
+    @cached_property
+    def comm(self) -> np.ndarray:
+        return self.fg - self.gf
+
+    @cached_property
+    def norm_fg(self) -> float:
+        return spectral_norm(self.fg)
+
+    @cached_property
+    def norm_anti(self) -> float:
+        return spectral_norm(self.anti)
+
+    @cached_property
+    def norm_comm(self) -> float:
+        return spectral_norm(self.comm)
 
 
 @dataclass(frozen=True)
@@ -249,9 +287,7 @@ def halmos_decompose(pair: ProjectionPair, tol: float = 1e-9) -> HalmosBlocks:
     g_in_basis = adjoint(basis) @ pair.g @ basis
     blocks = HalmosBlocks(g_in_basis[:r, :r], g_in_basis[r:, r:], g_in_basis[:r, r:], basis)
     residuals = block_relation_residuals(blocks)
-    residuals["norm_identity"] = abs(
-        spectral_norm(pair.f @ pair.g) ** 2 - spectral_norm(blocks.D)
-    )
+    residuals["norm_identity"] = abs(pair.norm_fg**2 - spectral_norm(blocks.D))
     worst = max(residuals.values())
     if worst > tol:
         raise DecompositionError(
@@ -272,6 +308,7 @@ class UniversalPairApprox:
     angles: tuple[float, ...]
     grid_size: int
 
+    @cached_property
     def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
         k = len(self.angles)
         t = np.asarray(self.angles)
@@ -292,15 +329,15 @@ class UniversalPairApprox:
         return float(np.sqrt(max(float(np.max(w)), 0.0)))
 
     def norm_product(self) -> float:
-        f, g = self._stacks()
+        f, g = self._stacks
         return self._stack_norm(np.matmul(f, g))
 
     def norm_commutator(self) -> float:
-        f, g = self._stacks()
+        f, g = self._stacks
         return self._stack_norm(np.matmul(f, g) - np.matmul(g, f))
 
     def norm_anticommutator(self) -> float:
-        f, g = self._stacks()
+        f, g = self._stacks
         return self._stack_norm(np.matmul(f, g) + np.matmul(g, f))
 
     def anticommutator_residual(self) -> float:
@@ -357,7 +394,8 @@ def _pairs_to_matrix(entries, dim: int, name: str) -> np.ndarray:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError(f'"{name}"[{i}] is not an [re, im] pair')
         re, im = entry
-        if not (isinstance(re, (int, float)) and isinstance(im, (int, float))):
+        # JSON true/false load as bools, which isinstance counts as ints
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry):
             raise ValueError(f'"{name}"[{i}] has non-numeric parts')
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f'"{name}"[{i}] has non-finite parts')
@@ -382,7 +420,7 @@ def load_pair_json(path) -> ProjectionPair:
     if not isinstance(raw, dict):
         raise ValueError("pair file must contain a JSON object")
     dim = raw.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError('"dim" must be a positive integer')
     f = _pairs_to_matrix(raw.get("f"), dim, "f")
     g = _pairs_to_matrix(raw.get("g"), dim, "g")

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -56,12 +55,22 @@ def _report(name: str, pair: ProjectionPair, quantities: dict, residual: float,
                        residual, tol, residual <= tol)
 
 
+@cache
+def _degree_terms(n: int) -> tuple:
+    """P_n, Q_n, F_n, F_{n-1} and the largest drop of F_n between neighbouring
+    points of a [0, 1] grid. None depends on the pair, so each n is built once
+    per process rather than on every trial."""
+    p, q = poly_PQ_recursive(n)
+    f_n = poly_F(n)
+    values = [poly_eval_real(f_n, x) for x in np.linspace(0.0, 1.0, 100)]
+    drop = max(values[i] - values[i + 1] for i in range(len(values) - 1))
+    return p, q, f_n, poly_F(n - 1), drop
+
+
 def check_theorem(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> TrialReport:
     """Anticommutator norm formula: ||fg + gf|| = ||fg|| + ||fg||^2."""
-    fg = pair.f @ pair.g
-    gf = pair.g @ pair.f
-    a = spectral_norm(fg)
-    anti = spectral_norm(fg + gf)
+    a = pair.norm_fg
+    anti = pair.norm_anti
     predicted = a + a * a
     return _report(
         "theorem", pair,
@@ -72,10 +81,8 @@ def check_theorem(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> TrialReport
 
 def check_corollary(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> TrialReport:
     """Commutator norm bounds: ||fg|| - ||fg||^2 <= ||fg - gf|| <= ||fg||."""
-    fg = pair.f @ pair.g
-    gf = pair.g @ pair.f
-    a = spectral_norm(fg)
-    comm = spectral_norm(fg - gf)
+    a = pair.norm_fg
+    comm = pair.norm_comm
     lower = a - a * a
     residual = max(0.0, lower - comm, comm - a)
     return _report(
@@ -94,21 +101,20 @@ def check_lemma_product_power(pair: ProjectionPair, m_max: int = 8,
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    fg = pair.f @ pair.g
-    fgf = fg @ pair.f
-    a = spectral_norm(fg)
-    residual = abs(spectral_norm(fgf) - a * a)
+    fg, fgf, a = pair.fg, pair.fgf, pair.norm_fg
+    norm_fgf = spectral_norm(fgf)
+    residual = abs(norm_fgf - a * a)
     power = fg
     prefix = np.eye(pair.dim, dtype=np.complex128)
     for m in range(1, m_max + 1):
-        if m > 1:
+        if m > 1:  # the m = 1 bound, ||fg|| <= ||fg||, holds trivially
             power = power @ fg
             prefix = prefix @ fgf
-        residual = max(residual, spectral_norm(power) - a ** (2 * m - 1))
+            residual = max(residual, spectral_norm(power) - a ** (2 * m - 1))
         residual = max(residual, spectral_norm(power - prefix @ fg))
     return _report(
         "lemma_product_power", pair,
-        {"norm_fg": a, "norm_fgf": spectral_norm(fgf), "m_max": m_max},
+        {"norm_fg": a, "norm_fgf": norm_fgf, "m_max": m_max},
         max(residual, 0.0), tol,
     )
 
@@ -120,24 +126,22 @@ def check_lemma_commutator(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> Tr
     operators u u* and u* u are mutually orthogonal and sum to
     (fg - gf)* (fg - gf).
     """
-    f, g = pair.f, pair.g
     eye = np.eye(pair.dim, dtype=np.complex128)
-    fg = f @ g
-    comm = fg - g @ f
-    u = fg @ (eye - f)
+    comm = pair.comm
+    u = pair.fg @ (eye - pair.f)
     uu = u @ adjoint(u)
     u_u = adjoint(u) @ u
-    comm_norm = spectral_norm(comm)
+    comm_norm = pair.norm_comm
     u_norm = spectral_norm(u)
     residual = max(
         abs(comm_norm - u_norm),
-        max(0.0, comm_norm - spectral_norm(fg)),
+        max(0.0, comm_norm - pair.norm_fg),
         spectral_norm(adjoint(comm) @ comm - (uu + u_u)),
         spectral_norm(uu @ u_u),
     )
     return _report(
         "lemma_commutator", pair,
-        {"norm_comm": comm_norm, "norm_u": u_norm, "norm_fg": spectral_norm(fg)},
+        {"norm_comm": comm_norm, "norm_u": u_norm, "norm_fg": pair.norm_fg},
         residual, tol,
     )
 
@@ -151,17 +155,15 @@ def check_power_expansion(pair: ProjectionPair, n_max: int = 8,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    f, g = pair.f, pair.g
-    fg, gf = f @ g, g @ f
-    fgf, gfg = fg @ f, gf @ g
-    anti = fg + gf
-    anti_norm = spectral_norm(anti)
+    fg, gf, fgf = pair.fg, pair.gf, pair.fgf
+    gfg = gf @ pair.g
+    anti, anti_norm = pair.anti, pair.norm_anti
     power = anti
     residual = 0.0
     for n in range(1, n_max + 1):
         if n > 1:
             power = power @ anti
-        p, q = poly_PQ_recursive(n)
+        p, q, _, _, _ = _degree_terms(n)
         rhs = (
             mat_poly_eval(p, fg)
             + mat_poly_eval(p, gf)
@@ -190,23 +192,18 @@ def check_nw_block(pair: ProjectionPair, n_max: int = 8,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     blocks = halmos_decompose(pair, tol=max(tol, 1e-9))
     r = blocks.D.shape[0]
-    anti = pair.f @ pair.g + pair.g @ pair.f
-    anti_norm = spectral_norm(anti)
-    w = adjoint(blocks.basis) @ anti @ blocks.basis
+    anti_norm = pair.norm_anti
+    w = adjoint(blocks.basis) @ pair.anti @ blocks.basis
     power = w
     residual = 0.0
-    grid = np.linspace(0.0, 1.0, 100)
     for n in range(1, n_max + 1):
         if n > 1:
             power = power @ w
-        f_n = poly_F(n)
-        f_prev = poly_F(n - 1)
+        _, _, f_n, f_prev, drop = _degree_terms(n)
         scale = max(1.0, anti_norm**n)
         nw = power[:r, :r] - mat_poly_eval(f_n, blocks.D)
         ne = power[:r, r:] - mat_poly_eval(f_prev, blocks.D) @ blocks.V
         residual = max(residual, spectral_norm(nw) / scale, spectral_norm(ne) / scale)
-        values = [poly_eval_real(f_n, x) for x in grid]
-        drop = max(values[i] - values[i + 1] for i in range(len(values) - 1))
         residual = max(residual, drop / scale)
     return _report(
         "nw_block", pair,
@@ -268,11 +265,9 @@ def bound_sequences(a: float, N_max: int) -> BoundTable:
 def check_bound_sandwich(pair: ProjectionPair, N_max: int = 50,
                          tol: float = BOUND_EPS) -> TrialReport:
     """Measured ||fg+gf|| sits between lower_N and upper_N for every N."""
-    fg = pair.f @ pair.g
-    gf = pair.g @ pair.f
     # measured norms can exceed 1 by rounding only; clamp for the bound domain
-    a = min(spectral_norm(fg), 1.0)
-    anti = spectral_norm(fg + gf)
+    a = min(pair.norm_fg, 1.0)
+    anti = pair.norm_anti
     table = bound_sequences(a, N_max)
     residual = 0.0
     for row in table.rows:
@@ -285,10 +280,7 @@ def check_bound_sandwich(pair: ProjectionPair, N_max: int = 50,
 
 
 def _identity_violation(pair: ProjectionPair) -> tuple[float, float, float]:
-    fg = pair.f @ pair.g
-    gf = pair.g @ pair.f
-    a = spectral_norm(fg)
-    comm = spectral_norm(fg - gf)
+    a, comm = pair.norm_fg, pair.norm_comm
     return abs(comm**2 - a**2 * (1.0 - a**2)), a, comm
 
 
@@ -368,7 +360,6 @@ class TrialConfig:
     checks: tuple[str, ...] = ALL_CHECKS
     m_max: int = 8
     n_max: int = 8
-    threads: int | None = None  # None: PROJPAIR_THREADS if set, else 1
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -380,6 +371,10 @@ class TrialConfig:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.m_max < 1:
+            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks {unknown}; available: {sorted(CHECKS)}")
@@ -403,8 +398,6 @@ class AggregateReport:
     verdict: str
 
     def to_payload(self) -> dict:
-        # thread count is execution detail, not outcome: keep it out so the
-        # report is identical under any PROJPAIR_THREADS setting
         return {
             "config": {
                 "dims": list(self.config.dims),
@@ -432,20 +425,6 @@ class AggregateReport:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-def _resolve_threads(requested: int | None) -> int:
-    if requested is None:
-        env = os.environ.get("PROJPAIR_THREADS")
-        if env is None:
-            return 1
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValueError(f"PROJPAIR_THREADS must be a positive integer, got {env!r}")
-    if requested < 1:
-        raise ValueError(f"thread count must be >= 1, got {requested}")
-    return requested
-
-
 def _run_one_trial(config: TrialConfig, index: int):
     dim = config.dims[index // config.trials]
     seed = config.base_seed + index
@@ -460,28 +439,21 @@ def _run_one_trial(config: TrialConfig, index: int):
                     f"hermiticity {report.hermiticity_residual:.3e}"
                 )
         results = {name: CHECKS[name](pair, config) for name in config.checks}
-        return index, dim, results, None
+        return dim, results, None
     except Exception as exc:  # trial isolation: record, never kill the campaign
-        return index, dim, None, f"{type(exc).__name__}: {exc}"
+        return dim, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_trials(config: TrialConfig) -> AggregateReport:
     """Run the configured checks over seeded random pairs.
 
-    Trial i (numbered across the whole campaign) always uses base_seed + i, so
-    the aggregate is independent of execution order and thread count; results
-    are folded in trial-index order.
+    Trial i (numbered across the whole campaign) always uses base_seed + i;
+    trials run one after another in index order.
     """
-    threads = _resolve_threads(config.threads)
-    total = len(config.dims) * config.trials
-    if threads == 1 or total == 0:
-        outcomes = [_run_one_trial(config, i) for i in range(total)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda i: _run_one_trial(config, i), range(total)))
     summaries = {name: CheckSummary(name) for name in config.checks}
     errors = []
-    for index, dim, results, error in outcomes:
+    for index in range(len(config.dims) * config.trials):
+        dim, results, error = _run_one_trial(config, index)
         if error is not None:
             errors.append({"trial": index, "dim": dim, "message": error})
             continue

@@ -11,7 +11,6 @@ from projpair.linalg import (
     adjoint,
     as_matrix,
     hermitian_eigen,
-    mat_mul,
     mat_poly_eval,
     spectral_norm,
 )
@@ -40,32 +39,6 @@ def test_as_matrix_rejects_non_finite():
         as_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[1.0, 1j * np.inf], [0.0, 1.0]]))
-
-
-# --- mat_mul -----------------------------------------------------------------
-
-
-def test_mat_mul_identity():
-    eye = np.eye(2)
-    np.testing.assert_array_equal(mat_mul(eye, eye), np.eye(2, dtype=complex))
-
-
-def test_mat_mul_zero_annihilates():
-    rng = np.random.default_rng(0)
-    a = random_complex(rng, (3, 3))
-    np.testing.assert_array_equal(mat_mul(a, np.zeros((3, 3))), np.zeros((3, 3)))
-
-
-def test_mat_mul_reference_product():
-    # hand multiplication: [[1,0],[0,0]] times (1/2)ones = (1/2)[[1,1],[0,0]]
-    pair = reference_2x2_pair()
-    expected = np.array([[0.5, 0.5], [0.0, 0.0]], dtype=complex)
-    np.testing.assert_allclose(mat_mul(pair.f, pair.g), expected, atol=0)
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        mat_mul(np.eye(2), np.eye(3))
 
 
 # --- adjoint -----------------------------------------------------------------

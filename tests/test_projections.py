@@ -344,10 +344,13 @@ def test_pair_json_round_trip(tmp_path):
 def test_pair_json_rejects_non_finite(tmp_path):
     path = tmp_path / "bad.json"
     entries = [[0.0, 0.0]] * 4
-    payload = {"dim": 2, "f": [[float("nan"), 0.0]] + entries[1:], "g": entries}
-    path.write_text(json.dumps(payload))  # json emits bare NaN, loads accepts it
-    with pytest.raises(ValueError, match="non-finite"):
-        load_pair_json(path)
+    # json emits bare NaN, loads accepts it; JSON booleans load as Python bools,
+    # which isinstance counts as ints
+    for entry, match in (([float("nan"), 0.0], "non-finite"), ([True, False], "non-numeric")):
+        payload = {"dim": 2, "f": [entry] + entries[1:], "g": entries}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match):
+            load_pair_json(path)
 
 
 def test_pair_json_rejects_wrong_length(tmp_path):
@@ -359,6 +362,7 @@ def test_pair_json_rejects_wrong_length(tmp_path):
 
 def test_pair_json_rejects_bad_dim(tmp_path):
     path = tmp_path / "dim.json"
-    path.write_text(json.dumps({"dim": 0, "f": [], "g": []}))
-    with pytest.raises(ValueError, match="dim"):
-        load_pair_json(path)
+    for dim in (0, True):
+        path.write_text(json.dumps({"dim": dim, "f": [[1.0, 0.0]], "g": [[1.0, 0.0]]}))
+        with pytest.raises(ValueError, match="dim"):
+            load_pair_json(path)

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import projpair.projections as projections
 import projpair.verify as verify
 from projpair.linalg import spectral_norm
 from projpair.projections import (
@@ -371,23 +373,22 @@ def test_run_trials_deterministic_aggregate():
     assert first == second
 
 
-def test_run_trials_thread_count_does_not_change_report():
-    base = TrialConfig(dims=(2, 4), trials=8, base_seed=1)
-    threaded = TrialConfig(dims=(2, 4), trials=8, base_seed=1, threads=3)
-    assert run_trials(base).to_json() == run_trials(threaded).to_json()
+def test_run_trials_measures_each_pair_norm_once(monkeypatch):
+    measured = []
 
+    def recording(A):
+        measured.append(np.array(A, copy=True))
+        return spectral_norm(A)
 
-def test_run_trials_env_threads(monkeypatch):
-    config = TrialConfig(dims=(2,), trials=6, base_seed=2)
-    baseline = run_trials(config).to_json()
-    monkeypatch.setenv("PROJPAIR_THREADS", "2")
-    assert run_trials(config).to_json() == baseline
-    monkeypatch.setenv("PROJPAIR_THREADS", "zebra")
-    with pytest.raises(ValueError, match="PROJPAIR_THREADS"):
-        run_trials(config)
-    monkeypatch.setenv("PROJPAIR_THREADS", "0")
-    with pytest.raises(ValueError):
-        run_trials(config)
+    monkeypatch.setattr(verify, "spectral_norm", recording)
+    monkeypatch.setattr(projections, "spectral_norm", recording)
+    report = run_trials(TrialConfig(dims=(4,), trials=1, base_seed=3))
+    assert report.verdict == "pass"
+    pair = random_pair(4, 3)
+    fg, gf = pair.f @ pair.g, pair.g @ pair.f
+    for name, product in (("fg", fg), ("fg+gf", fg + gf), ("fg-gf", fg - gf)):
+        count = sum(np.array_equal(A, product) for A in measured)
+        assert count == 1, f"||{name}|| measured {count} times"
 
 
 def test_run_trials_records_construction_errors(monkeypatch):
@@ -411,6 +412,10 @@ def test_run_trials_records_construction_errors(monkeypatch):
 def test_run_trials_rejects_unknown_check():
     with pytest.raises(ValueError, match="unknown checks"):
         TrialConfig(checks=("theorem", "nonsense"))
+    with pytest.raises(ValueError, match="m_max"):
+        TrialConfig(m_max=0)
+    with pytest.raises(ValueError, match="n_max"):
+        TrialConfig(n_max=0)
 
 
 def test_aggregate_json_schema():
