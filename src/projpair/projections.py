@@ -190,10 +190,18 @@ class AngleSpec:
         return 2 * len(self.angles) + self.extra_f_dims + self.extra_g_dims
 
 
-def _angle_cell(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    c, s = math.cos(theta), math.sin(theta)
-    f = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-    g = np.array([[c * c, c * s], [c * s, s * s]], dtype=np.complex128)
+def _angle_cells(angles) -> tuple[np.ndarray, np.ndarray]:
+    """(k, 2, 2) stacks of the angle cells: cell i of f projects onto the first
+    coordinate, cell i of g onto (cos theta_i, sin theta_i)."""
+    t = np.asarray(angles, dtype=float)
+    c, s = np.cos(t), np.sin(t)
+    f = np.zeros((len(t), 2, 2), dtype=np.complex128)
+    f[:, 0, 0] = 1.0
+    g = np.empty((len(t), 2, 2), dtype=np.complex128)
+    g[:, 0, 0] = c * c
+    g[:, 0, 1] = c * s
+    g[:, 1, 0] = c * s
+    g[:, 1, 1] = s * s
     return f, g
 
 
@@ -208,18 +216,13 @@ def pair_from_angles(spec: AngleSpec) -> ProjectionPair:
     dim = spec.dim
     f = np.zeros((dim, dim), dtype=np.complex128)
     g = np.zeros((dim, dim), dtype=np.complex128)
-    off = 0
-    for theta in spec.angles:
-        cf, cg = _angle_cell(theta)
-        f[off : off + 2, off : off + 2] = cf
-        g[off : off + 2, off : off + 2] = cg
-        off += 2
-    for _ in range(spec.extra_f_dims):
-        f[off, off] = 1.0
-        off += 1
-    for _ in range(spec.extra_g_dims):
-        g[off, off] = 1.0
-        off += 1
+    for i, (cf, cg) in enumerate(zip(*_angle_cells(spec.angles))):
+        f[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = cf
+        g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = cg
+    extra = np.arange(2 * len(spec.angles), dim)
+    only_f, only_g = extra[: spec.extra_f_dims], extra[spec.extra_f_dims :]
+    f[only_f, only_f] = 1.0
+    g[only_g, only_g] = 1.0
     prov = Provenance(
         "angles",
         {
@@ -256,6 +259,11 @@ class HalmosBlocks:
     V: np.ndarray
     basis: np.ndarray
 
+    @cached_property
+    def relation_residuals(self) -> dict[str, float]:
+        """block_relation_residuals(self), computed on first access and kept."""
+        return block_relation_residuals(self)
+
 
 def block_relation_residuals(blocks: HalmosBlocks) -> dict[str, float]:
     """Residuals of the three relations projectionhood of g imposes on the blocks."""
@@ -286,8 +294,8 @@ def halmos_decompose(pair: ProjectionPair, tol: float = 1e-9) -> HalmosBlocks:
     basis = eig.eigenvectors  # descending order puts range(f) vectors first
     g_in_basis = adjoint(basis) @ pair.g @ basis
     blocks = HalmosBlocks(g_in_basis[:r, :r], g_in_basis[r:, r:], g_in_basis[:r, r:], basis)
-    residuals = block_relation_residuals(blocks)
-    residuals["norm_identity"] = abs(pair.norm_fg**2 - spectral_norm(blocks.D))
+    residuals = dict(blocks.relation_residuals,
+                     norm_identity=abs(pair.norm_fg**2 - spectral_norm(blocks.D)))
     worst = max(residuals.values())
     if worst > tol:
         raise DecompositionError(
@@ -302,25 +310,20 @@ class UniversalPairApprox:
     whose product norm is 1 while its commutator norm stays 1/2.
 
     Norm queries run blockwise (the norm of a direct sum is the max over
-    blocks), so large grids never materialize a dense matrix.
+    blocks), so large grids never materialize a dense matrix. The first query
+    forms the product stacks and measures all three norms; later queries read
+    them.
     """
 
     angles: tuple[float, ...]
     grid_size: int
 
     @cached_property
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        k = len(self.angles)
-        t = np.asarray(self.angles)
-        c, s = np.cos(t), np.sin(t)
-        f = np.zeros((k, 2, 2), dtype=np.complex128)
-        f[:, 0, 0] = 1.0
-        g = np.empty((k, 2, 2), dtype=np.complex128)
-        g[:, 0, 0] = c * c
-        g[:, 0, 1] = c * s
-        g[:, 1, 0] = c * s
-        g[:, 1, 1] = s * s
-        return f, g
+    def _norms(self) -> tuple[float, float, float]:
+        """||pq||, ||pq - qp|| and ||pq + qp||, each measured once."""
+        f, g = _angle_cells(self.angles)
+        pq, qp = np.matmul(f, g), np.matmul(g, f)
+        return self._stack_norm(pq), self._stack_norm(pq - qp), self._stack_norm(pq + qp)
 
     @staticmethod
     def _stack_norm(m: np.ndarray) -> float:
@@ -329,21 +332,18 @@ class UniversalPairApprox:
         return float(np.sqrt(max(float(np.max(w)), 0.0)))
 
     def norm_product(self) -> float:
-        f, g = self._stacks
-        return self._stack_norm(np.matmul(f, g))
+        return self._norms[0]
 
     def norm_commutator(self) -> float:
-        f, g = self._stacks
-        return self._stack_norm(np.matmul(f, g) - np.matmul(g, f))
+        return self._norms[1]
 
     def norm_anticommutator(self) -> float:
-        f, g = self._stacks
-        return self._stack_norm(np.matmul(f, g) + np.matmul(g, f))
+        return self._norms[2]
 
     def anticommutator_residual(self) -> float:
         """|  ||pq+qp|| - (||pq|| + ||pq||^2)  | for the grid pair."""
-        a = self.norm_product()
-        return abs(self.norm_anticommutator() - (a + a * a))
+        a, _, anti = self._norms
+        return abs(anti - (a + a * a))
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 
 import numpy as np
@@ -227,10 +227,6 @@ class BoundTable:
     rows: tuple[BoundRow, ...]
     limit: float
 
-    @property
-    def final_gap(self) -> float:
-        return self.rows[-1].upper - self.limit if self.rows else 0.0
-
 
 def bound_sequences(a: float, N_max: int) -> BoundTable:
     """Bound sequences at a = ||fg||:
@@ -309,18 +305,19 @@ def find_commutator_identity_counterexample(
     Deterministic mode direct-sums the angle cells (0, pi/4, pi/4, ...): the
     zero cell drives ||fg|| to 1 while the pi/4 cells keep the commutator norm
     at 1/2, giving violation 1/4 at dim 4. Random mode samples `budget`
-    rank-dim/2 pairs and returns the worst violator found.
+    rank-dim/2 pairs and returns the worst violator found; `budget` must be
+    >= 1 in either mode.
     """
     if dim < 4 or dim % 2:
         raise ValueError(f"counterexamples require even dim >= 4, got {dim}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if mode == "deterministic":
         angles = (0.0,) + (math.pi / 4,) * (dim // 2 - 1)
         pair = pair_from_angles(AngleSpec(angles))
         violation, _, _ = _identity_violation(pair)
         return pair, violation
     if mode == "random":
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
         rng = np.random.Generator(np.random.PCG64(seed))
         best_pair = None
         best_violation = -1.0
@@ -375,9 +372,13 @@ class TrialConfig:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if not self.checks:
+            raise ValueError("checks must name at least one check")
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks {unknown}; available: {sorted(CHECKS)}")
+        if len(set(self.checks)) < len(self.checks):
+            raise ValueError(f"checks must name each check once, got {list(self.checks)}")
 
 
 @dataclass
@@ -399,24 +400,8 @@ class AggregateReport:
 
     def to_payload(self) -> dict:
         return {
-            "config": {
-                "dims": list(self.config.dims),
-                "trials": self.config.trials,
-                "base_seed": self.config.base_seed,
-                "tol": self.config.tol,
-                "checks": list(self.config.checks),
-                "m_max": self.config.m_max,
-                "n_max": self.config.n_max,
-            },
-            "per_check": [
-                {
-                    "name": s.name,
-                    "trials": s.trials,
-                    "max_residual": s.max_residual,
-                    "failures": s.failures,
-                }
-                for s in self.per_check
-            ],
+            "config": asdict(self.config),
+            "per_check": [asdict(s) for s in self.per_check],
             "errors": self.errors,
             "verdict": self.verdict,
         }

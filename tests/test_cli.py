@@ -6,8 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from projpair import cli, projections
 from projpair.cli import main
-from projpair.projections import reference_2x2_pair, save_pair_json
+from projpair.projections import (
+    UniversalPairApprox,
+    _angle_cells,
+    reference_2x2_pair,
+    save_pair_json,
+    universal_pair_approx,
+)
 
 
 def run(capsys, *argv):
@@ -35,9 +42,10 @@ def test_verify_zero_trials_passes(capsys):
 
 
 def test_verify_negative_tol_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--tol", "-1")
-    assert code == 2
-    assert "tol" in err
+    for flag, value in (("--tol", "-1"), ("--trials", "-1")):
+        code, _, err = run(capsys, "verify", flag, value)
+        assert code == 2
+        assert flag.lstrip("-") in err
 
 
 def test_verify_bad_dims_usage_error(capsys):
@@ -48,9 +56,14 @@ def test_verify_bad_dims_usage_error(capsys):
 
 
 def test_verify_unknown_check_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--checks", "nonsense")
-    assert code == 2
-    assert "unknown" in err
+    # an empty list would run nothing and pass; a repeat would double-count trials
+    for checks, message in (("nonsense", "unknown"), (",", "at least one"),
+                            ("theorem,theorem", "each check once")):
+        code, out, err = run(capsys, "verify", "--dims", "2", "--trials", "2",
+                             "--checks", checks)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def test_verify_failing_tolerance_exits_one(capsys):
@@ -183,6 +196,27 @@ def test_decompose_rejects_non_projection(capsys, tmp_path):
     assert "idempotency" in err
 
 
+def test_decompose_computes_relation_residuals_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = projections.block_relation_residuals
+
+    def recording(blocks):
+        calls.append(blocks)
+        return real(blocks)
+
+    # wrap the function under every module-level name a caller could use
+    for owner in (projections, cli):
+        if getattr(owner, "block_relation_residuals", None) is real:
+            monkeypatch.setattr(owner, "block_relation_residuals", recording)
+    path = tmp_path / "pair.json"
+    save_pair_json(reference_2x2_pair(), path)
+    code, out, _ = run(capsys, "decompose", "--input", str(path))
+    assert code == 0
+    assert set(json.loads(out)["relation_residuals"]) == {
+        "range_block", "mixed_block", "kernel_block"}
+    assert len(calls) == 1, f"relation residuals computed {len(calls)} times"
+
+
 def test_decompose_missing_file_is_io_error(capsys, tmp_path):
     code, _, _ = run(capsys, "decompose", "--input", str(tmp_path / "nope.json"))
     assert code == 3
@@ -248,6 +282,7 @@ def test_counterexample_dim4(capsys, tmp_path):
 def test_counterexample_dim2_rejected(capsys):
     assert run(capsys, "counterexample", "--dim", "2")[0] == 2
     assert run(capsys, "counterexample", "--dim", "7")[0] == 2
+    assert run(capsys, "counterexample", "--dim", "4", "--budget", "0")[0] == 2
 
 
 def test_counterexample_random_mode(capsys, tmp_path):
@@ -282,6 +317,25 @@ def test_universal_k2_two_cells(capsys):
     assert payload["norm_pq"] == pytest.approx(math.cos(math.pi / 6), abs=1e-12)
     assert payload["norm_commutator"] == pytest.approx(0.5, abs=1e-12)
     assert payload["theorem_residual"] <= 1e-10
+
+
+def test_universal_measures_each_stack_norm_once(capsys, monkeypatch):
+    measured = []
+    real = UniversalPairApprox._stack_norm
+
+    def recording(m):
+        measured.append(np.array(m, copy=True))
+        return real(m)
+
+    monkeypatch.setattr(UniversalPairApprox, "_stack_norm", staticmethod(recording))
+    code, _, _ = run(capsys, "universal", "--grid-size", "7")
+    assert code == 0
+    f, g = _angle_cells(universal_pair_approx(7).angles)
+    pq, qp = np.matmul(f, g), np.matmul(g, f)
+    for name, stack in (("pq", pq), ("pq-qp", pq - qp), ("pq+qp", pq + qp)):
+        count = sum(np.array_equal(m, stack) for m in measured)
+        assert count == 1, f"||{name}|| measured {count} times"
+    assert len(measured) == 3
 
 
 def test_universal_rejects_small_grid(capsys):

@@ -339,6 +339,8 @@ def test_counterexample_rejects_bad_dims_and_mode():
         find_commutator_identity_counterexample(5)
     with pytest.raises(ValueError):
         find_commutator_identity_counterexample(4, mode="exhaustive")
+    with pytest.raises(ValueError, match="budget"):
+        find_commutator_identity_counterexample(4, budget=0)
 
 
 # --- campaign driver ------------------------------------------------------------------------------
@@ -416,6 +418,10 @@ def test_run_trials_rejects_unknown_check():
         TrialConfig(m_max=0)
     with pytest.raises(ValueError, match="n_max"):
         TrialConfig(n_max=0)
+    with pytest.raises(ValueError, match="at least one check"):
+        TrialConfig(checks=())
+    with pytest.raises(ValueError, match="each check once"):
+        TrialConfig(checks=("theorem", "corollary", "theorem"))
 
 
 def test_aggregate_json_schema():
