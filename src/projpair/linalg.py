@@ -94,12 +94,22 @@ def spectral_norm(A: np.ndarray) -> float:
     A = _as_finite_2d(A)
     if A.size == 0:
         return 0.0
-    gram = adjoint(A) @ A
+    return max_spectral_norm(A)
+
+
+def max_spectral_norm(stack: np.ndarray) -> float:
+    """Largest operator norm in a stack (..., m, n) of matrices, which is the
+    norm of their direct sum; a 2-D argument is a stack of one. Entries are not
+    validated: spectral_norm is the checked entry point for one matrix."""
+    gram = np.matmul(adjoint(stack), stack)
     try:
         w = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+    # eigvalsh sorts ascending, so each top is the last entry. A Python max
+    # skips np.max's call overhead, which rivals a 2x2 eigensolve.
+    top = max(w[..., -1].ravel().tolist())
+    return float(np.sqrt(max(top, 0.0)))  # a tie keeps top, so -0.0 stays -0.0
 
 
 def mat_poly_eval(p, A: np.ndarray) -> np.ndarray:

@@ -113,14 +113,7 @@ class SqrtRingPolynomial:
                     f"odd power s^{k} survives with numerator {nums[k]}; "
                     "closed form does not reduce to a polynomial in x"
                 )
-        coeffs = []
-        for k in range(0, len(nums), 2):
-            if nums[k] % 2:
-                raise SelfCheckError(
-                    f"coefficient of s^{k} is {nums[k]}/2, not an integer"
-                )
-            coeffs.append(nums[k] // 2)
-        return IntPolynomial(tuple(coeffs))
+        return IntPolynomial(tuple(_exact_half(nums[0::2])))
 
 
 def _binom_power(c: int, k: int) -> list[int]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import adjoint, as_matrix, hermitian_eigen, spectral_norm
+from .linalg import adjoint, as_matrix, hermitian_eigen, max_spectral_norm, spectral_norm
 
 # Constructed projections must satisfy ||P^2 - P|| and ||P - P*|| below this.
 PROJ_TOL = 1e-10
@@ -323,13 +323,7 @@ class UniversalPairApprox:
         """||pq||, ||pq - qp|| and ||pq + qp||, each measured once."""
         f, g = _angle_cells(self.angles)
         pq, qp = np.matmul(f, g), np.matmul(g, f)
-        return self._stack_norm(pq), self._stack_norm(pq - qp), self._stack_norm(pq + qp)
-
-    @staticmethod
-    def _stack_norm(m: np.ndarray) -> float:
-        gram = np.matmul(np.conj(np.swapaxes(m, -1, -2)), m)
-        w = np.linalg.eigvalsh(gram)
-        return float(np.sqrt(max(float(np.max(w)), 0.0)))
+        return max_spectral_norm(pq), max_spectral_norm(pq - qp), max_spectral_norm(pq + qp)
 
     def norm_product(self) -> float:
         return self._norms[0]
@@ -416,7 +410,11 @@ def save_pair_json(pair: ProjectionPair, path) -> None:
 def load_pair_json(path) -> ProjectionPair:
     """Read a pair from the shared JSON matrix format, rejecting malformed or
     non-finite input. Projectionhood is the caller's check, not the reader's."""
-    raw = json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        raw = json.loads(text)
+    except RecursionError:  # nesting deeper than the decoder's stack
+        raise ValueError("pair file nests JSON arrays or objects too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError("pair file must contain a JSON object")
     dim = raw.get("dim")

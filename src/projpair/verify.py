@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cache
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -53,6 +54,11 @@ def _report(name: str, pair: ProjectionPair, quantities: dict, residual: float,
     residual = float(residual)
     return TrialReport(name, pair.provenance, {k: float(v) for k, v in quantities.items()},
                        residual, tol, residual <= tol)
+
+
+def _powers(A: np.ndarray, k: int):
+    """A, A^2, ..., A^k, each power formed as the previous one times A."""
+    return accumulate(repeat(A, k), np.matmul)
 
 
 @cache
@@ -104,12 +110,10 @@ def check_lemma_product_power(pair: ProjectionPair, m_max: int = 8,
     fg, fgf, a = pair.fg, pair.fgf, pair.norm_fg
     norm_fgf = spectral_norm(fgf)
     residual = abs(norm_fgf - a * a)
-    power = fg
-    prefix = np.eye(pair.dim, dtype=np.complex128)
-    for m in range(1, m_max + 1):
+    eye = np.eye(pair.dim, dtype=np.complex128)
+    prefixes = accumulate(repeat(fgf, m_max - 1), np.matmul, initial=eye)  # (fgf)^(m-1)
+    for m, (power, prefix) in enumerate(zip(_powers(fg, m_max), prefixes), start=1):
         if m > 1:  # the m = 1 bound, ||fg|| <= ||fg||, holds trivially
-            power = power @ fg
-            prefix = prefix @ fgf
             residual = max(residual, spectral_norm(power) - a ** (2 * m - 1))
         residual = max(residual, spectral_norm(power - prefix @ fg))
     return _report(
@@ -157,12 +161,9 @@ def check_power_expansion(pair: ProjectionPair, n_max: int = 8,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     fg, gf, fgf = pair.fg, pair.gf, pair.fgf
     gfg = gf @ pair.g
-    anti, anti_norm = pair.anti, pair.norm_anti
-    power = anti
+    anti_norm = pair.norm_anti
     residual = 0.0
-    for n in range(1, n_max + 1):
-        if n > 1:
-            power = power @ anti
+    for n, power in enumerate(_powers(pair.anti, n_max), start=1):
         p, q, _, _, _ = _degree_terms(n)
         rhs = (
             mat_poly_eval(p, fg)
@@ -194,11 +195,8 @@ def check_nw_block(pair: ProjectionPair, n_max: int = 8,
     r = blocks.D.shape[0]
     anti_norm = pair.norm_anti
     w = adjoint(blocks.basis) @ pair.anti @ blocks.basis
-    power = w
     residual = 0.0
-    for n in range(1, n_max + 1):
-        if n > 1:
-            power = power @ w
+    for n, power in enumerate(_powers(w, n_max), start=1):
         _, _, f_n, f_prev, drop = _degree_terms(n)
         scale = max(1.0, anti_norm**n)
         nw = power[:r, :r] - mat_poly_eval(f_n, blocks.D)
@@ -275,9 +273,9 @@ def check_bound_sandwich(pair: ProjectionPair, N_max: int = 50,
     )
 
 
-def _identity_violation(pair: ProjectionPair) -> tuple[float, float, float]:
-    a, comm = pair.norm_fg, pair.norm_comm
-    return abs(comm**2 - a**2 * (1.0 - a**2)), a, comm
+def _identity_violation(pair: ProjectionPair) -> float:
+    a = pair.norm_fg
+    return abs(pair.norm_comm**2 - a**2 * (1.0 - a**2))
 
 
 def check_dim2_commutator_identity(pair: ProjectionPair,
@@ -289,11 +287,10 @@ def check_dim2_commutator_identity(pair: ProjectionPair,
     """
     if pair.dim != 2:
         raise ValueError(f"identity check is defined for dim 2 only, got {pair.dim}")
-    violation, a, comm = _identity_violation(pair)
     return _report(
         "dim2_commutator_identity", pair,
-        {"norm_fg": a, "norm_comm": comm},
-        violation, tol,
+        {"norm_fg": pair.norm_fg, "norm_comm": pair.norm_comm},
+        _identity_violation(pair), tol,
     )
 
 
@@ -315,21 +312,19 @@ def find_commutator_identity_counterexample(
     if mode == "deterministic":
         angles = (0.0,) + (math.pi / 4,) * (dim // 2 - 1)
         pair = pair_from_angles(AngleSpec(angles))
-        violation, _, _ = _identity_violation(pair)
-        return pair, violation
-    if mode == "random":
+    elif mode == "random":
         rng = np.random.Generator(np.random.PCG64(seed))
-        best_pair = None
-        best_violation = -1.0
-        for _ in range(budget):
-            f = random_projection(dim, dim // 2, int(rng.integers(0, 2**63)))
-            g = random_projection(dim, dim // 2, int(rng.integers(0, 2**63)))
-            pair = ProjectionPair(f, g, dim, Provenance("random", {"seed": seed}))
-            violation, _, _ = _identity_violation(pair)
-            if violation > best_violation:
-                best_pair, best_violation = pair, violation
-        return best_pair, best_violation
-    raise ValueError(f"mode must be 'deterministic' or 'random', got {mode!r}")
+        # f's seed is drawn before g's; max keeps the first pair of largest violation
+        pairs = (
+            ProjectionPair(random_projection(dim, dim // 2, int(rng.integers(0, 2**63))),
+                           random_projection(dim, dim // 2, int(rng.integers(0, 2**63))),
+                           dim, Provenance("random", {"seed": seed}))
+            for _ in range(budget)
+        )
+        pair = max(pairs, key=_identity_violation)
+    else:
+        raise ValueError(f"mode must be 'deterministic' or 'random', got {mode!r}")
+    return pair, _identity_violation(pair)
 
 
 # --- randomized campaign driver ----------------------------------------------
@@ -366,8 +361,8 @@ class TrialConfig:
                 raise ValueError(f"campaign dims must be >= 2, got {d}")
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         if self.n_max < 1:
@@ -410,23 +405,18 @@ class AggregateReport:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-def _run_one_trial(config: TrialConfig, index: int):
-    dim = config.dims[index // config.trials]
-    seed = config.base_seed + index
-    try:
-        pair = random_pair(dim, seed)
-        for member, name in ((pair.f, "f"), (pair.g, "g")):
-            report = validate_projection(member)
-            if not report.ok:
-                raise ArithmeticError(
-                    f"constructed {name} fails projection validation: "
-                    f"idempotency {report.idempotency_residual:.3e}, "
-                    f"hermiticity {report.hermiticity_residual:.3e}"
-                )
-        results = {name: CHECKS[name](pair, config) for name in config.checks}
-        return dim, results, None
-    except Exception as exc:  # trial isolation: record, never kill the campaign
-        return dim, None, f"{type(exc).__name__}: {exc}"
+def _run_one_trial(config: TrialConfig, dim: int, seed: int) -> dict[str, TrialReport]:
+    """Build and validate the pair for one trial, then run the configured checks."""
+    pair = random_pair(dim, seed)
+    for member, name in ((pair.f, "f"), (pair.g, "g")):
+        report = validate_projection(member)
+        if not report.ok:
+            raise ArithmeticError(
+                f"constructed {name} fails projection validation: "
+                f"idempotency {report.idempotency_residual:.3e}, "
+                f"hermiticity {report.hermiticity_residual:.3e}"
+            )
+    return {name: CHECKS[name](pair, config) for name in config.checks}
 
 
 def run_trials(config: TrialConfig) -> AggregateReport:
@@ -437,10 +427,13 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     """
     summaries = {name: CheckSummary(name) for name in config.checks}
     errors = []
-    for index in range(len(config.dims) * config.trials):
-        dim, results, error = _run_one_trial(config, index)
-        if error is not None:
-            errors.append({"trial": index, "dim": dim, "message": error})
+    dims = (dim for dim in config.dims for _ in range(config.trials))
+    for index, dim in enumerate(dims):
+        try:
+            results = _run_one_trial(config, dim, config.base_seed + index)
+        except Exception as exc:  # trial isolation: record, never kill the campaign
+            errors.append({"trial": index, "dim": dim,
+                           "message": f"{type(exc).__name__}: {exc}"})
             continue
         for name, report in results.items():
             summary = summaries[name]

@@ -9,7 +9,6 @@ import pytest
 from projpair import cli, projections
 from projpair.cli import main
 from projpair.projections import (
-    UniversalPairApprox,
     _angle_cells,
     reference_2x2_pair,
     save_pair_json,
@@ -42,7 +41,8 @@ def test_verify_zero_trials_passes(capsys):
 
 
 def test_verify_negative_tol_usage_error(capsys):
-    for flag, value in (("--tol", "-1"), ("--trials", "-1")):
+    for flag, value in (("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+                        ("--trials", "-1")):
         code, _, err = run(capsys, "verify", flag, value)
         assert code == 2
         assert flag.lstrip("-") in err
@@ -224,9 +224,11 @@ def test_decompose_missing_file_is_io_error(capsys, tmp_path):
 
 def test_decompose_malformed_json_is_usage_error(capsys, tmp_path):
     path = tmp_path / "mangled.json"
-    path.write_text("{not json")
-    code, _, _ = run(capsys, "decompose", "--input", str(path))
-    assert code == 2
+    # the deep nesting overflows the JSON decoder's recursion limit
+    for text in ("{not json", "[" * 200000):
+        path.write_text(text)
+        code, _, _ = run(capsys, "decompose", "--input", str(path))
+        assert code == 2
 
 
 # --- bounds ---------------------------------------------------------------------
@@ -321,13 +323,13 @@ def test_universal_k2_two_cells(capsys):
 
 def test_universal_measures_each_stack_norm_once(capsys, monkeypatch):
     measured = []
-    real = UniversalPairApprox._stack_norm
+    real = projections.max_spectral_norm
 
     def recording(m):
         measured.append(np.array(m, copy=True))
         return real(m)
 
-    monkeypatch.setattr(UniversalPairApprox, "_stack_norm", staticmethod(recording))
+    monkeypatch.setattr(projections, "max_spectral_norm", recording)
     code, _, _ = run(capsys, "universal", "--grid-size", "7")
     assert code == 0
     f, g = _angle_cells(universal_pair_approx(7).angles)

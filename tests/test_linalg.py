@@ -12,6 +12,7 @@ from projpair.linalg import (
     as_matrix,
     hermitian_eigen,
     mat_poly_eval,
+    max_spectral_norm,
     spectral_norm,
 )
 from projpair.projections import reference_2x2_pair
@@ -153,6 +154,14 @@ def test_spectral_norm_adjoint_invariant():
     for _ in range(50):
         a = random_complex(rng, (7, 7))
         assert abs(spectral_norm(adjoint(a)) - spectral_norm(a)) <= 1e-12
+
+
+def test_max_spectral_norm_is_blockwise_spectral_norm():
+    rng = np.random.default_rng(17)
+    for shape in ((3, 3), (4, 2), (5, 3, 3), (4, 2, 5), (2, 3, 4, 4)):
+        a = random_complex(rng, shape)
+        expected = max(spectral_norm(c) for c in a.reshape(-1, *shape[-2:]))
+        assert max_spectral_norm(a) == expected  # exact: the same arithmetic per block
 
 
 # --- mat_poly_eval --------------------------------------------------------------

@@ -418,6 +418,9 @@ def test_run_trials_rejects_unknown_check():
         TrialConfig(m_max=0)
     with pytest.raises(ValueError, match="n_max"):
         TrialConfig(n_max=0)
+    for tol in (0.0, -1.0, math.nan, math.inf):  # nan and inf serialise as invalid JSON
+        with pytest.raises(ValueError, match="tol must"):
+            TrialConfig(tol=tol)
     with pytest.raises(ValueError, match="at least one check"):
         TrialConfig(checks=())
     with pytest.raises(ValueError, match="each check once"):

@@ -1,0 +1,89 @@
+"""Print the sha256 of every output in projpair's byte contract.
+
+The contract is five campaign reports (`run_trials(config).to_json()`) and
+eleven CLI stdouts. A refactor keeps it when this script prints the same
+lines before and after the change on the same machine:
+
+    PYTHONPATH=src python3 tools/contract_digests.py > after.txt
+    diff before.txt after.txt
+
+BLAS runs on one thread, so the floating-point reductions, and the digests,
+do not depend on the core count. The CLI runs in a temporary directory with
+relative pair-file names, because `counterexample` and `decompose` print the
+file name they were given.
+"""
+
+from __future__ import annotations
+
+import os
+
+# BLAS reads these once, when numpy is first imported.
+os.environ.update(dict.fromkeys(
+    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+     "VECLIB_MAXIMUM_THREADS"), "1"))
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import tempfile  # noqa: E402
+
+from projpair import cli  # noqa: E402
+from projpair.verify import ALL_CHECKS, TrialConfig, run_trials  # noqa: E402
+
+CAMPAIGNS = (
+    ("default TrialConfig()", TrialConfig()),
+    ("criterion 1", TrialConfig(dims=(2, 4, 8, 16, 32, 64), trials=200, base_seed=0,
+                                tol=1e-7, checks=("theorem",))),
+    ("criterion 4", TrialConfig(dims=(2, 4, 8, 16), trials=25, base_seed=0, tol=1e-9,
+                                checks=("power_expansion", "nw_block"), n_max=8)),
+    ("criterion 5", TrialConfig(dims=(2, 4, 8, 16), trials=250, base_seed=0, tol=1e-9,
+                                checks=("lemma_product_power", "lemma_commutator"),
+                                m_max=8)),
+    ("all checks dims=(64, 96) trials=3 seed=0",
+     TrialConfig(dims=(64, 96), trials=3, base_seed=0, checks=ALL_CHECKS)),
+)
+
+# In order: the decompose runs read the pair files the counterexample runs write.
+COMMANDS = (
+    "universal --grid-size 999",
+    "counterexample --dim 4 --mode random --budget 300 --seed 7 --out pair.json",
+    "decompose --input pair.json",
+    "counterexample --dim 6 --out det.json",
+    "decompose --input det.json",
+    "bounds --a 0.7071 --max-n 500",
+    "bounds --a 0.3 --max-n 50 --format csv",
+    "poly --family P --n 150",
+    "poly --family F --n 200",
+    "poly --family A --n 60",
+    "verify --dims 2,4 --trials 5 --seed 3 --format csv",
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cli_stdout(command: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(command.split())
+    if code != 0:
+        raise SystemExit(f"`projpair {command}` exited {code}")
+    return out.getvalue()
+
+
+def main() -> None:
+    for label, config in CAMPAIGNS:
+        print(f"{_sha256(run_trials(config).to_json())}  run_trials: {label}")
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for command in COMMANDS:
+                print(f"{_sha256(_cli_stdout(command))}  projpair {command}")
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    main()
