@@ -147,11 +147,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                for name, m in (("f", pair.f), ("g", pair.g))}
     bad = {name: rep for name, rep in reports.items() if not rep.ok}
     if bad:
-        detail = "; ".join(
-            f"{name}: idempotency {rep.idempotency_residual:.3e}, "
-            f"hermiticity {rep.hermiticity_residual:.3e}"
-            for name, rep in bad.items()
-        )
+        detail = "; ".join(f"{name}: {rep}" for name, rep in bad.items())
         raise ValueError(f"input matrices fail projection validation ({detail})")
     blocks = halmos_decompose(pair, tol=args.tol)
     r = blocks.D.shape[0]

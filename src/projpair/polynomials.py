@@ -234,10 +234,7 @@ def poly_AB(N: int) -> tuple[IntPolynomial, IntPolynomial]:
 
 def poly_eval_real(p: IntPolynomial, x: float) -> float:
     """Horner evaluation in double precision."""
-    acc = 0.0
-    for c in reversed(p.coefficients):
-        acc = acc * x + float(c)
-    return acc
+    return p(float(x))
 
 
 def coefficient_strings(p: IntPolynomial) -> list[str]:

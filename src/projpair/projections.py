@@ -103,9 +103,22 @@ class ValidationReport:
     tol: float
     ok: bool
 
+    def __str__(self) -> str:
+        return (f"idempotency {self.idempotency_residual:.3e}, "
+                f"hermiticity {self.hermiticity_residual:.3e}")
+
+
+def require_tol(tol: float) -> None:
+    """Raise ValueError unless 0 < tol < inf. A residual compared with an
+    infinite, nan or non-positive tol says nothing about the matrices."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
 
 def validate_projection(P: np.ndarray, tol: float = PROJ_TOL) -> ValidationReport:
-    """Check P = P* = P^2 within tol; reports residuals, never raises."""
+    """Check P = P* = P^2 within tol. Residuals are reported, never raised;
+    a tol that is not finite and positive raises ValueError."""
+    require_tol(tol)
     P = as_matrix(P)
     idem = spectral_norm(P @ P - P)
     herm = spectral_norm(P - adjoint(P))
@@ -281,8 +294,10 @@ def halmos_decompose(pair: ProjectionPair, tol: float = 1e-9) -> HalmosBlocks:
     The basis comes from the eigendecomposition of f: eigenvalues above 0.5
     classify range, below 0.25 kernel; anything in between means f is not
     numerically a projection and is rejected. The three block relations are
-    verified along with ||fg||^2 = ||D|| before returning.
+    verified along with ||fg||^2 = ||D|| before returning; a tol that is not
+    finite and positive raises ValueError.
     """
+    require_tol(tol)
     eig = hermitian_eigen(pair.f)
     w = eig.eigenvalues
     bad = [float(x) for x in w if SPLIT_BAND[0] <= x <= SPLIT_BAND[1]]

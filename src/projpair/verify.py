@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .projections import (
     pair_from_angles,
     random_pair,
     random_projection,
+    require_tol,
     validate_projection,
 )
 
@@ -61,16 +62,19 @@ def _powers(A: np.ndarray, k: int):
     return accumulate(repeat(A, k), np.matmul)
 
 
+# Neither family depends on the pair, so each n is built once per process.
 @cache
-def _degree_terms(n: int) -> tuple:
-    """P_n, Q_n, F_n, F_{n-1} and the largest drop of F_n between neighbouring
-    points of a [0, 1] grid. None depends on the pair, so each n is built once
-    per process rather than on every trial."""
-    p, q = poly_PQ_recursive(n)
+def _expansion_terms(n: int) -> tuple:
+    """P_n and Q_n, for n >= 1."""
+    return poly_PQ_recursive(n)
+
+
+@cache
+def _block_terms(n: int) -> tuple:
+    """F_n (n >= 0) and its largest drop between neighbouring [0, 1] grid points."""
     f_n = poly_F(n)
     values = [poly_eval_real(f_n, x) for x in np.linspace(0.0, 1.0, 100)]
-    drop = max(values[i] - values[i + 1] for i in range(len(values) - 1))
-    return p, q, f_n, poly_F(n - 1), drop
+    return f_n, max(values[i] - values[i + 1] for i in range(len(values) - 1))
 
 
 def check_theorem(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> TrialReport:
@@ -110,11 +114,10 @@ def check_lemma_product_power(pair: ProjectionPair, m_max: int = 8,
     fg, fgf, a = pair.fg, pair.fgf, pair.norm_fg
     norm_fgf = spectral_norm(fgf)
     residual = abs(norm_fgf - a * a)
-    eye = np.eye(pair.dim, dtype=np.complex128)
-    prefixes = accumulate(repeat(fgf, m_max - 1), np.matmul, initial=eye)  # (fgf)^(m-1)
-    for m, (power, prefix) in enumerate(zip(_powers(fg, m_max), prefixes), start=1):
-        if m > 1:  # the m = 1 bound, ||fg|| <= ||fg||, holds trivially
-            residual = max(residual, spectral_norm(power) - a ** (2 * m - 1))
+    # m = 1 holds by construction: ||fg|| <= ||fg|| and fg = (fgf)^0 fg
+    powers = islice(_powers(fg, m_max), 1, None)
+    for m, (power, prefix) in enumerate(zip(powers, _powers(fgf, m_max - 1)), start=2):
+        residual = max(residual, spectral_norm(power) - a ** (2 * m - 1))
         residual = max(residual, spectral_norm(power - prefix @ fg))
     return _report(
         "lemma_product_power", pair,
@@ -164,7 +167,7 @@ def check_power_expansion(pair: ProjectionPair, n_max: int = 8,
     anti_norm = pair.norm_anti
     residual = 0.0
     for n, power in enumerate(_powers(pair.anti, n_max), start=1):
-        p, q, _, _, _ = _degree_terms(n)
+        p, q = _expansion_terms(n)
         rhs = (
             mat_poly_eval(p, fg)
             + mat_poly_eval(p, gf)
@@ -195,14 +198,17 @@ def check_nw_block(pair: ProjectionPair, n_max: int = 8,
     r = blocks.D.shape[0]
     anti_norm = pair.norm_anti
     w = adjoint(blocks.basis) @ pair.anti @ blocks.basis
+    f_prev = mat_poly_eval(_block_terms(0)[0], blocks.D)  # F_{n-1}(D), carried over
     residual = 0.0
     for n, power in enumerate(_powers(w, n_max), start=1):
-        _, _, f_n, f_prev, drop = _degree_terms(n)
+        f_n, drop = _block_terms(n)
+        f_cur = mat_poly_eval(f_n, blocks.D)
         scale = max(1.0, anti_norm**n)
-        nw = power[:r, :r] - mat_poly_eval(f_n, blocks.D)
-        ne = power[:r, r:] - mat_poly_eval(f_prev, blocks.D) @ blocks.V
+        nw = power[:r, :r] - f_cur
+        ne = power[:r, r:] - f_prev @ blocks.V
         residual = max(residual, spectral_norm(nw) / scale, spectral_norm(ne) / scale)
         residual = max(residual, drop / scale)
+        f_prev = f_cur
     return _report(
         "nw_block", pair,
         {"norm_anti": anti_norm, "rank_f": r, "n_max": n_max},
@@ -361,8 +367,7 @@ class TrialConfig:
                 raise ValueError(f"campaign dims must be >= 2, got {d}")
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        require_tol(self.tol)
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         if self.n_max < 1:
@@ -411,11 +416,7 @@ def _run_one_trial(config: TrialConfig, dim: int, seed: int) -> dict[str, TrialR
     for member, name in ((pair.f, "f"), (pair.g, "g")):
         report = validate_projection(member)
         if not report.ok:
-            raise ArithmeticError(
-                f"constructed {name} fails projection validation: "
-                f"idempotency {report.idempotency_residual:.3e}, "
-                f"hermiticity {report.hermiticity_residual:.3e}"
-            )
+            raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
     return {name: CHECKS[name](pair, config) for name in config.checks}
 
 

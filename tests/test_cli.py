@@ -194,6 +194,14 @@ def test_decompose_rejects_non_projection(capsys, tmp_path):
     code, _, err = run(capsys, "decompose", "--input", str(path))
     assert code == 2
     assert "idempotency" in err
+    # a bad tol is reported as such, also for f = diag(2, 0), whose residuals
+    # an infinite tol would accept
+    save_pair_json(ProjectionPair(np.diag([2.0, 0.0]), np.full((2, 2), 0.5), 2,
+                                  Provenance("file")), path)
+    for tol in ("inf", "nan", "-1", "0"):
+        code, _, err = run(capsys, "decompose", "--input", str(path), "--tol", tol)
+        assert code == 2
+        assert f"tol must be finite and positive, got {float(tol)}" in err
 
 
 def test_decompose_computes_relation_residuals_once(capsys, tmp_path, monkeypatch):

@@ -32,6 +32,9 @@ def test_validate_identity():
     assert report.ok
     assert report.idempotency_residual == 0.0
     assert report.hermiticity_residual == 0.0
+    # a nan tol is refused rather than failing every matrix
+    with pytest.raises(ValueError, match="tol must be finite and positive, got nan"):
+        validate_projection(np.eye(4), tol=math.nan)
 
 
 def test_validate_reference_g():
@@ -236,6 +239,9 @@ def test_decompose_reports_residuals_for_non_projection_g():
         halmos_decompose(pair)
     residuals = excinfo.value.residuals
     assert residuals and residuals["range_block"] == pytest.approx(0.25, abs=1e-12)
+    # an infinite tol would let these residuals through
+    with pytest.raises(ValueError, match="tol must be finite and positive, got inf"):
+        halmos_decompose(pair, tol=math.inf)
 
 
 def test_decompose_blocks_hermitian_psd():

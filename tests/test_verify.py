@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import projpair.projections as projections
 import projpair.verify as verify
-from projpair.linalg import spectral_norm
+from projpair.linalg import mat_poly_eval, spectral_norm
 from projpair.projections import (
     AngleSpec,
     Provenance,
@@ -391,6 +392,22 @@ def test_run_trials_measures_each_pair_norm_once(monkeypatch):
     for name, product in (("fg", fg), ("fg+gf", fg + gf), ("fg-gf", fg - gf)):
         count = sum(np.array_equal(A, product) for A in measured)
         assert count == 1, f"||{name}|| measured {count} times"
+
+
+def test_run_trials_evaluates_each_matrix_polynomial_once(monkeypatch):
+    evaluated = Counter()
+
+    def recording(p, A):
+        key = (tuple(getattr(p, "coefficients", p)), np.shape(A),
+               np.ascontiguousarray(A).tobytes())
+        evaluated[key] += 1
+        return mat_poly_eval(p, A)
+
+    monkeypatch.setattr(verify, "mat_poly_eval", recording)
+    report = run_trials(TrialConfig(dims=(6,), trials=1, base_seed=0))
+    assert report.verdict == "pass"
+    repeats = sum(count - 1 for count in evaluated.values())
+    assert repeats == 0, f"{repeats} of {evaluated.total()} evaluations repeat an earlier one"
 
 
 def test_run_trials_records_construction_errors(monkeypatch):

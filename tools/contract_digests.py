@@ -1,6 +1,6 @@
 """Print the sha256 of every output in projpair's byte contract.
 
-The contract is five campaign reports (`run_trials(config).to_json()`) and
+The contract is seven campaign reports (`run_trials(config).to_json()`) and
 eleven CLI stdouts. A refactor keeps it when this script prints the same
 lines before and after the change on the same machine:
 
@@ -41,6 +41,13 @@ CAMPAIGNS = (
                                 m_max=8)),
     ("all checks dims=(64, 96) trials=3 seed=0",
      TrialConfig(dims=(64, 96), trials=3, base_seed=0, checks=ALL_CHECKS)),
+    # the shortest and a long power loop, beside the default length 8
+    ("all checks dims=(2, 4, 8, 16) trials=25 seed=0 m_max=n_max=1",
+     TrialConfig(dims=(2, 4, 8, 16), trials=25, base_seed=0, checks=ALL_CHECKS,
+                 m_max=1, n_max=1)),
+    ("all checks dims=(2, 4, 8, 16) trials=25 seed=0 m_max=n_max=12",
+     TrialConfig(dims=(2, 4, 8, 16), trials=25, base_seed=0, checks=ALL_CHECKS,
+                 m_max=12, n_max=12)),
 )
 
 # In order: the decompose runs read the pair files the counterexample runs write.
