@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .linalg import spectral_norm
@@ -284,8 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +12,11 @@ import numpy as np
 HERM_TOL = 1e-10
 # Accuracy the eigensolver is held to (residuals, orthonormality).
 EIG_TOL = 1e-9
+# Most bytes of matrices that spectral_norms and mat_poly_evals stack for one
+# eigensolve or Horner pass; longer sequences are split. Stacking pays at small
+# dims, where call overhead dominates; at dim >= 64 one complex matrix fills
+# the budget, so large matrices go one at a time, as unstacked calls do.
+STACK_BYTES = 1 << 16
 
 
 class NonHermitianError(ValueError):
@@ -91,25 +98,64 @@ def spectral_norm(A: np.ndarray) -> float:
     Always computed as sqrt of the top eigenvalue of A*A, even for Hermitian
     input, so every norm in the package shares one code path and error model.
     """
-    A = _as_finite_2d(A)
-    if A.size == 0:
-        return 0.0
-    return max_spectral_norm(A)
+    return spectral_norms([_as_finite_2d(A)])[0]
+
+
+def spectral_norms(mats) -> list[float]:
+    """Operator norm of each matrix, by spectral_norm's rule, in order.
+
+    `mats` is a (k, m, n) array or a sequence of equally shaped m x n
+    matrices. They are stacked at most STACK_BYTES at a time, and each stack
+    gets one finiteness check, one Gram product and one eigensolve. Size-0
+    matrices have norm 0.0.
+    """
+    if not len(mats):
+        return []
+    step = stack_capacity(np.shape(mats[0]))
+    return [norm for i in range(0, len(mats), step) for norm in _stack_norms(mats[i : i + step])]
 
 
 def max_spectral_norm(stack: np.ndarray) -> float:
     """Largest operator norm in a stack (..., m, n) of matrices, which is the
-    norm of their direct sum; a 2-D argument is a stack of one. Entries are not
-    validated: spectral_norm is the checked entry point for one matrix."""
+    norm of their direct sum; a 2-D argument is a stack of one."""
+    stack = np.asarray(stack)
+    return max(spectral_norms(stack.reshape(math.prod(stack.shape[:-2]), *stack.shape[-2:])))
+
+
+def stack_capacity(shape: tuple) -> int:
+    """How many complex matrices of this shape one stack holds: as many as fit
+    in STACK_BYTES, one at least."""
+    return max(1, STACK_BYTES // max(1, 16 * math.prod(shape)))  # 16 bytes per complex128
+
+
+def _finite_stack(mats) -> np.ndarray:
+    """mats as a (k, m, n) complex array with finite entries. One matrix is
+    viewed, not copied, which matters at the dims where stacks hold one."""
+    if len(mats) == 1:
+        stack = np.asarray(mats[0], dtype=np.complex128)[np.newaxis]
+    else:
+        stack = np.asarray(mats, dtype=np.complex128)
+    if stack.ndim != 3:
+        raise ValueError(f"expected equally shaped 2-D matrices, got a stack of shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return stack
+
+
+def _stack_norms(mats) -> list[float]:
+    """sqrt of the top eigenvalue of A*A for each matrix A of one stack: one
+    Gram product and one eigensolve for the stack."""
+    stack = _finite_stack(mats)
+    if stack.size == 0:
+        return [0.0] * len(stack)
     gram = np.matmul(adjoint(stack), stack)
     try:
         w = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    # eigvalsh sorts ascending, so each top is the last entry. A Python max
-    # skips np.max's call overhead, which rivals a 2x2 eigensolve.
-    top = max(w[..., -1].ravel().tolist())
-    return float(np.sqrt(max(top, 0.0)))  # a tie keeps top, so -0.0 stays -0.0
+    # eigvalsh sorts ascending, so each top is the last entry; max keeps a
+    # -0.0 top, whose root stays -0.0
+    return [float(np.sqrt(max(top, 0.0))) for top in w[:, -1].tolist()]
 
 
 def mat_poly_eval(p, A: np.ndarray) -> np.ndarray:
@@ -118,13 +164,62 @@ def mat_poly_eval(p, A: np.ndarray) -> np.ndarray:
     `p` may be an IntPolynomial or any sequence of coefficients indexed by
     power. The zero polynomial yields the zero matrix; a constant c yields c*I.
     """
-    coeffs = getattr(p, "coefficients", p)
-    A = as_matrix(A)
-    n = A.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for c in reversed(list(coeffs)):
-        acc = acc @ A
-        if c:
-            acc = acc + complex(c) * eye
-    return acc
+    return next(mat_poly_evals([p], [as_matrix(A)]))
+
+
+def mat_poly_evals(polys, mats) -> Iterator[np.ndarray]:
+    """polys[i] evaluated at mats[i], in order, by mat_poly_eval's Horner rule.
+
+    `mats` is a (k, n, n) array or a sequence of equally shaped square
+    matrices. They are stacked at most STACK_BYTES at a time, and each stack
+    gets one finiteness check and one Horner pass. Values are yielded one
+    stack at a time, so a caller that consumes them as they come holds one
+    stack's values, not all of them.
+    """
+    if len(polys) != len(mats):
+        raise ValueError(f"{len(polys)} polynomials for {len(mats)} matrices")
+    coeffs = [tuple(getattr(p, "coefficients", p)) for p in polys]
+    step = stack_capacity(np.shape(mats[0])) if len(mats) else 1
+    return (value for i in range(0, len(mats), step)
+            for value in _horner(coeffs[i : i + step], mats[i : i + step]))
+
+
+# Added to the diagonal for a zero coefficient: x + -0.0 == x for every x.
+_UNCHANGED = complex(-0.0, -0.0)
+
+
+def _horner(coeffs: list[tuple], mats) -> list[np.ndarray]:
+    """One Horner pass over a stack of k square matrices: coeffs[i] at mats[i].
+
+    Every slice runs its own sequence of steps, acc <- acc @ A then
+    acc <- acc + c I on the diagonal, from acc = 0 at its leading coefficient,
+    so each slice gets the same bits as a pass over it alone. A zero c adds
+    -0.0 - 0.0j, which leaves every entry unchanged, in place of skipping
+    the add. Slices are sorted by length, longest first, so the slices that
+    have started are always a prefix of the sorted stack.
+    """
+    k = len(mats)
+    order = sorted(range(k), key=lambda i: len(coeffs[i]), reverse=True)
+    stack = _finite_stack([mats[i] for i in order])
+    n = stack.shape[-1]
+    if stack.shape[1] != n:
+        raise ValueError(f"matrix must be square, got shape {stack.shape[1:]}")
+    coeffs = [coeffs[i] for i in order]
+    top = len(coeffs[0])
+    # column s holds the coefficients of power top - 1 - s
+    table = np.array([[0j] * (top - len(c)) + [complex(x) if x else _UNCHANGED for x in c[::-1]]
+                      for c in coeffs]).reshape(k, top)
+    # two buffers, each step writing its product into the other; a slice
+    # stays zero in both until its leading coefficient is reached
+    buffers = [np.zeros((k, n, n), dtype=np.complex128) for _ in range(2)]
+    diagonals = [b.reshape(k, n * n)[:, :: n + 1] for b in buffers]  # views: writes land in b
+    active = 0  # slices whose leading coefficient has been reached
+    for step in range(top):
+        while active < k and len(coeffs[active]) >= top - step:
+            active += 1
+        src, dst = step % 2, (step + 1) % 2
+        np.matmul(buffers[src][:active], stack[:active], out=buffers[dst][:active])
+        diagonals[dst][:active] += table[:active, step, np.newaxis]
+    result = buffers[top % 2]
+    place = {i: j for j, i in enumerate(order)}
+    return [result[place[i]] for i in range(k)]

@@ -31,10 +31,19 @@ class IntPolynomial:
     coefficients: tuple[int, ...] = ()
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", _trimmed([int(c) for c in self.coefficients]))
+
+    @classmethod
+    def _from_ints(cls, coeffs: list[int]) -> "IntPolynomial":
+        """Polynomial from a list of Python ints.
+
+        Arithmetic results are ints already, so this skips the int() pass of
+        the public constructor; trailing zeros, which cancellation leaves,
+        are still trimmed.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "coefficients", _trimmed(coeffs))
+        return p
 
     @property
     def degree(self) -> int:
@@ -51,26 +60,26 @@ class IntPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial(tuple(out))
+        return IntPolynomial._from_ints(out)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coefficients))
+        return IntPolynomial._from_ints([-c for c in self.coefficients])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial(tuple(other * c for c in self.coefficients))
+            return IntPolynomial._from_ints([int(other) * c for c in self.coefficients])
         a, b = self.coefficients, other.coefficients
         if not a or not b:
-            return IntPolynomial(())
+            return IntPolynomial._from_ints([])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return IntPolynomial(tuple(out))
+        return IntPolynomial._from_ints(out)
 
     __rmul__ = __mul__
 
@@ -78,7 +87,7 @@ class IntPolynomial:
         """Multiply by x**k."""
         if not self.coefficients:
             return self
-        return IntPolynomial((0,) * k + self.coefficients)
+        return IntPolynomial._from_ints([0] * k + list(self.coefficients))
 
     def __call__(self, x):
         """Horner evaluation; exact for int arguments, float otherwise."""
@@ -86,6 +95,14 @@ class IntPolynomial:
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
+
+
+def _trimmed(coeffs: list) -> tuple:
+    """coeffs without its trailing zeros, as a tuple."""
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return tuple(coeffs[:end])
 
 
 X = IntPolynomial((0, 1))
@@ -113,7 +130,7 @@ class SqrtRingPolynomial:
                     f"odd power s^{k} survives with numerator {nums[k]}; "
                     "closed form does not reduce to a polynomial in x"
                 )
-        return IntPolynomial(tuple(_exact_half(nums[0::2])))
+        return IntPolynomial._from_ints(_exact_half(nums[0::2]))
 
 
 def _binom_power(c: int, k: int) -> list[int]:
@@ -214,15 +231,13 @@ def poly_AB(N: int) -> tuple[IntPolynomial, IntPolynomial]:
     b_sum = [0] * (2 * N - 1)
     for ell in range(N):
         b_sum[2 * ell] = math.comb(m, 2 * ell)
-    A_sum = IntPolynomial(tuple(a_sum))
-    B_sum = IntPolynomial(tuple(b_sum))
+    A_sum = IntPolynomial._from_ints(a_sum)
+    B_sum = IntPolynomial._from_ints(b_sum)
 
     plus = [math.comb(m, j) for j in range(m + 1)]  # (1+a)^m
     minus = [math.comb(m, j) * (-1) ** j for j in range(m + 1)]  # (1-a)^m
-    A_closed = IntPolynomial(
-        tuple([0] + _exact_half([a - b for a, b in zip(plus, minus)]))
-    )
-    B_closed = IntPolynomial(tuple(_exact_half([a + b for a, b in zip(plus, minus)])))
+    A_closed = IntPolynomial._from_ints([0] + _exact_half([a - b for a, b in zip(plus, minus)]))
+    B_closed = IntPolynomial._from_ints(_exact_half([a + b for a, b in zip(plus, minus)]))
     if A_sum != A_closed or B_sum != B_closed:
         raise SelfCheckError(
             f"binomial sum and closed form disagree at N={N}: "

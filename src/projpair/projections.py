@@ -11,7 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import adjoint, as_matrix, hermitian_eigen, max_spectral_norm, spectral_norm
+from .linalg import (
+    adjoint,
+    as_matrix,
+    hermitian_eigen,
+    max_spectral_norm,
+    spectral_norm,
+    spectral_norms,
+)
 
 # Constructed projections must satisfy ||P^2 - P|| and ||P - P*|| below this.
 PROJ_TOL = 1e-10
@@ -120,8 +127,7 @@ def validate_projection(P: np.ndarray, tol: float = PROJ_TOL) -> ValidationRepor
     a tol that is not finite and positive raises ValueError."""
     require_tol(tol)
     P = as_matrix(P)
-    idem = spectral_norm(P @ P - P)
-    herm = spectral_norm(P - adjoint(P))
+    idem, herm = spectral_norms([P @ P - P, P - adjoint(P)])
     return ValidationReport(idem, herm, tol, idem <= tol and herm <= tol)
 
 

@@ -17,7 +17,8 @@ from itertools import accumulate, islice, repeat
 
 import numpy as np
 
-from .linalg import adjoint, mat_poly_eval, spectral_norm
+from .linalg import adjoint, mat_poly_evals, spectral_norm, spectral_norms, stack_capacity
+from .linalg import mat_poly_eval  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .polynomials import poly_F, poly_PQ_recursive, poly_eval_real
 from .projections import (
     AngleSpec,
@@ -60,6 +61,18 @@ def _report(name: str, pair: ProjectionPair, quantities: dict, residual: float,
 def _powers(A: np.ndarray, k: int):
     """A, A^2, ..., A^k, each power formed as the previous one times A."""
     return accumulate(repeat(A, k), np.matmul)
+
+
+def _degree_groups(degrees: range, per_degree: int, dim: int) -> list[range]:
+    """Split degrees into consecutive runs short enough that per_degree
+    dim x dim matrices for each degree fill one stack; one degree at least.
+
+    A check hands linalg each run's matrices together, which measures them
+    with one Horner pass or one eigensolve per stack, and holds one run at a
+    time, so memory stays bounded however long the power loop is.
+    """
+    size = max(1, stack_capacity((dim, dim)) // per_degree)
+    return [degrees[i : i + size] for i in range(0, len(degrees), size)]
 
 
 # Neither family depends on the pair, so each n is built once per process.
@@ -116,9 +129,14 @@ def check_lemma_product_power(pair: ProjectionPair, m_max: int = 8,
     residual = abs(norm_fgf - a * a)
     # m = 1 holds by construction: ||fg|| <= ||fg|| and fg = (fgf)^0 fg
     powers = islice(_powers(fg, m_max), 1, None)
-    for m, (power, prefix) in enumerate(zip(powers, _powers(fgf, m_max - 1)), start=2):
-        residual = max(residual, spectral_norm(power) - a ** (2 * m - 1))
-        residual = max(residual, spectral_norm(power - prefix @ fg))
+    prefixes = _powers(fgf, m_max - 1)
+    for group in _degree_groups(range(2, m_max + 1), 2, pair.dim):
+        group_powers = list(islice(powers, len(group)))
+        gaps = [power - prefix @ fg for power, prefix in zip(group_powers, prefixes)]
+        norms = spectral_norms(group_powers + gaps)
+        for m, power_norm, gap_norm in zip(group, norms, norms[len(group):]):
+            residual = max(residual, power_norm - a ** (2 * m - 1))
+            residual = max(residual, gap_norm)
     return _report(
         "lemma_product_power", pair,
         {"norm_fg": a, "norm_fgf": norm_fgf, "m_max": m_max},
@@ -139,12 +157,12 @@ def check_lemma_commutator(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> Tr
     uu = u @ adjoint(u)
     u_u = adjoint(u) @ u
     comm_norm = pair.norm_comm
-    u_norm = spectral_norm(u)
+    u_norm, split_gap, overlap = spectral_norms([u, adjoint(comm) @ comm - (uu + u_u), uu @ u_u])
     residual = max(
         abs(comm_norm - u_norm),
         max(0.0, comm_norm - pair.norm_fg),
-        spectral_norm(adjoint(comm) @ comm - (uu + u_u)),
-        spectral_norm(uu @ u_u),
+        split_gap,
+        overlap,
     )
     return _report(
         "lemma_commutator", pair,
@@ -162,20 +180,19 @@ def check_power_expansion(pair: ProjectionPair, n_max: int = 8,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    fg, gf, fgf = pair.fg, pair.gf, pair.fgf
-    gfg = gf @ pair.g
+    terms = [pair.fg, pair.gf, pair.fgf, pair.gf @ pair.g]
     anti_norm = pair.norm_anti
+    powers = _powers(pair.anti, n_max)
     residual = 0.0
-    for n, power in enumerate(_powers(pair.anti, n_max), start=1):
-        p, q = _expansion_terms(n)
-        rhs = (
-            mat_poly_eval(p, fg)
-            + mat_poly_eval(p, gf)
-            + mat_poly_eval(q, fgf)
-            + mat_poly_eval(q, gfg)
-        )
-        scale = max(1.0, anti_norm**n)
-        residual = max(residual, spectral_norm(power - rhs) / scale)
+    for group in _degree_groups(range(1, n_max + 1), 4, pair.dim):
+        polys = [poly for n in group for p, q in [_expansion_terms(n)] for poly in (p, p, q, q)]
+        values = mat_poly_evals(polys, terms * len(group))
+        # P_n(fg) + P_n(gf) + Q_n(fgf) + Q_n(gfg), summed left to right as the
+        # values come, so a group of one degree holds no more than the loop did
+        gaps = spectral_norms([power - (next(values) + next(values) + next(values) + next(values))
+                               for power in islice(powers, len(group))])
+        for n, gap in zip(group, gaps):
+            residual = max(residual, gap / max(1.0, anti_norm**n))
     return _report(
         "power_expansion", pair,
         {"norm_anti": anti_norm, "n_max": n_max},
@@ -195,20 +212,27 @@ def check_nw_block(pair: ProjectionPair, n_max: int = 8,
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     blocks = halmos_decompose(pair, tol=max(tol, 1e-9))
-    r = blocks.D.shape[0]
+    D, V = blocks.D, blocks.V
+    r = D.shape[0]
     anti_norm = pair.norm_anti
     w = adjoint(blocks.basis) @ pair.anti @ blocks.basis
-    f_prev = mat_poly_eval(_block_terms(0)[0], blocks.D)  # F_{n-1}(D), carried over
+    powers = _powers(w, n_max)
+    f_prev = []  # [F_{n-1}(D)] for the group's first n, carried over
     residual = 0.0
-    for n, power in enumerate(_powers(w, n_max), start=1):
-        f_n, drop = _block_terms(n)
-        f_cur = mat_poly_eval(f_n, blocks.D)
-        scale = max(1.0, anti_norm**n)
-        nw = power[:r, :r] - f_cur
-        ne = power[:r, r:] - f_prev @ blocks.V
-        residual = max(residual, spectral_norm(nw) / scale, spectral_norm(ne) / scale)
-        residual = max(residual, drop / scale)
-        f_prev = f_cur
+    for group in _degree_groups(range(1, n_max + 1), 1, pair.dim):
+        # f[i] = F_{group.start - 1 + i}(D); each F_k(D) is evaluated once
+        needed = range(group.start - 1 + len(f_prev), group.stop)
+        f = f_prev + list(mat_poly_evals([_block_terms(k)[0] for k in needed], [D] * len(needed)))
+        group_powers = list(islice(powers, len(group)))
+        nw_gaps = spectral_norms([power[:r, :r] - f_n
+                                  for power, f_n in zip(group_powers, f[1:])])
+        ne_gaps = spectral_norms([power[:r, r:] - f_before @ V
+                                  for power, f_before in zip(group_powers, f)])
+        for n, nw, ne in zip(group, nw_gaps, ne_gaps):
+            scale = max(1.0, anti_norm**n)
+            residual = max(residual, nw / scale, ne / scale)
+            residual = max(residual, _block_terms(n)[1] / scale)
+        f_prev = f[-1:]
     return _report(
         "nw_block", pair,
         {"norm_anti": anti_norm, "rank_f": r, "n_max": n_max},

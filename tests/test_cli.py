@@ -368,6 +368,19 @@ def test_help_exits_zero(capsys):
     assert main(["verify", "--help"]) == 0
 
 
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "bounds", "--a", "0.5", "--max-n", "2")[0] == 0
+        assert run(capsys, "poly", "--family", "F", "--n", "2")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
 def test_checks_flag_tolerates_spaces(capsys):
     code, out, _ = run(
         capsys, "verify", "--dims", "2", "--trials", "2",

@@ -5,6 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from projpair.polynomials import (
+    ONE,
+    X,
+    ZERO,
     IntPolynomial,
     SelfCheckError,
     SqrtRingPolynomial,
@@ -29,6 +32,18 @@ def test_trailing_zeros_trimmed():
     assert poly(1, 2, 0, 0) == poly(1, 2)
     assert poly(0, 0).is_zero()
     assert poly().degree == -1
+
+
+def test_arithmetic_trims_what_cancels():
+    difference = X - X
+    assert difference == ZERO and hash(difference) == hash(ZERO)
+    assert difference.coefficients == () and difference.degree == -1
+    assert (X + ONE) * (X - ONE) == poly(-1, 0, 1)
+    assert (X * X + X) - X * X == X
+    assert (X + ONE) * (X - ONE) - X * X + ONE == ZERO
+    assert 0 * (X + ONE) == ZERO
+    for p in (difference, (X + ONE) * (X - ONE), -X, X.shift(2), 3 * X, True * X):
+        assert all(type(c) is int for c in p.coefficients)
 
 
 def test_shift():

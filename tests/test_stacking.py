@@ -1,0 +1,253 @@
+"""Stacked evaluation against the loops it replaced.
+
+`linalg.spectral_norms` and `linalg.mat_poly_evals` take many matrices in one
+Gram product and eigensolve, or one Horner pass, and the checks hand them
+every degree of their power loops at once. The reference versions below are
+those loops, one matrix per call, with the Horner rule as it stood before
+stacking. Each stacked matrix gets the same arithmetic as it would alone, so
+norms, residuals and quantities must agree bit for bit, not to a tolerance,
+and Horner values entry for entry.
+"""
+
+import math
+from itertools import accumulate, islice, repeat
+
+import numpy as np
+import pytest
+
+from projpair.linalg import (
+    STACK_BYTES,
+    adjoint,
+    mat_poly_evals,
+    spectral_norm,
+    spectral_norms,
+)
+from projpair.polynomials import poly_eval_real, poly_F, poly_PQ_recursive
+from projpair.projections import (
+    AngleSpec,
+    ProjectionPair,
+    Provenance,
+    halmos_decompose,
+    pair_from_angles,
+    random_pair,
+    validate_projection,
+)
+from projpair.verify import (
+    check_lemma_commutator,
+    check_lemma_product_power,
+    check_nw_block,
+    check_power_expansion,
+)
+
+# --- reference loops -------------------------------------------------------------
+
+
+def serial_horner(coeffs, A):
+    n = A.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    acc = np.zeros((n, n), dtype=np.complex128)
+    for c in reversed(list(getattr(coeffs, "coefficients", coeffs))):
+        acc = acc @ A
+        if c:
+            acc = acc + complex(c) * eye
+    return acc
+
+
+def serial_powers(A, k):
+    return accumulate(repeat(A, k), np.matmul)
+
+
+def serial_validate(P):
+    return spectral_norm(P @ P - P), spectral_norm(P - adjoint(P))
+
+
+def serial_lemma_product_power(pair, m_max):
+    fg, fgf, a = pair.fg, pair.fgf, pair.norm_fg
+    norm_fgf = spectral_norm(fgf)
+    residual = abs(norm_fgf - a * a)
+    powers = islice(serial_powers(fg, m_max), 1, None)
+    for m, (power, prefix) in enumerate(zip(powers, serial_powers(fgf, m_max - 1)), start=2):
+        residual = max(residual, spectral_norm(power) - a ** (2 * m - 1))
+        residual = max(residual, spectral_norm(power - prefix @ fg))
+    return {"norm_fg": a, "norm_fgf": norm_fgf, "m_max": m_max}, max(residual, 0.0)
+
+
+def serial_lemma_commutator(pair):
+    eye = np.eye(pair.dim, dtype=np.complex128)
+    comm = pair.comm
+    u = pair.fg @ (eye - pair.f)
+    uu = u @ adjoint(u)
+    u_u = adjoint(u) @ u
+    comm_norm = pair.norm_comm
+    u_norm = spectral_norm(u)
+    residual = max(
+        abs(comm_norm - u_norm),
+        max(0.0, comm_norm - pair.norm_fg),
+        spectral_norm(adjoint(comm) @ comm - (uu + u_u)),
+        spectral_norm(uu @ u_u),
+    )
+    return {"norm_comm": comm_norm, "norm_u": u_norm, "norm_fg": pair.norm_fg}, residual
+
+
+def serial_power_expansion(pair, n_max):
+    fg, gf, fgf = pair.fg, pair.gf, pair.fgf
+    gfg = gf @ pair.g
+    anti_norm = pair.norm_anti
+    residual = 0.0
+    for n, power in enumerate(serial_powers(pair.anti, n_max), start=1):
+        p, q = poly_PQ_recursive(n)
+        rhs = (serial_horner(p, fg) + serial_horner(p, gf)
+               + serial_horner(q, fgf) + serial_horner(q, gfg))
+        scale = max(1.0, anti_norm**n)
+        residual = max(residual, spectral_norm(power - rhs) / scale)
+    return {"norm_anti": anti_norm, "n_max": n_max}, residual
+
+
+def serial_nw_block(pair, n_max, tol):
+    blocks = halmos_decompose(pair, tol=max(tol, 1e-9))
+    r = blocks.D.shape[0]
+    anti_norm = pair.norm_anti
+    w = adjoint(blocks.basis) @ pair.anti @ blocks.basis
+    f_prev = serial_horner(poly_F(0), blocks.D)
+    residual = 0.0
+    for n, power in enumerate(serial_powers(w, n_max), start=1):
+        f_n = poly_F(n)
+        values = [poly_eval_real(f_n, x) for x in np.linspace(0.0, 1.0, 100)]
+        drop = max(values[i] - values[i + 1] for i in range(len(values) - 1))
+        f_cur = serial_horner(f_n, blocks.D)
+        scale = max(1.0, anti_norm**n)
+        nw = power[:r, :r] - f_cur
+        ne = power[:r, r:] - f_prev @ blocks.V
+        residual = max(residual, spectral_norm(nw) / scale, spectral_norm(ne) / scale)
+        residual = max(residual, drop / scale)
+        f_prev = f_cur
+    return {"norm_anti": anti_norm, "rank_f": r, "n_max": n_max}, residual
+
+
+# --- pairs -----------------------------------------------------------------------
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def rotated(pair, seed):
+    """The pair in a seeded random orthonormal basis, so no block is axis-aligned."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((pair.dim, pair.dim))
+                        + 1j * rng.standard_normal((pair.dim, pair.dim)))
+
+    def conj(P):
+        P = q @ P @ adjoint(q)
+        return (P + adjoint(P)) / 2
+
+    return ProjectionPair(conj(pair.f), conj(pair.g), pair.dim, Provenance("rotated"))
+
+
+def angle_pair(*angles, extra_f=0, extra_g=0):
+    return pair_from_angles(AngleSpec(angles, extra_f_dims=extra_f, extra_g_dims=extra_g))
+
+
+EPS = 1e-9
+PAIRS = {
+    "equal": angle_pair(0.0),
+    "orthogonal": angle_pair(math.pi / 2),
+    "intersecting_and_orthogonal": angle_pair(0.0, math.pi / 2, 0.3, extra_f=1, extra_g=2),
+    "rank_dim_minus_1": angle_pair(0.7, extra_f=4),
+    "f_zero": angle_pair(extra_g=5),
+    "f_identity": angle_pair(extra_f=5),
+    "nearly_commuting": angle_pair(EPS, math.pi / 2 - EPS, 2 * EPS),
+    "nearly_commuting_rotated": rotated(angle_pair(EPS, math.pi / 2 - EPS, 2 * EPS, extra_g=1), 1),
+    "rank_dim_minus_1_rotated": rotated(angle_pair(1.1, extra_f=5), 2),
+    # dims below, at and above the sizes where a check's stacks split
+    **{f"random_dim{d}": random_pair(d, 100 + d) for d in (2, 5, 16, 24, 32, 48, 64)},
+}
+LOOP_LENGTHS = (1, 2, 8, 12)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_stacked_checks_match_serial_loops(name):
+    pair = PAIRS[name]
+    for k in LOOP_LENGTHS:
+        cases = (
+            (check_lemma_product_power(pair, m_max=k), serial_lemma_product_power(pair, k)),
+            (check_power_expansion(pair, n_max=k), serial_power_expansion(pair, k)),
+            (check_nw_block(pair, n_max=k), serial_nw_block(pair, k, 1e-8)),
+        )
+        for report, (quantities, residual) in cases:
+            label = f"{report.check_name} at loop length {k}"
+            assert bits(report.residual) == bits(residual), label
+            assert report.quantities.keys() == quantities.keys(), label
+            for key, value in quantities.items():
+                assert bits(report.quantities[key]) == bits(value), f"{label}: {key}"
+    report = check_lemma_commutator(pair)
+    quantities, residual = serial_lemma_commutator(pair)
+    assert bits(report.residual) == bits(residual)
+    assert {k: bits(v) for k, v in report.quantities.items()} == {
+        k: bits(v) for k, v in quantities.items()}
+    for member in (pair.f, pair.g):
+        validation = validate_projection(member)
+        idem, herm = serial_validate(member)
+        assert bits(validation.idempotency_residual) == bits(idem)
+        assert bits(validation.hermiticity_residual) == bits(herm)
+
+
+# --- linalg stacks -----------------------------------------------------------------
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(7, 3, 3), (5, 4, 2), (20, 24, 24), (3, 64, 64), (3, 70, 40)])
+def test_spectral_norms_match_spectral_norm(shape):
+    rng = np.random.default_rng(sum(shape))
+    mats = random_complex(rng, shape)
+    expected = [bits(spectral_norm(m)) for m in mats]
+    assert [bits(x) for x in spectral_norms(mats)] == expected
+    assert [bits(x) for x in spectral_norms(list(mats))] == expected
+
+
+def test_spectral_norms_of_empty_matrices_and_sequences():
+    assert spectral_norms(np.zeros((3, 0, 4))) == [0.0, 0.0, 0.0]
+    assert spectral_norms([np.zeros((4, 0))] * 2) == [0.0, 0.0]
+    assert spectral_norms([]) == []
+
+
+def test_spectral_norms_reject_non_finite_and_ragged_input():
+    mats = [np.eye(3), np.full((3, 3), np.nan)]
+    with pytest.raises(ValueError, match="finite"):
+        spectral_norms(mats)
+    with pytest.raises(ValueError):
+        spectral_norms([np.eye(3), np.eye(2)])
+
+
+# coefficient lists of mixed lengths: zero polynomial, constants, inner zeros
+POLYS = [(), (0,), (3,), (0, 1), (1, 2, 3), (0, -3, 0, 0, 2), (5, 0, 0), (0, 0, 1), (-7, 1)]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 24, 64])
+def test_mat_poly_evals_match_serial_horner(dim):
+    rng = np.random.default_rng(dim)
+    polys = POLYS + POLYS[::-1]
+    mats = random_complex(rng, (len(polys), dim, dim)) / math.sqrt(dim)
+    assert len(polys) * mats[0].nbytes > STACK_BYTES or dim < 24  # 24 and 64 split
+    for values in (list(mat_poly_evals(polys, mats)), list(mat_poly_evals(polys, list(mats)))):
+        assert len(values) == len(polys)
+        for p, A, value in zip(polys, mats, values):
+            # equal entry for entry; a zero entry may differ in sign, because
+            # the constant term now goes on the diagonal only, where the loop
+            # added c * I, and so +0.0, to every entry
+            expected = serial_horner(p, A)
+            assert value.shape == expected.shape
+            assert np.array_equal(value, expected), p
+
+
+def test_mat_poly_evals_rejects_bad_input():
+    with pytest.raises(ValueError, match="polynomials for"):
+        mat_poly_evals([(1,)], [np.eye(2)] * 2)
+    with pytest.raises(ValueError, match="finite"):
+        list(mat_poly_evals([(1,), (1,)], [np.eye(2), np.full((2, 2), np.inf)]))
+    with pytest.raises(ValueError, match="square"):
+        list(mat_poly_evals([(1,)], [np.ones((2, 3))]))
+    assert list(mat_poly_evals([], [])) == []

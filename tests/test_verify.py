@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import projpair.projections as projections
 import projpair.verify as verify
-from projpair.linalg import mat_poly_eval, spectral_norm
+from projpair.linalg import mat_poly_evals, spectral_norm, spectral_norms
 from projpair.projections import (
     AngleSpec,
     Provenance,
@@ -383,31 +383,58 @@ def test_run_trials_measures_each_pair_norm_once(monkeypatch):
         measured.append(np.array(A, copy=True))
         return spectral_norm(A)
 
-    monkeypatch.setattr(verify, "spectral_norm", recording)
-    monkeypatch.setattr(projections, "spectral_norm", recording)
+    def recording_each(mats):
+        measured.extend(np.array(A, copy=True) for A in mats)
+        return spectral_norms(mats)
+
+    for module in (verify, projections):
+        monkeypatch.setattr(module, "spectral_norm", recording)
+        monkeypatch.setattr(module, "spectral_norms", recording_each)
     report = run_trials(TrialConfig(dims=(4,), trials=1, base_seed=3))
     assert report.verdict == "pass"
     pair = random_pair(4, 3)
     fg, gf = pair.f @ pair.g, pair.g @ pair.f
     for name, product in (("fg", fg), ("fg+gf", fg + gf), ("fg-gf", fg - gf)):
-        count = sum(np.array_equal(A, product) for A in measured)
+        count = sum(A.shape == product.shape and np.array_equal(A, product) for A in measured)
         assert count == 1, f"||{name}|| measured {count} times"
 
 
 def test_run_trials_evaluates_each_matrix_polynomial_once(monkeypatch):
     evaluated = Counter()
 
-    def recording(p, A):
-        key = (tuple(getattr(p, "coefficients", p)), np.shape(A),
-               np.ascontiguousarray(A).tobytes())
-        evaluated[key] += 1
-        return mat_poly_eval(p, A)
+    def recording(polys, mats):
+        for p, A in zip(polys, mats, strict=True):
+            key = (tuple(getattr(p, "coefficients", p)), np.shape(A),
+                   np.ascontiguousarray(A).tobytes())
+            evaluated[key] += 1
+        return mat_poly_evals(polys, mats)
 
-    monkeypatch.setattr(verify, "mat_poly_eval", recording)
+    monkeypatch.setattr(verify, "mat_poly_evals", recording)
     report = run_trials(TrialConfig(dims=(6,), trials=1, base_seed=0))
     assert report.verdict == "pass"
+    # power_expansion: 4 per degree; nw_block: F_0 .. F_8
+    assert evaluated.total() == 4 * 8 + 9
     repeats = sum(count - 1 for count in evaluated.values())
     assert repeats == 0, f"{repeats} of {evaluated.total()} evaluations repeat an earlier one"
+
+
+def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
+    # Each check stacks its matrices of every degree, so a dim-4 trial makes
+    # one Hermitian eigensolve per stack: 2 validating the pair, 3 for its
+    # norms, 2 in lemma_product_power, 1 in lemma_commutator, 1 in
+    # power_expansion and 6 in nw_block (4 of them in halmos_decompose).
+    # Measured one matrix at a time, it made 53.
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    report = run_trials(TrialConfig(dims=(4,), trials=1, base_seed=0))
+    assert report.verdict == "pass"
+    assert len(calls) == 15, calls
 
 
 def test_run_trials_records_construction_errors(monkeypatch):

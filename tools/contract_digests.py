@@ -1,6 +1,6 @@
 """Print the sha256 of every output in projpair's byte contract.
 
-The contract is seven campaign reports (`run_trials(config).to_json()`) and
+The contract is eight campaign reports (`run_trials(config).to_json()`) and
 eleven CLI stdouts. A refactor keeps it when this script prints the same
 lines before and after the change on the same machine:
 
@@ -48,6 +48,10 @@ CAMPAIGNS = (
     ("all checks dims=(2, 4, 8, 16) trials=25 seed=0 m_max=n_max=12",
      TrialConfig(dims=(2, 4, 8, 16), trials=25, base_seed=0, checks=ALL_CHECKS,
                  m_max=12, n_max=12)),
+    # dims whose power loops fit one stack (3, 5) beside dims where they split
+    # into runs and stacks (24, 32, 48)
+    ("all checks dims=(3, 5, 24, 32, 48) trials=10 seed=0",
+     TrialConfig(dims=(3, 5, 24, 32, 48), trials=10, base_seed=0, checks=ALL_CHECKS)),
 )
 
 # In order: the decompose runs read the pair files the counterexample runs write.
