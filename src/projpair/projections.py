@@ -49,7 +49,8 @@ class ProjectionPair:
 
     The products and norms every check reads (fg, gf, fgf, fg + gf, fg - gf and
     their norms) are computed on first access and kept, so a pair measures
-    each of them once however many checks read it.
+    each of them once however many checks read it; measure_norms measures a
+    norm for many pairs at once and keeps it in the same place.
     """
 
     f: np.ndarray
@@ -101,6 +102,20 @@ class ProjectionPair:
         return spectral_norm(self.comm)
 
 
+# The product whose norm each cached norm of ProjectionPair is.
+_NORMED_PRODUCTS = {"norm_fg": "fg", "norm_anti": "anti", "norm_comm": "comm"}
+
+
+def measure_norms(pairs, names) -> None:
+    """Cache the named norms ("norm_fg", "norm_anti", "norm_comm") of every
+    pair, each name's from one spectral_norms call for all the pairs; the
+    pairs' cached properties then read these values instead of measuring."""
+    for name in names:
+        norms = spectral_norms([getattr(pair, _NORMED_PRODUCTS[name]) for pair in pairs])
+        for pair, norm in zip(pairs, norms):
+            pair.__dict__[name] = norm  # where cached_property keeps its value
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Residuals of the two defining projection properties plus the verdict."""
@@ -126,19 +141,32 @@ def validate_projection(P: np.ndarray, tol: float = PROJ_TOL) -> ValidationRepor
     """Check P = P* = P^2 within tol. Residuals are reported, never raised;
     a tol that is not finite and positive raises ValueError."""
     require_tol(tol)
-    P = as_matrix(P)
-    idem, herm = spectral_norms([P @ P - P, P - adjoint(P)])
-    return ValidationReport(idem, herm, tol, idem <= tol and herm <= tol)
+    return validate_projections(as_matrix(P)[np.newaxis], tol)[0]
 
 
-def _box_muller_normals(rng: np.random.Generator, count: int) -> np.ndarray:
-    # Box-Muller on the generator's uniform stream; 1 - u keeps the log finite.
-    pairs = (count + 1) // 2
-    u1 = 1.0 - rng.random(pairs)
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
-    return z[:count]
+def validate_projections(mats, tol: float = PROJ_TOL) -> list[ValidationReport]:
+    """validate_projection for each of many equally shaped square matrices,
+    in order: one stacked product and one spectral_norms call for them all.
+    `mats` is a (k, n, n) array or a sequence of n x n matrices."""
+    require_tol(tol)
+    if not len(mats):
+        return []
+    P = np.asarray(mats, dtype=np.complex128)
+    if P.ndim != 3 or P.shape[1] != P.shape[2]:
+        raise ValueError(f"expected equally shaped square matrices, got a stack of shape {P.shape}")
+    # a list of views, which spectral_norms copies one stack at a time
+    norms = spectral_norms([*(np.matmul(P, P) - P), *(P - adjoint(P))])
+    return [ValidationReport(idem, herm, tol, idem <= tol and herm <= tol)
+            for idem, herm in zip(norms[: len(P)], norms[len(P) :])]
+
+
+def _box_muller_normals(u1: np.ndarray, u2: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` Box-Muller normals of each row of uniform draws
+    (u1, u2); 1 - u1 keeps the log finite."""
+    radius = np.sqrt(-2.0 * np.log(1.0 - u1))
+    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)],
+                       axis=-1)
+    return z[..., :count]
 
 
 def random_projection(dim: int, rank: int, seed: int) -> np.ndarray:
@@ -149,21 +177,47 @@ def random_projection(dim: int, rank: int, seed: int) -> np.ndarray:
     Householder QR; the projection onto its column space is Q Q*. Identical
     (dim, rank, seed) yields bit-identical output.
     """
+    return random_projections(dim, [rank], [seed])[0]
+
+
+def random_projections(dim: int, ranks, seeds) -> np.ndarray:
+    """random_projection(dim, ranks[i], seeds[i]) for each i, as a (k, dim, dim) stack.
+
+    Each seed has its own PCG64 stream, so every projection is bit-identical
+    to the one its seed gives alone. The members of one rank share one pass
+    of Box-Muller arithmetic, one batched QR and one stacked Q Q*.
+    """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    if not 0 <= rank <= dim:
-        raise ValueError(f"rank must lie in [0, {dim}], got {rank}")
-    if rank == 0:
-        return np.zeros((dim, dim), dtype=np.complex128)
-    if rank == dim:
-        return np.eye(dim, dtype=np.complex128)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    re = _box_muller_normals(rng, dim * rank)
-    im = _box_muller_normals(rng, dim * rank)
-    gauss = (re + 1j * im).reshape(dim, rank)
-    q, _ = np.linalg.qr(gauss)
-    proj = q @ adjoint(q)
-    return (proj + adjoint(proj)) / 2.0
+    if len(ranks) != len(seeds):
+        raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
+    for rank in ranks:
+        if not 0 <= rank <= dim:
+            raise ValueError(f"rank must lie in [0, {dim}], got {rank}")
+    out = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    groups = {}
+    for i, rank in enumerate(ranks):
+        groups.setdefault(rank, []).append(i)
+    for rank, members in groups.items():
+        if rank == 0:
+            out[members] = 0.0
+            continue
+        if rank == dim:
+            out[members] = np.eye(dim)
+            continue
+        count = dim * rank
+        # one draw per member, in stream order: u1 and u2 of the real parts,
+        # then u1 and u2 of the imaginary parts
+        u = np.empty((len(members), 4, (count + 1) // 2))
+        for draw, i in zip(u, members):
+            np.random.Generator(np.random.PCG64(seeds[i])).random(out=draw)
+        re, im = _box_muller_normals(u[:, 0::2], u[:, 1::2], count).swapaxes(0, 1)
+        q, _ = np.linalg.qr((re + 1j * im).reshape(len(members), dim, rank))
+        proj = np.matmul(q, adjoint(q))
+        proj += adjoint(proj)
+        proj /= 2.0
+        out[members] = proj
+    return out
 
 
 def random_pair(dim: int, seed: int) -> ProjectionPair:
@@ -172,17 +226,24 @@ def random_pair(dim: int, seed: int) -> ProjectionPair:
     All randomness (both ranks, both member seeds) derives from the single
     seed, so a pair is reproducible from (dim, seed) alone.
     """
+    return random_pairs(dim, [seed])[0]
+
+
+def random_pairs(dim: int, seeds) -> list[ProjectionPair]:
+    """random_pair(dim, seed) for each seed, in order, with the members of all
+    the pairs built by one random_projections call."""
     if dim < 2:
         raise ValueError(f"random pairs need dim >= 2, got {dim}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rank_f = int(rng.integers(1, dim))
-    rank_g = int(rng.integers(1, dim))
-    seed_f = int(rng.integers(0, 2**63))
-    seed_g = int(rng.integers(0, 2**63))
-    f = random_projection(dim, rank_f, seed_f)
-    g = random_projection(dim, rank_g, seed_g)
-    prov = Provenance("random", {"seed": seed, "rank_f": rank_f, "rank_g": rank_g})
-    return ProjectionPair(f, g, dim, prov)
+    ranks, member_seeds = [], []  # f's, then g's, pair after pair
+    for seed in seeds:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        ranks += [int(rng.integers(1, dim)), int(rng.integers(1, dim))]
+        member_seeds += [int(rng.integers(0, 2**63)), int(rng.integers(0, 2**63))]
+    members = random_projections(dim, ranks, member_seeds)
+    return [ProjectionPair(f, g, dim,
+                           Provenance("random", {"seed": seed, "rank_f": rank_f, "rank_g": rank_g}))
+            for seed, f, g, rank_f, rank_g
+            in zip(seeds, members[0::2], members[1::2], ranks[0::2], ranks[1::2])]
 
 
 @dataclass(frozen=True)
@@ -283,6 +344,11 @@ class HalmosBlocks:
         """block_relation_residuals(self), computed on first access and kept."""
         return block_relation_residuals(self)
 
+    @cached_property
+    def norm_D(self) -> float:
+        """||D||, which equals ||fg||^2; measured on first access and kept."""
+        return spectral_norm(self.D)
+
 
 def block_relation_residuals(blocks: HalmosBlocks) -> dict[str, float]:
     """Residuals of the three relations projectionhood of g imposes on the blocks."""
@@ -316,7 +382,7 @@ def halmos_decompose(pair: ProjectionPair, tol: float = 1e-9) -> HalmosBlocks:
     g_in_basis = adjoint(basis) @ pair.g @ basis
     blocks = HalmosBlocks(g_in_basis[:r, :r], g_in_basis[r:, r:], g_in_basis[:r, r:], basis)
     residuals = dict(blocks.relation_residuals,
-                     norm_identity=abs(pair.norm_fg**2 - spectral_norm(blocks.D)))
+                     norm_identity=abs(pair.norm_fg**2 - blocks.norm_D))
     worst = max(residuals.values())
     if worst > tol:
         raise DecompositionError(

@@ -25,11 +25,14 @@ from .projections import (
     ProjectionPair,
     Provenance,
     halmos_decompose,
+    measure_norms,
     pair_from_angles,
     random_pair,
-    random_projection,
+    random_pairs,
+    random_projections,
     require_tol,
     validate_projection,
+    validate_projections,
 )
 
 DEFAULT_TOL = 1e-8
@@ -324,6 +327,19 @@ def check_dim2_commutator_identity(pair: ProjectionPair,
     )
 
 
+def _worst_violator(dim: int, rng: np.random.Generator, size: int,
+                    search_seed: int) -> ProjectionPair:
+    """The first pair of largest dim-2 identity violation among `size`
+    rank-dim/2 pairs, built and measured together. Their members' seeds come
+    from rng, f's before g's, pair after pair."""
+    seeds = rng.integers(0, 2**63, size=2 * size).tolist()
+    members = random_projections(dim, [dim // 2] * len(seeds), seeds)
+    pairs = [ProjectionPair(f, g, dim, Provenance("random", {"seed": search_seed}))
+             for f, g in zip(members[0::2], members[1::2])]
+    measure_norms(pairs, ("norm_fg", "norm_comm"))
+    return max(pairs, key=_identity_violation)
+
+
 def find_commutator_identity_counterexample(
     dim: int, mode: str = "deterministic", budget: int = 1000, seed: int = 0
 ) -> tuple[ProjectionPair, float]:
@@ -332,8 +348,9 @@ def find_commutator_identity_counterexample(
     Deterministic mode direct-sums the angle cells (0, pi/4, pi/4, ...): the
     zero cell drives ||fg|| to 1 while the pi/4 cells keep the commutator norm
     at 1/2, giving violation 1/4 at dim 4. Random mode samples `budget`
-    rank-dim/2 pairs and returns the worst violator found; `budget` must be
-    >= 1 in either mode.
+    rank-dim/2 pairs and returns the worst violator found, building and
+    measuring them a stack at a time, so memory does not grow with the
+    budget; `budget` must be >= 1 in either mode.
     """
     if dim < 4 or dim % 2:
         raise ValueError(f"counterexamples require even dim >= 4, got {dim}")
@@ -344,14 +361,12 @@ def find_commutator_identity_counterexample(
         pair = pair_from_angles(AngleSpec(angles))
     elif mode == "random":
         rng = np.random.Generator(np.random.PCG64(seed))
-        # f's seed is drawn before g's; max keeps the first pair of largest violation
-        pairs = (
-            ProjectionPair(random_projection(dim, dim // 2, int(rng.integers(0, 2**63))),
-                           random_projection(dim, dim // 2, int(rng.integers(0, 2**63))),
-                           dim, Provenance("random", {"seed": seed}))
-            for _ in range(budget)
-        )
-        pair = max(pairs, key=_identity_violation)
+        step = stack_capacity((dim, dim))
+        # max keeps the first pair of largest violation, and holds one
+        # chunk's best at a time
+        bests = (_worst_violator(dim, rng, min(step, budget - start), seed)
+                 for start in range(0, budget, step))
+        pair = max(bests, key=_identity_violation)
     else:
         raise ValueError(f"mode must be 'deterministic' or 'random', got {mode!r}")
     return pair, _identity_violation(pair)
@@ -369,6 +384,17 @@ CHECKS = {
 }
 
 ALL_CHECKS = tuple(CHECKS)
+
+# The cached pair norms each check reads (nw_block's through halmos_decompose);
+# a campaign measures those its checks read for a chunk of pairs at once.
+NORMS_READ = {
+    "theorem": ("norm_fg", "norm_anti"),
+    "corollary": ("norm_fg", "norm_comm"),
+    "lemma_product_power": ("norm_fg",),
+    "lemma_commutator": ("norm_comm", "norm_fg"),
+    "power_expansion": ("norm_anti",),
+    "nw_block": ("norm_anti", "norm_fg"),
+}
 
 
 @dataclass(frozen=True)
@@ -434,11 +460,16 @@ class AggregateReport:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-def _run_one_trial(config: TrialConfig, dim: int, seed: int) -> dict[str, TrialReport]:
-    """Build and validate the pair for one trial, then run the configured checks."""
-    pair = random_pair(dim, seed)
-    for member, name in ((pair.f, "f"), (pair.g, "g")):
-        report = validate_projection(member)
+def _run_one_trial(config: TrialConfig, dim: int, seed: int,
+                   built: tuple | None = None) -> dict[str, TrialReport]:
+    """Run the configured checks on one trial's pair, once both its members
+    pass validation. `built` is the pair with the ValidationReports of f and g
+    when a chunk made them; without it the pair is built and validated here."""
+    if built is None:
+        pair = random_pair(dim, seed)
+        built = pair, (validate_projection(pair.f), validate_projection(pair.g))
+    pair, reports = built
+    for name, report in zip("fg", reports):
         if not report.ok:
             raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
     return {name: CHECKS[name](pair, config) for name in config.checks}
@@ -448,14 +479,43 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     """Run the configured checks over seeded random pairs.
 
     Trial i (numbered across the whole campaign) always uses base_seed + i;
-    trials run one after another in index order.
+    trials run one after another in index order. Each dim's trials run in
+    chunks of stack_capacity((dim, dim)), so a campaign holds one chunk of
+    pairs at a time.
     """
     summaries = {name: CheckSummary(name) for name in config.checks}
     errors = []
-    dims = (dim for dim in config.dims for _ in range(config.trials))
-    for index, dim in enumerate(dims):
+    for position, dim in enumerate(config.dims):
+        first, step = position * config.trials, stack_capacity((dim, dim))
+        for start in range(first, first + config.trials, step):
+            _run_chunk(config, dim, range(start, min(start + step, first + config.trials)),
+                       summaries, errors)
+    ordered = [summaries[name] for name in config.checks]
+    ok = not errors and all(not s.failures for s in ordered)
+    return AggregateReport(config, ordered, errors, "pass" if ok else "fail")
+
+
+def _run_chunk(config: TrialConfig, dim: int, indices: range,
+               summaries: dict[str, CheckSummary], errors: list[dict]) -> None:
+    """Run one chunk of trials, recording each in summaries or errors.
+
+    A chunk of more than one pair builds, validates and measures its pairs
+    together. If any of that raises, every trial builds its own pair instead,
+    as a chunk of one does, so each failure is recorded as its trial's own.
+    """
+    seeds = [config.base_seed + index for index in indices]
+    built = [None] * len(seeds)
+    if len(seeds) > 1:
         try:
-            results = _run_one_trial(config, dim, config.base_seed + index)
+            pairs = random_pairs(dim, seeds)
+            reports = validate_projections([p.f for p in pairs] + [p.g for p in pairs])
+            measure_norms(pairs, dict.fromkeys(n for c in config.checks for n in NORMS_READ[c]))
+            built = list(zip(pairs, zip(reports[: len(pairs)], reports[len(pairs) :])))
+        except Exception:  # rerun serially; the trial that raises records it
+            pass
+    for index, seed, trial in zip(indices, seeds, built):
+        try:
+            results = _run_one_trial(config, dim, seed, trial)
         except Exception as exc:  # trial isolation: record, never kill the campaign
             errors.append({"trial": index, "dim": dim,
                            "message": f"{type(exc).__name__}: {exc}"})
@@ -466,6 +526,3 @@ def run_trials(config: TrialConfig) -> AggregateReport:
             summary.max_residual = max(summary.max_residual, report.residual)
             if not report.passed:
                 summary.failures.append(index)
-    ordered = [summaries[name] for name in config.checks]
-    ok = not errors and all(not s.failures for s in ordered)
-    return AggregateReport(config, ordered, errors, "pass" if ok else "fail")

@@ -89,7 +89,8 @@ def test_box_muller_stream_is_plausibly_normal():
     from projpair.projections import _box_muller_normals
 
     rng = np.random.Generator(np.random.PCG64(1))
-    z = _box_muller_normals(rng, 20000)
+    z = _box_muller_normals(rng.random(10000), rng.random(10000), 20000)
+    assert z.shape == (20000,)
     assert abs(float(np.mean(z))) < 0.05
     assert abs(float(np.std(z)) - 1.0) < 0.05
 

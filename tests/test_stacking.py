@@ -2,14 +2,18 @@
 
 `linalg.spectral_norms` and `linalg.mat_poly_evals` take many matrices in one
 Gram product and eigensolve, or one Horner pass, and the checks hand them
-every degree of their power loops at once. The reference versions below are
-those loops, one matrix per call, with the Horner rule as it stood before
+every degree of their power loops at once. `projections.random_projections`
+builds many seeded projections with one QR per rank, and the counterexample
+search builds, validates and measures its pairs a stack at a time. The
+reference versions below are those loops, one matrix or one seed per call,
+with the Horner rule and the per-seed construction as they stood before
 stacking. Each stacked matrix gets the same arithmetic as it would alone, so
-norms, residuals and quantities must agree bit for bit, not to a tolerance,
-and Horner values entry for entry.
+matrices, norms, residuals and quantities must agree bit for bit, not to a
+tolerance, and Horner values entry for entry.
 """
 
 import math
+import tracemalloc
 from itertools import accumulate, islice, repeat
 
 import numpy as np
@@ -21,6 +25,7 @@ from projpair.linalg import (
     mat_poly_evals,
     spectral_norm,
     spectral_norms,
+    stack_capacity,
 )
 from projpair.polynomials import poly_eval_real, poly_F, poly_PQ_recursive
 from projpair.projections import (
@@ -28,15 +33,23 @@ from projpair.projections import (
     ProjectionPair,
     Provenance,
     halmos_decompose,
+    measure_norms,
     pair_from_angles,
     random_pair,
+    random_pairs,
+    random_projection,
+    random_projections,
     validate_projection,
+    validate_projections,
 )
 from projpair.verify import (
+    TrialConfig,
     check_lemma_commutator,
     check_lemma_product_power,
     check_nw_block,
     check_power_expansion,
+    find_commutator_identity_counterexample,
+    run_trials,
 )
 
 # --- reference loops -------------------------------------------------------------
@@ -251,3 +264,142 @@ def test_mat_poly_evals_rejects_bad_input():
     with pytest.raises(ValueError, match="square"):
         list(mat_poly_evals([(1,)], [np.ones((2, 3))]))
     assert list(mat_poly_evals([], [])) == []
+
+
+# --- seeded construction -----------------------------------------------------------
+
+
+def serial_box_muller(rng, count):
+    pairs = (count + 1) // 2
+    u1 = 1.0 - rng.random(pairs)
+    u2 = rng.random(pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
+    return z[:count]
+
+
+def serial_random_projection(dim, rank, seed):
+    if rank == 0:
+        return np.zeros((dim, dim), dtype=np.complex128)
+    if rank == dim:
+        return np.eye(dim, dtype=np.complex128)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    re = serial_box_muller(rng, dim * rank)
+    im = serial_box_muller(rng, dim * rank)
+    q, _ = np.linalg.qr((re + 1j * im).reshape(dim, rank))
+    proj = q @ adjoint(q)
+    return (proj + adjoint(proj)) / 2.0
+
+
+def serial_random_pair(dim, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rank_f = int(rng.integers(1, dim))
+    rank_g = int(rng.integers(1, dim))
+    f = serial_random_projection(dim, rank_f, int(rng.integers(0, 2**63)))
+    g = serial_random_projection(dim, rank_g, int(rng.integers(0, 2**63)))
+    return f, g, Provenance("random", {"seed": seed, "rank_f": rank_f, "rank_g": rank_g})
+
+
+def serial_search(dim, budget, seed):
+    """The random counterexample search as one loop, one pair per step:
+    (f, g, violation) of the first pair of largest violation."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best = None
+    for _ in range(budget):
+        f = serial_random_projection(dim, dim // 2, int(rng.integers(0, 2**63)))
+        g = serial_random_projection(dim, dim // 2, int(rng.integers(0, 2**63)))
+        fg = f @ g
+        a, comm = spectral_norm(fg), spectral_norm(fg - g @ f)
+        violation = abs(comm**2 - a**2 * (1.0 - a**2))
+        if best is None or violation > best[2]:
+            best = f, g, violation
+    return best
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 32, 64])
+def test_stacked_construction_matches_per_seed_loop(dim):
+    seeds = list(range(40, 52))
+    for rank in sorted({0, 1, dim - 1, dim}):
+        expected = [serial_random_projection(dim, rank, seed).tobytes() for seed in seeds]
+        stacked = random_projections(dim, [rank] * len(seeds), seeds)
+        assert stacked.shape == (len(seeds), dim, dim)
+        assert [P.tobytes() for P in stacked] == expected, f"rank {rank}"
+        assert [random_projection(dim, rank, seed).tobytes() for seed in seeds] == expected
+    # ranks mixed in one call: each rank is its own group, each seed its own stream
+    ranks = [seed % (dim + 1) for seed in seeds]
+    assert [P.tobytes() for P in random_projections(dim, ranks, seeds)] == [
+        serial_random_projection(dim, rank, seed).tobytes() for rank, seed in zip(ranks, seeds)]
+    pairs = random_pairs(dim, seeds)
+    measure_norms(pairs, ("norm_fg", "norm_anti", "norm_comm"))
+    reports = validate_projections([p.f for p in pairs] + [p.g for p in pairs])
+    for pair, f_report, g_report in zip(pairs, reports, reports[len(pairs):]):
+        f, g, provenance = serial_random_pair(dim, pair.provenance.params["seed"])
+        alone = random_pair(dim, pair.provenance.params["seed"])
+        for built in (pair, alone):
+            assert (built.f.tobytes(), built.g.tobytes()) == (f.tobytes(), g.tobytes())
+            assert built.provenance == provenance
+        # norms measured for the stack read as each pair measures its own
+        for name in ("norm_fg", "norm_anti", "norm_comm"):
+            assert bits(pair.__dict__[name]) == bits(getattr(alone, name)), name
+        for member, report in ((f, f_report), (g, g_report)):
+            idem, herm = serial_validate(member)
+            assert bits(report.idempotency_residual) == bits(idem)
+            assert bits(report.hermiticity_residual) == bits(herm)
+            assert report == validate_projection(member)
+    assert [p.provenance.params["seed"] for p in pairs] == seeds
+
+
+def test_stacked_construction_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="dim"):
+        random_projections(0, [0], [1])
+    with pytest.raises(ValueError, match="rank"):
+        random_projections(4, [1, 5], [1, 2])
+    with pytest.raises(ValueError, match="2 ranks for 3 seeds"):
+        random_projections(4, [1, 2], [1, 2, 3])
+    with pytest.raises(ValueError, match="dim >= 2"):
+        random_pairs(1, [0, 1])
+    with pytest.raises(ValueError, match="square"):
+        validate_projections(np.ones((2, 3, 4)))
+    assert random_pairs(4, []) == []
+    assert validate_projections([]) == []
+
+
+# --- counterexample search and campaign chunks -----------------------------------------
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_chunked_search_matches_serial_loop(dim):
+    capacity = stack_capacity((dim, dim))
+    # one pair, a chunk short of full, full, one over, and three chunks
+    for budget in (1, capacity - 1, capacity, capacity + 1, 2 * capacity + 1):
+        pair, violation = find_commutator_identity_counterexample(dim, "random", budget, budget)
+        f, g, expected = serial_search(dim, budget, budget)
+        assert (pair.f.tobytes(), pair.g.tobytes()) == (f.tobytes(), g.tobytes()), budget
+        assert bits(violation) == bits(expected), budget
+        assert pair.provenance == Provenance("random", {"seed": budget})
+        assert {"norm_fg", "norm_comm"} <= pair.__dict__.keys()  # measured with its chunk
+
+
+def traced_peak(run):
+    """Peak bytes tracemalloc sees while `run()` runs, after one untraced warm-up run."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_and_campaign_memory_does_not_grow_with_the_run():
+    # Both hold one chunk of pairs at a time (the search also its best pair
+    # so far), so four times the budget or the trials needs no more memory.
+    step = stack_capacity((4, 4))
+    search = [traced_peak(lambda: find_commutator_identity_counterexample(4, "random", budget, 0))
+              for budget in (2 * step, 8 * step)]
+    assert search[1] < 1.1 * search[0], search
+    campaign = [traced_peak(lambda: run_trials(TrialConfig(dims=(8,), trials=trials,
+                                                           checks=("theorem",))))
+                for trials in (100, 400)]
+    assert campaign[1] < 1.1 * campaign[0], campaign
+

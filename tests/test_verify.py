@@ -390,13 +390,17 @@ def test_run_trials_measures_each_pair_norm_once(monkeypatch):
     for module in (verify, projections):
         monkeypatch.setattr(module, "spectral_norm", recording)
         monkeypatch.setattr(module, "spectral_norms", recording_each)
-    report = run_trials(TrialConfig(dims=(4,), trials=1, base_seed=3))
-    assert report.verdict == "pass"
-    pair = random_pair(4, 3)
-    fg, gf = pair.f @ pair.g, pair.g @ pair.f
-    for name, product in (("fg", fg), ("fg+gf", fg + gf), ("fg-gf", fg - gf)):
-        count = sum(A.shape == product.shape and np.array_equal(A, product) for A in measured)
-        assert count == 1, f"||{name}|| measured {count} times"
+    for trials in (1, 3):  # a pair alone, and a chunk of pairs
+        measured.clear()
+        report = run_trials(TrialConfig(dims=(4,), trials=trials, base_seed=3))
+        assert report.verdict == "pass"
+        for seed in range(3, 3 + trials):
+            pair = random_pair(4, seed)
+            fg, gf = pair.f @ pair.g, pair.g @ pair.f
+            for name, product in (("fg", fg), ("fg+gf", fg + gf), ("fg-gf", fg - gf)):
+                count = sum(A.shape == product.shape and np.array_equal(A, product)
+                            for A in measured)
+                assert count == 1, f"seed {seed}: ||{name}|| measured {count} times"
 
 
 def test_run_trials_evaluates_each_matrix_polynomial_once(monkeypatch):
@@ -423,7 +427,8 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
     # one Hermitian eigensolve per stack: 2 validating the pair, 3 for its
     # norms, 2 in lemma_product_power, 1 in lemma_commutator, 1 in
     # power_expansion and 6 in nw_block (4 of them in halmos_decompose).
-    # Measured one matrix at a time, it made 53.
+    # Measured one matrix at a time, it made 53. A chunk of pairs shares its
+    # validation and norm stacks: 1 + 3 for the chunk, then 10 per trial.
     calls = []
     real = np.linalg.eigvalsh
 
@@ -432,20 +437,29 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    report = run_trials(TrialConfig(dims=(4,), trials=1, base_seed=0))
-    assert report.verdict == "pass"
-    assert len(calls) == 15, calls
+    for trials, solves in ((1, 15), (4, 44)):
+        calls.clear()
+        report = run_trials(TrialConfig(dims=(4,), trials=trials, base_seed=0))
+        assert report.verdict == "pass"
+        assert len(calls) == solves, calls
 
 
 def test_run_trials_records_construction_errors(monkeypatch):
-    real = verify.random_pair
+    real, real_stacked = verify.random_pair, verify.random_pairs
 
     def flaky(dim, seed):
         if seed == 1:
             raise ValueError("synthetic construction failure")
         return real(dim, seed)
 
+    def flaky_stacked(dim, seeds):
+        if 1 in seeds:
+            raise ValueError("synthetic construction failure")
+        return real_stacked(dim, seeds)
+
+    # a chunk builds its pairs with random_pairs; a trial rerun alone, with random_pair
     monkeypatch.setattr(verify, "random_pair", flaky)
+    monkeypatch.setattr(verify, "random_pairs", flaky_stacked)
     report = run_trials(TrialConfig(dims=(2,), trials=3, base_seed=0))
     assert report.verdict == "fail"
     assert len(report.errors) == 1
@@ -453,6 +467,74 @@ def test_run_trials_records_construction_errors(monkeypatch):
     assert "synthetic" in report.errors[0]["message"]
     # surviving trials still contribute
     assert all(s.trials == 2 for s in report.per_check)
+
+
+def serial_campaign(config):
+    """run_trials as it ran before chunking: _run_one_trial for each trial in
+    turn, each building and validating its own pair."""
+    summaries = {name: verify.CheckSummary(name) for name in config.checks}
+    errors = []
+    dims = (dim for dim in config.dims for _ in range(config.trials))
+    for index, dim in enumerate(dims):
+        try:
+            results = verify._run_one_trial(config, dim, config.base_seed + index)
+        except Exception as exc:
+            errors.append({"trial": index, "dim": dim,
+                           "message": f"{type(exc).__name__}: {exc}"})
+            continue
+        for name, report in results.items():
+            summary = summaries[name]
+            summary.trials += 1
+            summary.max_residual = max(summary.max_residual, report.residual)
+            if not report.passed:
+                summary.failures.append(index)
+    ordered = [summaries[name] for name in config.checks]
+    ok = not errors and all(not s.failures for s in ordered)
+    return verify.AggregateReport(config, ordered, errors, "pass" if ok else "fail")
+
+
+def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch):
+    # Each dim's 5 trials are one chunk. The middle trial of the dim-2 chunk
+    # (seed 2) fails to build, so that chunk reruns trial by trial; the
+    # middle trial of the dim-8 chunk (seed 7) raises in a check, after its
+    # chunk was built, validated and measured together.
+    config = TrialConfig(dims=(2, 8), trials=5, base_seed=0)
+    real, real_stacked = verify.random_pair, verify.random_pairs
+    real_corollary = verify.CHECKS["corollary"]
+    stacked_calls = []
+
+    def flaky(dim, seed):
+        if seed == 2:
+            raise ValueError("synthetic construction failure")
+        return real(dim, seed)
+
+    def flaky_stacked(dim, seeds):
+        stacked_calls.append(list(seeds))
+        if 2 in seeds:
+            raise ValueError("synthetic construction failure")
+        return real_stacked(dim, seeds)
+
+    def failing_corollary(pair, cfg):
+        if pair.provenance.params["seed"] == 7:
+            raise ArithmeticError("synthetic check failure")
+        return real_corollary(pair, cfg)
+
+    monkeypatch.setattr(verify, "random_pair", flaky)
+    monkeypatch.setattr(verify, "random_pairs", flaky_stacked)
+    monkeypatch.setitem(verify.CHECKS, "corollary", failing_corollary)
+    chunked = run_trials(config)
+    assert stacked_calls == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    assert [(e["trial"], e["dim"]) for e in chunked.errors] == [(2, 2), (7, 8)]
+    assert chunked.to_json() == serial_campaign(config).to_json()
+
+
+@pytest.mark.parametrize("name", verify.ALL_CHECKS)
+def test_norms_read_lists_the_norms_each_check_reads(name):
+    assert set(verify.NORMS_READ) == set(verify.CHECKS)
+    pair = random_pair(6, 11)
+    verify.CHECKS[name](pair, TrialConfig())
+    read = {norm for norm in ("norm_fg", "norm_anti", "norm_comm") if norm in pair.__dict__}
+    assert read == set(verify.NORMS_READ[name])
 
 
 def test_run_trials_rejects_unknown_check():

@@ -1,7 +1,7 @@
 """Print the sha256 of every output in projpair's byte contract.
 
-The contract is eight campaign reports (`run_trials(config).to_json()`) and
-eleven CLI stdouts. A refactor keeps it when this script prints the same
+The contract is nine campaign reports (`run_trials(config).to_json()`) and
+twelve CLI stdouts. A refactor keeps it when this script prints the same
 lines before and after the change on the same machine:
 
     PYTHONPATH=src python3 tools/contract_digests.py > after.txt
@@ -52,6 +52,10 @@ CAMPAIGNS = (
     # into runs and stacks (24, 32, 48)
     ("all checks dims=(3, 5, 24, 32, 48) trials=10 seed=0",
      TrialConfig(dims=(3, 5, 24, 32, 48), trials=10, base_seed=0, checks=ALL_CHECKS)),
+    # a dim whose trials fit one chunk of pairs (2) beside dims where they
+    # split into chunks (16: four of 16 and one of 6; 24: ten of 7)
+    ("theorem, corollary dims=(2, 16, 24) trials=70 seed=5",
+     TrialConfig(dims=(2, 16, 24), trials=70, base_seed=5, checks=("theorem", "corollary"))),
 )
 
 # In order: the decompose runs read the pair files the counterexample runs write.
@@ -67,6 +71,8 @@ COMMANDS = (
     "poly --family F --n 200",
     "poly --family A --n 60",
     "verify --dims 2,4 --trials 5 --seed 3 --format csv",
+    # 70 pairs in chunks of 64 and 6: 140 members across 3 stacks
+    "counterexample --dim 8 --mode random --budget 70 --seed 11 --out wide.json",
 )
 
 
