@@ -18,6 +18,7 @@ from .linalg import (
     max_spectral_norm,
     spectral_norm,
     spectral_norms,
+    stack_capacity,
 )
 
 # Constructed projections must satisfy ||P^2 - P|| and ||P - P*|| below this.
@@ -146,16 +147,27 @@ def validate_projection(P: np.ndarray, tol: float = PROJ_TOL) -> ValidationRepor
 
 def validate_projections(mats, tol: float = PROJ_TOL) -> list[ValidationReport]:
     """validate_projection for each of many equally shaped square matrices,
-    in order: one stacked product and one spectral_norms call for them all.
-    `mats` is a (k, n, n) array or a sequence of n x n matrices."""
+    in order, a stack at a time: one stacked product and one spectral_norms
+    call per stack. `mats` is a (k, n, n) array or a sequence of n x n
+    matrices."""
     require_tol(tol)
     if not len(mats):
         return []
+    step = stack_capacity(np.shape(mats[0]))
+    return [report for i in range(0, len(mats), step)
+            for report in _validate_stack(mats[i : i + step], tol)]
+
+
+def _validate_stack(mats, tol: float) -> list[ValidationReport]:
     P = np.asarray(mats, dtype=np.complex128)
     if P.ndim != 3 or P.shape[1] != P.shape[2]:
         raise ValueError(f"expected equally shaped square matrices, got a stack of shape {P.shape}")
-    # a list of views, which spectral_norms copies one stack at a time
-    norms = spectral_norms([*(np.matmul(P, P) - P), *(P - adjoint(P))])
+    # P^2 - P and P - P*, each formed in the buffer of P^2 or P*
+    square_gap = np.matmul(P, P)
+    square_gap -= P
+    adjoint_gap = adjoint(P)
+    np.subtract(P, adjoint_gap, out=adjoint_gap)
+    norms = spectral_norms([*square_gap, *adjoint_gap])
     return [ValidationReport(idem, herm, tol, idem <= tol and herm <= tol)
             for idem, herm in zip(norms[: len(P)], norms[len(P) :])]
 

@@ -385,18 +385,6 @@ CHECKS = {
 
 ALL_CHECKS = tuple(CHECKS)
 
-# The cached pair norms each check reads (nw_block's through halmos_decompose);
-# a campaign measures those its checks read for a chunk of pairs at once.
-NORMS_READ = {
-    "theorem": ("norm_fg", "norm_anti"),
-    "corollary": ("norm_fg", "norm_comm"),
-    "lemma_product_power": ("norm_fg",),
-    "lemma_commutator": ("norm_comm", "norm_fg"),
-    "power_expansion": ("norm_anti",),
-    "nw_block": ("norm_anti", "norm_fg"),
-}
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """Campaign shape: `trials` pairs per entry of `dims`, checked at `tol`."""
@@ -480,8 +468,10 @@ def run_trials(config: TrialConfig) -> AggregateReport:
 
     Trial i (numbered across the whole campaign) always uses base_seed + i;
     trials run one after another in index order. Each dim's trials run in
-    chunks of stack_capacity((dim, dim)), so a campaign holds one chunk of
-    pairs at a time.
+    chunks of stack_capacity((dim, dim)) pairs, and a pair is dropped once its
+    trial has run, so however many trials a campaign runs it holds a fixed
+    number of stacks: one chunk's members (two stacks), the temporaries of
+    building and validating them, and the products of one trial's pair.
     """
     summaries = {name: CheckSummary(name) for name in config.checks}
     errors = []
@@ -495,25 +485,30 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     return AggregateReport(config, ordered, errors, "pass" if ok else "fail")
 
 
-def _run_chunk(config: TrialConfig, dim: int, indices: range,
-               summaries: dict[str, CheckSummary], errors: list[dict]) -> None:
-    """Run one chunk of trials, recording each in summaries or errors.
-
-    A chunk of more than one pair builds, validates and measures its pairs
-    together. If any of that raises, every trial builds its own pair instead,
-    as a chunk of one does, so each failure is recorded as its trial's own.
-    """
-    seeds = [config.base_seed + index for index in indices]
-    built = [None] * len(seeds)
+def _build_chunk(dim: int, seeds: list[int]) -> list:
+    """Each seed's pair with the ValidationReports of its f and g, all built
+    and validated together; None for each seed when there is one seed, or
+    when building or validating raises, so that each trial builds its own
+    pair and records its own failure."""
     if len(seeds) > 1:
         try:
             pairs = random_pairs(dim, seeds)
             reports = validate_projections([p.f for p in pairs] + [p.g for p in pairs])
-            measure_norms(pairs, dict.fromkeys(n for c in config.checks for n in NORMS_READ[c]))
-            built = list(zip(pairs, zip(reports[: len(pairs)], reports[len(pairs) :])))
+            return list(zip(pairs, zip(reports[: len(pairs)], reports[len(pairs) :])))
         except Exception:  # rerun serially; the trial that raises records it
             pass
-    for index, seed, trial in zip(indices, seeds, built):
+    return [None] * len(seeds)
+
+
+def _run_chunk(config: TrialConfig, dim: int, indices: range,
+               summaries: dict[str, CheckSummary], errors: list[dict]) -> None:
+    """Run one chunk of trials, recording each in summaries or errors."""
+    seeds = [config.base_seed + index for index in indices]
+    built = _build_chunk(dim, seeds)
+    for position, (index, seed) in enumerate(zip(indices, seeds)):
+        # take the pair out of the chunk, so that it and the products its
+        # checks cache are freed once its trial has run
+        trial, built[position] = built[position], None
         try:
             results = _run_one_trial(config, dim, seed, trial)
         except Exception as exc:  # trial isolation: record, never kill the campaign

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -428,7 +429,7 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
     # norms, 2 in lemma_product_power, 1 in lemma_commutator, 1 in
     # power_expansion and 6 in nw_block (4 of them in halmos_decompose).
     # Measured one matrix at a time, it made 53. A chunk of pairs shares its
-    # validation and norm stacks: 1 + 3 for the chunk, then 10 per trial.
+    # validation stack: 1 for the chunk, then 13 per trial.
     calls = []
     real = np.linalg.eigvalsh
 
@@ -437,7 +438,7 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    for trials, solves in ((1, 15), (4, 44)):
+    for trials, solves in ((1, 15), (4, 53)):
         calls.clear()
         report = run_trials(TrialConfig(dims=(4,), trials=trials, base_seed=0))
         assert report.verdict == "pass"
@@ -497,7 +498,7 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch):
     # Each dim's 5 trials are one chunk. The middle trial of the dim-2 chunk
     # (seed 2) fails to build, so that chunk reruns trial by trial; the
     # middle trial of the dim-8 chunk (seed 7) raises in a check, after its
-    # chunk was built, validated and measured together.
+    # chunk was built and validated together.
     config = TrialConfig(dims=(2, 8), trials=5, base_seed=0)
     real, real_stacked = verify.random_pair, verify.random_pairs
     real_corollary = verify.CHECKS["corollary"]
@@ -528,13 +529,21 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch):
     assert chunked.to_json() == serial_campaign(config).to_json()
 
 
-@pytest.mark.parametrize("name", verify.ALL_CHECKS)
-def test_norms_read_lists_the_norms_each_check_reads(name):
-    assert set(verify.NORMS_READ) == set(verify.CHECKS)
-    pair = random_pair(6, 11)
-    verify.CHECKS[name](pair, TrialConfig())
-    read = {norm for norm in ("norm_fg", "norm_anti", "norm_comm") if norm in pair.__dict__}
-    assert read == set(verify.NORMS_READ[name])
+def test_run_trials_drops_each_pair_once_its_trial_has_run(monkeypatch):
+    # 6 dim-4 trials are one chunk; when a trial's check runs, the pairs of
+    # the trials before it (and the products their checks cached) are gone.
+    real_theorem = verify.CHECKS["theorem"]
+    seen, alive = [], []
+
+    def recording_theorem(pair, cfg):
+        seen.append(weakref.ref(pair))
+        alive.append(sum(ref() is not None for ref in seen))
+        return real_theorem(pair, cfg)
+
+    monkeypatch.setitem(verify.CHECKS, "theorem", recording_theorem)
+    report = run_trials(TrialConfig(dims=(4,), trials=6, checks=("theorem",)))
+    assert report.verdict == "pass"
+    assert alive == [1] * 6
 
 
 def test_run_trials_rejects_unknown_check():
