@@ -74,22 +74,44 @@ def hermitian_eigen(A: np.ndarray) -> EigenDecomposition:
     The input is checked against its adjoint first; anything beyond the
     Hermiticity tolerance is rejected rather than silently symmetrized.
     """
-    A = as_matrix(A)
-    if A.shape[0] == 0:
-        return EigenDecomposition(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
-    fro = float(np.linalg.norm(A))
-    tol = HERM_TOL * max(1.0, fro)
-    residual = float(np.linalg.norm(A - adjoint(A)))
-    if residual > tol:
-        raise NonHermitianError(residual, tol)
+    return hermitian_eigens([as_matrix(A)])[0]
+
+
+def hermitian_eigens(mats) -> list[EigenDecomposition]:
+    """hermitian_eigen for each of many equally shaped square matrices, in order.
+
+    `mats` is a (k, n, n) array or a sequence of n x n matrices. Each matrix
+    gets its own Hermiticity check; they are stacked at most STACK_BYTES at a
+    time, and each stack gets one eigensolve.
+    """
+    if not len(mats):
+        return []
+    step = stack_capacity(np.shape(mats[0]))
+    return [eig for i in range(0, len(mats), step) for eig in _stack_eigen(mats[i : i + step])]
+
+
+def _stack_eigen(mats) -> list[EigenDecomposition]:
+    stack = _finite_stack(mats)
+    n = stack.shape[-1]
+    if stack.shape[1] != n:
+        raise ValueError(f"matrix must be square, got shape {stack.shape[1:]}")
+    if n == 0:
+        return [EigenDecomposition(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))] * len(stack)
+    for A in stack:
+        tol = HERM_TOL * max(1.0, float(np.linalg.norm(A)))
+        residual = float(np.linalg.norm(A - adjoint(A)))
+        if residual > tol:
+            raise NonHermitianError(residual, tol)
     try:
-        w, v = np.linalg.eigh((A + adjoint(A)) / 2.0)
+        w, v = np.linalg.eigh((stack + adjoint(stack)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     # stable descending sort: ties keep the solver's order, so degenerate
     # eigenspaces (e.g. of the identity) come out in the natural basis
-    order = np.argsort(-w, kind="stable")
-    return EigenDecomposition(w[order].copy(), v[:, order].copy())
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[:, np.newaxis, :], axis=-1)
+    return [EigenDecomposition(values, vectors) for values, vectors in zip(w, v)]
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -128,15 +150,22 @@ def stack_capacity(shape: tuple) -> int:
     return max(1, STACK_BYTES // max(1, 16 * math.prod(shape)))  # 16 bytes per complex128
 
 
-def _finite_stack(mats) -> np.ndarray:
-    """mats as a (k, m, n) complex array with finite entries. One matrix is
-    viewed, not copied, which matters at the dims where stacks hold one."""
+def as_stack(mats) -> np.ndarray:
+    """mats, a (k, m, n) array or a sequence of k equally shaped m x n
+    matrices, as one (k, m, n) complex array. One matrix is viewed, not
+    copied, which matters at the dims where stacks hold one."""
     if len(mats) == 1:
         stack = np.asarray(mats[0], dtype=np.complex128)[np.newaxis]
     else:
         stack = np.asarray(mats, dtype=np.complex128)
     if stack.ndim != 3:
         raise ValueError(f"expected equally shaped 2-D matrices, got a stack of shape {stack.shape}")
+    return stack
+
+
+def _finite_stack(mats) -> np.ndarray:
+    """as_stack(mats), whose entries must be finite."""
+    stack = as_stack(mats)
     if not np.all(np.isfinite(stack)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return stack

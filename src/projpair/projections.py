@@ -14,12 +14,14 @@ import numpy as np
 from .linalg import (
     adjoint,
     as_matrix,
-    hermitian_eigen,
+    as_stack,
+    hermitian_eigens,
     max_spectral_norm,
     spectral_norm,
     spectral_norms,
     stack_capacity,
 )
+from .linalg import hermitian_eigen  # noqa: F401  (unused; perfbench's tracer wraps this name)
 
 # Constructed projections must satisfy ||P^2 - P|| and ||P - P*|| below this.
 PROJ_TOL = 1e-10
@@ -181,6 +183,14 @@ def _box_muller_normals(u1: np.ndarray, u2: np.ndarray, count: int) -> np.ndarra
     return z[..., :count]
 
 
+def group_positions(keys) -> dict:
+    """The positions of each key in `keys`, keys in order of first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def random_projection(dim: int, rank: int, seed: int) -> np.ndarray:
     """Random orthogonal projection of the given rank, reproducible from seed.
 
@@ -207,10 +217,7 @@ def random_projections(dim: int, ranks, seeds) -> np.ndarray:
         if not 0 <= rank <= dim:
             raise ValueError(f"rank must lie in [0, {dim}], got {rank}")
     out = np.empty((len(seeds), dim, dim), dtype=np.complex128)
-    groups = {}
-    for i, rank in enumerate(ranks):
-        groups.setdefault(rank, []).append(i)
-    for rank, members in groups.items():
+    for rank, members in group_positions(ranks).items():
         if rank == 0:
             out[members] = 0.0
             continue
@@ -344,32 +351,33 @@ class HalmosBlocks:
     g splits as [[D, V], [V*, Dprime]] with D of size r x r, V of size
     r x (dim - r), and Dprime of size (dim - r) x (dim - r); projectionhood of
     g forces D - D^2 = V V*, D V + V Dprime = V, and Dprime - Dprime^2 = V* V.
+    The residuals of those relations, which the decomposition checked, and
+    ||D||, which equals ||fg||^2, are kept with the blocks.
     """
 
     D: np.ndarray
     Dprime: np.ndarray
     V: np.ndarray
     basis: np.ndarray
+    relation_residuals: dict[str, float]
+    norm_D: float
 
-    @cached_property
-    def relation_residuals(self) -> dict[str, float]:
-        """block_relation_residuals(self), computed on first access and kept."""
-        return block_relation_residuals(self)
 
-    @cached_property
-    def norm_D(self) -> float:
-        """||D||, which equals ||fg||^2; measured on first access and kept."""
-        return spectral_norm(self.D)
+def _relation_gaps(D: np.ndarray, V: np.ndarray, Dp: np.ndarray) -> dict[str, np.ndarray]:
+    """The three relations projectionhood of g imposes on its blocks, as
+    matrices that vanish when they hold; D, V and Dp are blocks or equally
+    sized stacks of them."""
+    return {
+        "range_block": D - D @ D - V @ adjoint(V),
+        "mixed_block": D @ V + V @ Dp - V,
+        "kernel_block": Dp - Dp @ Dp - adjoint(V) @ V,
+    }
 
 
 def block_relation_residuals(blocks: HalmosBlocks) -> dict[str, float]:
     """Residuals of the three relations projectionhood of g imposes on the blocks."""
-    D, V, Dp = blocks.D, blocks.V, blocks.Dprime
-    return {
-        "range_block": spectral_norm(D - D @ D - V @ adjoint(V)),
-        "mixed_block": spectral_norm(D @ V + V @ Dp - V),
-        "kernel_block": spectral_norm(Dp - Dp @ Dp - adjoint(V) @ V),
-    }
+    return {name: spectral_norm(gap)
+            for name, gap in _relation_gaps(blocks.D, blocks.V, blocks.Dprime).items()}
 
 
 def halmos_decompose(pair: ProjectionPair, tol: float = 1e-9) -> HalmosBlocks:
@@ -381,25 +389,54 @@ def halmos_decompose(pair: ProjectionPair, tol: float = 1e-9) -> HalmosBlocks:
     verified along with ||fg||^2 = ||D|| before returning; a tol that is not
     finite and positive raises ValueError.
     """
+    return halmos_decompositions([pair], tol)[0]
+
+
+def halmos_decompositions(pairs, tol: float = 1e-9) -> list[HalmosBlocks]:
+    """halmos_decompose for each of many equally sized pairs, in order, raising
+    for the first pair it rejects.
+
+    One hermitian_eigens call diagonalizes every f and one stacked product
+    carries every g into its basis. Pairs whose f has the same rank share
+    one stack of blocks, and each of their relation residuals, and ||D||,
+    comes from one spectral_norms call.
+    """
     require_tol(tol)
-    eig = hermitian_eigen(pair.f)
-    w = eig.eigenvalues
-    bad = [float(x) for x in w if SPLIT_BAND[0] <= x <= SPLIT_BAND[1]]
-    if bad:
-        raise DecompositionError(
-            f"f has eigenvalues {bad} inside {list(SPLIT_BAND)}; not a projection"
-        )
-    r = int(np.sum(w > 0.5))
-    basis = eig.eigenvectors  # descending order puts range(f) vectors first
-    g_in_basis = adjoint(basis) @ pair.g @ basis
-    blocks = HalmosBlocks(g_in_basis[:r, :r], g_in_basis[r:, r:], g_in_basis[:r, r:], basis)
-    residuals = dict(blocks.relation_residuals,
-                     norm_identity=abs(pair.norm_fg**2 - blocks.norm_D))
-    worst = max(residuals.values())
-    if worst > tol:
-        raise DecompositionError(
-            f"block relations violated beyond tol={tol:.3e}: {residuals}", residuals
-        )
+    if not pairs:
+        return []
+    eigs = hermitian_eigens([pair.f for pair in pairs])
+    for eig in eigs:
+        bad = [float(x) for x in eig.eigenvalues if SPLIT_BAND[0] <= x <= SPLIT_BAND[1]]
+        if bad:
+            raise DecompositionError(
+                f"f has eigenvalues {bad} inside {list(SPLIT_BAND)}; not a projection"
+            )
+    # descending order puts range(f) vectors first
+    bases = as_stack([eig.eigenvectors for eig in eigs])
+    g_in_bases = adjoint(bases) @ as_stack([pair.g for pair in pairs]) @ bases
+    blocks = [None] * len(pairs)
+    ranks = [int(np.sum(eig.eigenvalues > 0.5)) for eig in eigs]
+    for r, members in group_positions(ranks).items():
+        g_in_basis = g_in_bases[members]
+        D, V, Dp = g_in_basis[:, :r, :r], g_in_basis[:, :r, r:], g_in_basis[:, r:, r:]
+        gaps = _relation_gaps(D, V, Dp)
+        # ||D|| shares the range-block residual's eigensolve: both are r x r
+        range_norms = spectral_norms([*gaps["range_block"], *D])
+        mixed_norms = spectral_norms(gaps["mixed_block"])
+        kernel_norms = spectral_norms(gaps["kernel_block"])
+        for j, i in enumerate(members):
+            residuals = {"range_block": range_norms[j], "mixed_block": mixed_norms[j],
+                         "kernel_block": kernel_norms[j]}
+            blocks[i] = HalmosBlocks(D[j], Dp[j], V[j], bases[i], residuals,
+                                     range_norms[len(members) + j])
+    for pair, block in zip(pairs, blocks):
+        residuals = dict(block.relation_residuals,
+                         norm_identity=abs(pair.norm_fg**2 - block.norm_D))
+        worst = max(residuals.values())
+        if worst > tol:
+            raise DecompositionError(
+                f"block relations violated beyond tol={tol:.3e}: {residuals}", residuals
+            )
     return blocks
 
 

@@ -17,14 +17,15 @@ from itertools import accumulate, islice, repeat
 
 import numpy as np
 
-from .linalg import adjoint, mat_poly_evals, spectral_norm, spectral_norms, stack_capacity
-from .linalg import mat_poly_eval  # noqa: F401  (unused; perfbench's tracer wraps this name)
+from .linalg import adjoint, as_stack, mat_poly_evals, spectral_norms, stack_capacity
+from .linalg import mat_poly_eval, spectral_norm  # noqa: F401  (unused; the tracer wraps these)
 from .polynomials import poly_F, poly_PQ_recursive, poly_eval_real
 from .projections import (
     AngleSpec,
     ProjectionPair,
     Provenance,
-    halmos_decompose,
+    group_positions,
+    halmos_decompositions,
     measure_norms,
     pair_from_angles,
     random_pair,
@@ -34,6 +35,7 @@ from .projections import (
     validate_projection,
     validate_projections,
 )
+from .projections import halmos_decompose  # noqa: F401  (unused; the tracer wraps this name)
 
 DEFAULT_TOL = 1e-8
 # Slack for floating-point comparisons of analytically tight bounds (the
@@ -70,12 +72,25 @@ def _degree_groups(degrees: range, per_degree: int, dim: int) -> list[range]:
     """Split degrees into consecutive runs short enough that per_degree
     dim x dim matrices for each degree fill one stack; one degree at least.
 
-    A check hands linalg each run's matrices together, which measures them
-    with one Horner pass or one eigensolve per stack, and holds one run at a
-    time, so memory stays bounded however long the power loop is.
+    A check hands linalg each run's matrices for all its pairs together,
+    which measures them with one Horner pass or one eigensolve per stack, and
+    holds one run at a time, so memory stays bounded however long the power
+    loop is.
     """
     size = max(1, stack_capacity((dim, dim)) // per_degree)
     return [degrees[i : i + size] for i in range(0, len(degrees), size)]
+
+
+def _slices(stacks: list) -> list:
+    """The matrices of a list of stacks, in order, as views: spectral_norms
+    stacks them itself, so a stack of one matrix is never copied."""
+    return [matrix for stack in stacks for matrix in stack]
+
+
+def _rows(values: list, k: int) -> list[list]:
+    """values cut into consecutive rows of k: one row per matrix kind or
+    degree, one entry per pair."""
+    return [values[i : i + k] for i in range(0, len(values), k)]
 
 
 # Neither family depends on the pair, so each n is built once per process.
@@ -125,26 +140,38 @@ def check_lemma_product_power(pair: ProjectionPair, m_max: int = 8,
     Also verifies the two algebraic stepping stones: ||fgf|| = ||fg||^2 and
     (fg)^m = (fgf)^(m-1) (fg).
     """
+    return check_lemma_product_powers([pair], m_max, tol)[0]
+
+
+def check_lemma_product_powers(pairs, m_max: int = 8,
+                               tol: float = DEFAULT_TOL) -> list[TrialReport]:
+    """check_lemma_product_power for each of many equally sized pairs, in
+    order: the powers of every pair are formed as one stack, and each run of
+    degrees is measured for all the pairs in one spectral_norms call."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    fg, fgf, a = pair.fg, pair.fgf, pair.norm_fg
-    norm_fgf = spectral_norm(fgf)
-    residual = abs(norm_fgf - a * a)
+    if not pairs:
+        return []
+    k = len(pairs)
+    fg, fgf = as_stack([pair.fg for pair in pairs]), as_stack([pair.fgf for pair in pairs])
+    a = [pair.norm_fg for pair in pairs]
+    norm_fgf = spectral_norms(fgf)
+    residuals = [abs(norm - x * x) for norm, x in zip(norm_fgf, a)]
     # m = 1 holds by construction: ||fg|| <= ||fg|| and fg = (fgf)^0 fg
     powers = islice(_powers(fg, m_max), 1, None)
     prefixes = _powers(fgf, m_max - 1)
-    for group in _degree_groups(range(2, m_max + 1), 2, pair.dim):
+    for group in _degree_groups(range(2, m_max + 1), 2 * k, pairs[0].dim):
         group_powers = list(islice(powers, len(group)))
         gaps = [power - prefix @ fg for power, prefix in zip(group_powers, prefixes)]
-        norms = spectral_norms(group_powers + gaps)
-        for m, power_norm, gap_norm in zip(group, norms, norms[len(group):]):
-            residual = max(residual, power_norm - a ** (2 * m - 1))
-            residual = max(residual, gap_norm)
-    return _report(
-        "lemma_product_power", pair,
-        {"norm_fg": a, "norm_fgf": norm_fgf, "m_max": m_max},
-        max(residual, 0.0), tol,
-    )
+        rows = _rows(spectral_norms(_slices(group_powers + gaps)), k)
+        for m, power_norms, gap_norms in zip(group, rows, rows[len(group):]):
+            for i, (power_norm, gap_norm) in enumerate(zip(power_norms, gap_norms)):
+                residuals[i] = max(residuals[i], power_norm - a[i] ** (2 * m - 1))
+                residuals[i] = max(residuals[i], gap_norm)
+    return [_report("lemma_product_power", pair,
+                    {"norm_fg": x, "norm_fgf": norm, "m_max": m_max},
+                    max(residual, 0.0), tol)
+            for pair, x, norm, residual in zip(pairs, a, norm_fgf, residuals)]
 
 
 def check_lemma_commutator(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> TrialReport:
@@ -154,24 +181,36 @@ def check_lemma_commutator(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> Tr
     operators u u* and u* u are mutually orthogonal and sum to
     (fg - gf)* (fg - gf).
     """
-    eye = np.eye(pair.dim, dtype=np.complex128)
-    comm = pair.comm
-    u = pair.fg @ (eye - pair.f)
+    return check_lemma_commutators([pair], tol)[0]
+
+
+def check_lemma_commutators(pairs, tol: float = DEFAULT_TOL) -> list[TrialReport]:
+    """check_lemma_commutator for each of many equally sized pairs, in order,
+    with every pair's matrices formed as stacks and measured in one
+    spectral_norms call."""
+    if not pairs:
+        return []
+    eye = np.eye(pairs[0].dim, dtype=np.complex128)
+    comm = as_stack([pair.comm for pair in pairs])
+    u = as_stack([pair.fg for pair in pairs]) @ (eye - as_stack([pair.f for pair in pairs]))
     uu = u @ adjoint(u)
     u_u = adjoint(u) @ u
-    comm_norm = pair.norm_comm
-    u_norm, split_gap, overlap = spectral_norms([u, adjoint(comm) @ comm - (uu + u_u), uu @ u_u])
-    residual = max(
-        abs(comm_norm - u_norm),
-        max(0.0, comm_norm - pair.norm_fg),
-        split_gap,
-        overlap,
-    )
-    return _report(
-        "lemma_commutator", pair,
-        {"norm_comm": comm_norm, "norm_u": u_norm, "norm_fg": pair.norm_fg},
-        residual, tol,
-    )
+    norms = spectral_norms(_slices([u, adjoint(comm) @ comm - (uu + u_u), uu @ u_u]))
+    reports = []
+    for pair, u_norm, split_gap, overlap in zip(pairs, *_rows(norms, len(pairs))):
+        comm_norm = pair.norm_comm
+        residual = max(
+            abs(comm_norm - u_norm),
+            max(0.0, comm_norm - pair.norm_fg),
+            split_gap,
+            overlap,
+        )
+        reports.append(_report(
+            "lemma_commutator", pair,
+            {"norm_comm": comm_norm, "norm_u": u_norm, "norm_fg": pair.norm_fg},
+            residual, tol,
+        ))
+    return reports
 
 
 def check_power_expansion(pair: ProjectionPair, n_max: int = 8,
@@ -181,26 +220,37 @@ def check_power_expansion(pair: ProjectionPair, n_max: int = 8,
     Powers are built by repeated multiplication and compared against the exact
     integer polynomial pair; residuals are scaled by max(1, ||fg+gf||^n).
     """
+    return check_power_expansions([pair], n_max, tol)[0]
+
+
+def check_power_expansions(pairs, n_max: int = 8,
+                           tol: float = DEFAULT_TOL) -> list[TrialReport]:
+    """check_power_expansion for each of many equally sized pairs, in order:
+    each run of degrees gets one mat_poly_evals and one spectral_norms call
+    for all the pairs."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    terms = [pair.fg, pair.gf, pair.fgf, pair.gf @ pair.g]
-    anti_norm = pair.norm_anti
-    powers = _powers(pair.anti, n_max)
-    residual = 0.0
-    for group in _degree_groups(range(1, n_max + 1), 4, pair.dim):
-        polys = [poly for n in group for p, q in [_expansion_terms(n)] for poly in (p, p, q, q)]
+    if not pairs:
+        return []
+    k = len(pairs)
+    terms = [term for pair in pairs for term in (pair.fg, pair.gf, pair.fgf, pair.gf @ pair.g)]
+    anti_norms = [pair.norm_anti for pair in pairs]
+    powers = _powers(as_stack([pair.anti for pair in pairs]), n_max)
+    residuals = [0.0] * k
+    for group in _degree_groups(range(1, n_max + 1), 4 * k, pairs[0].dim):
+        polys = [poly for n in group for p, q in [_expansion_terms(n)]
+                 for poly in (p, p, q, q) * k]
         values = mat_poly_evals(polys, terms * len(group))
         # P_n(fg) + P_n(gf) + Q_n(fgf) + Q_n(gfg), summed left to right as the
-        # values come, so a group of one degree holds no more than the loop did
+        # values come, so a run of one degree holds no more than a loop would
         gaps = spectral_norms([power - (next(values) + next(values) + next(values) + next(values))
-                               for power in islice(powers, len(group))])
-        for n, gap in zip(group, gaps):
-            residual = max(residual, gap / max(1.0, anti_norm**n))
-    return _report(
-        "power_expansion", pair,
-        {"norm_anti": anti_norm, "n_max": n_max},
-        residual, tol,
-    )
+                               for powers_n in islice(powers, len(group)) for power in powers_n])
+        for n, row in zip(group, _rows(gaps, k)):
+            for i, gap in enumerate(row):
+                residuals[i] = max(residuals[i], gap / max(1.0, anti_norms[i]**n))
+    return [_report("power_expansion", pair, {"norm_anti": anti_norm, "n_max": n_max},
+                    residual, tol)
+            for pair, anti_norm, residual in zip(pairs, anti_norms, residuals)]
 
 
 def check_nw_block(pair: ProjectionPair, n_max: int = 8,
@@ -212,35 +262,52 @@ def check_nw_block(pair: ProjectionPair, n_max: int = 8,
     Sample-point monotonicity of each F_n on [0, 1] is checked alongside,
     since the norm argument leans on it.
     """
+    return check_nw_blocks([pair], n_max, tol)[0]
+
+
+def check_nw_blocks(pairs, n_max: int = 8, tol: float = DEFAULT_TOL) -> list[TrialReport]:
+    """check_nw_block for each of many equally sized pairs, in order.
+
+    One halmos_decompositions call splits every pair. The pairs whose f has
+    the same rank share their blocks' stacks: each run of degrees gets one
+    Horner pass for their F_k(D) and one spectral_norms call for each of the
+    northwest and northeast gaps.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    blocks = halmos_decompose(pair, tol=max(tol, 1e-9))
-    D, V = blocks.D, blocks.V
-    r = D.shape[0]
-    anti_norm = pair.norm_anti
-    w = adjoint(blocks.basis) @ pair.anti @ blocks.basis
-    powers = _powers(w, n_max)
-    f_prev = []  # [F_{n-1}(D)] for the group's first n, carried over
-    residual = 0.0
-    for group in _degree_groups(range(1, n_max + 1), 1, pair.dim):
-        # f[i] = F_{group.start - 1 + i}(D); each F_k(D) is evaluated once
-        needed = range(group.start - 1 + len(f_prev), group.stop)
-        f = f_prev + list(mat_poly_evals([_block_terms(k)[0] for k in needed], [D] * len(needed)))
-        group_powers = list(islice(powers, len(group)))
-        nw_gaps = spectral_norms([power[:r, :r] - f_n
-                                  for power, f_n in zip(group_powers, f[1:])])
-        ne_gaps = spectral_norms([power[:r, r:] - f_before @ V
-                                  for power, f_before in zip(group_powers, f)])
-        for n, nw, ne in zip(group, nw_gaps, ne_gaps):
-            scale = max(1.0, anti_norm**n)
-            residual = max(residual, nw / scale, ne / scale)
-            residual = max(residual, _block_terms(n)[1] / scale)
-        f_prev = f[-1:]
-    return _report(
-        "nw_block", pair,
-        {"norm_anti": anti_norm, "rank_f": r, "n_max": n_max},
-        residual, tol,
-    )
+    if not pairs:
+        return []
+    blocks = halmos_decompositions(pairs, tol=max(tol, 1e-9))
+    bases = as_stack([b.basis for b in blocks])
+    w = adjoint(bases) @ as_stack([pair.anti for pair in pairs]) @ bases
+    residuals = [0.0] * len(pairs)
+    for r, members in group_positions([b.D.shape[0] for b in blocks]).items():
+        k = len(members)
+        D, V = as_stack([blocks[i].D for i in members]), as_stack([blocks[i].V for i in members])
+        anti_norms = [pairs[i].norm_anti for i in members]
+        powers = _powers(w[members], n_max)
+        f_prev = []  # [F_{n-1}(D)] for the run's first n, carried over
+        for group in _degree_groups(range(1, n_max + 1), k, pairs[0].dim):
+            # f[j] stacks F_{group.start - 1 + j}(D); each F_k(D) is evaluated once
+            needed = range(group.start - 1 + len(f_prev), group.stop)
+            values = mat_poly_evals([_block_terms(n)[0] for n in needed for _ in members],
+                                    [*D] * len(needed))
+            f = f_prev + [as_stack(list(islice(values, k))) for _ in needed]
+            group_powers = list(islice(powers, len(group)))
+            nw_gaps = spectral_norms(_slices(
+                [power[:, :r, :r] - f_n for power, f_n in zip(group_powers, f[1:])]))
+            ne_gaps = spectral_norms(_slices(
+                [power[:, :r, r:] - f_before @ V for power, f_before in zip(group_powers, f)]))
+            for n, nw_row, ne_row in zip(group, _rows(nw_gaps, k), _rows(ne_gaps, k)):
+                for i, anti_norm, nw, ne in zip(members, anti_norms, nw_row, ne_row):
+                    scale = max(1.0, anti_norm**n)
+                    residuals[i] = max(residuals[i], nw / scale, ne / scale)
+                    residuals[i] = max(residuals[i], _block_terms(n)[1] / scale)
+            f_prev = f[-1:]
+    return [_report("nw_block", pair,
+                    {"norm_anti": pair.norm_anti, "rank_f": b.D.shape[0], "n_max": n_max},
+                    residual, tol)
+            for pair, b, residual in zip(pairs, blocks, residuals)]
 
 
 @dataclass(frozen=True)
@@ -350,12 +417,14 @@ def find_commutator_identity_counterexample(
     at 1/2, giving violation 1/4 at dim 4. Random mode samples `budget`
     rank-dim/2 pairs and returns the worst violator found, building and
     measuring them a stack at a time, so memory does not grow with the
-    budget; `budget` must be >= 1 in either mode.
+    budget; `budget` must be >= 1 and `seed` >= 0 in either mode.
     """
     if dim < 4 or dim % 2:
         raise ValueError(f"counterexamples require even dim >= 4, got {dim}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if mode == "deterministic":
         angles = (0.0,) + (math.pi / 4,) * (dim // 2 - 1)
         pair = pair_from_angles(AngleSpec(angles))
@@ -374,13 +443,14 @@ def find_commutator_identity_counterexample(
 
 # --- randomized campaign driver ----------------------------------------------
 
+# Each check runs on a list of equally sized pairs and returns their reports in order.
 CHECKS = {
-    "theorem": lambda pair, cfg: check_theorem(pair, cfg.tol),
-    "corollary": lambda pair, cfg: check_corollary(pair, cfg.tol),
-    "lemma_product_power": lambda pair, cfg: check_lemma_product_power(pair, cfg.m_max, cfg.tol),
-    "lemma_commutator": lambda pair, cfg: check_lemma_commutator(pair, cfg.tol),
-    "power_expansion": lambda pair, cfg: check_power_expansion(pair, cfg.n_max, cfg.tol),
-    "nw_block": lambda pair, cfg: check_nw_block(pair, cfg.n_max, cfg.tol),
+    "theorem": lambda pairs, cfg: [check_theorem(pair, cfg.tol) for pair in pairs],
+    "corollary": lambda pairs, cfg: [check_corollary(pair, cfg.tol) for pair in pairs],
+    "lemma_product_power": lambda pairs, cfg: check_lemma_product_powers(pairs, cfg.m_max, cfg.tol),
+    "lemma_commutator": lambda pairs, cfg: check_lemma_commutators(pairs, cfg.tol),
+    "power_expansion": lambda pairs, cfg: check_power_expansions(pairs, cfg.n_max, cfg.tol),
+    "nw_block": lambda pairs, cfg: check_nw_blocks(pairs, cfg.n_max, cfg.tol),
 }
 
 ALL_CHECKS = tuple(CHECKS)
@@ -405,6 +475,8 @@ class TrialConfig:
                 raise ValueError(f"campaign dims must be >= 2, got {d}")
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         require_tol(self.tol)
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
@@ -448,30 +520,27 @@ class AggregateReport:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-def _run_one_trial(config: TrialConfig, dim: int, seed: int,
-                   built: tuple | None = None) -> dict[str, TrialReport]:
-    """Run the configured checks on one trial's pair, once both its members
-    pass validation. `built` is the pair with the ValidationReports of f and g
-    when a chunk made them; without it the pair is built and validated here."""
-    if built is None:
-        pair = random_pair(dim, seed)
-        built = pair, (validate_projection(pair.f), validate_projection(pair.g))
-    pair, reports = built
-    for name, report in zip("fg", reports):
+def _run_one_trial(config: TrialConfig, dim: int, seed: int) -> dict[str, TrialReport]:
+    """Build one trial's pair and run the configured checks on it, once both
+    its members pass validation."""
+    pair = random_pair(dim, seed)
+    for name, member in zip("fg", (pair.f, pair.g)):
+        report = validate_projection(member)
         if not report.ok:
             raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
-    return {name: CHECKS[name](pair, config) for name in config.checks}
+    return {name: CHECKS[name]([pair], config)[0] for name in config.checks}
 
 
 def run_trials(config: TrialConfig) -> AggregateReport:
     """Run the configured checks over seeded random pairs.
 
-    Trial i (numbered across the whole campaign) always uses base_seed + i;
-    trials run one after another in index order. Each dim's trials run in
-    chunks of stack_capacity((dim, dim)) pairs, and a pair is dropped once its
-    trial has run, so however many trials a campaign runs it holds a fixed
-    number of stacks: one chunk's members (two stacks), the temporaries of
-    building and validating them, and the products of one trial's pair.
+    Trial i (numbered across the whole campaign) always uses base_seed + i,
+    and the report is the one running the trials one after another in index
+    order gives. Each dim's trials run in chunks of stack_capacity((dim, dim))
+    pairs, and each check runs on a chunk's pairs at once; a chunk's pairs
+    are freed once its checks have run, so however many trials a campaign
+    runs it holds one chunk's pairs with the products their checks cache,
+    and the stacks of one check.
     """
     summaries = {name: CheckSummary(name) for name in config.checks}
     errors = []
@@ -485,36 +554,38 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     return AggregateReport(config, ordered, errors, "pass" if ok else "fail")
 
 
-def _build_chunk(dim: int, seeds: list[int]) -> list:
-    """Each seed's pair with the ValidationReports of its f and g, all built
-    and validated together; None for each seed when there is one seed, or
-    when building or validating raises, so that each trial builds its own
-    pair and records its own failure."""
-    if len(seeds) > 1:
-        try:
-            pairs = random_pairs(dim, seeds)
-            reports = validate_projections([p.f for p in pairs] + [p.g for p in pairs])
-            return list(zip(pairs, zip(reports[: len(pairs)], reports[len(pairs) :])))
-        except Exception:  # rerun serially; the trial that raises records it
-            pass
-    return [None] * len(seeds)
+def _check_chunk(config: TrialConfig, dim: int, seeds: list[int]) -> list[dict] | None:
+    """Each seed's reports by check name, from pairs built, validated and
+    checked together; None when any of that raises or a member fails
+    validation, so that each trial reruns alone and records its own failure."""
+    try:
+        pairs = random_pairs(dim, seeds)
+        reports = validate_projections([p.f for p in pairs] + [p.g for p in pairs])
+        if not all(report.ok for report in reports):
+            return None
+        by_check = {name: CHECKS[name](pairs, config) for name in config.checks}
+    except Exception:  # rerun trial by trial; the trial that raises records it
+        return None
+    return [dict(zip(by_check, trial)) for trial in zip(*by_check.values())]
 
 
 def _run_chunk(config: TrialConfig, dim: int, indices: range,
                summaries: dict[str, CheckSummary], errors: list[dict]) -> None:
-    """Run one chunk of trials, recording each in summaries or errors."""
+    """Run one chunk of trials, recording each in summaries or errors. A
+    chunk of one pair, or one whose checks could not run together, runs
+    trial by trial."""
     seeds = [config.base_seed + index for index in indices]
-    built = _build_chunk(dim, seeds)
+    chunk = _check_chunk(config, dim, seeds) if len(seeds) > 1 else None
     for position, (index, seed) in enumerate(zip(indices, seeds)):
-        # take the pair out of the chunk, so that it and the products its
-        # checks cache are freed once its trial has run
-        trial, built[position] = built[position], None
-        try:
-            results = _run_one_trial(config, dim, seed, trial)
-        except Exception as exc:  # trial isolation: record, never kill the campaign
-            errors.append({"trial": index, "dim": dim,
-                           "message": f"{type(exc).__name__}: {exc}"})
-            continue
+        if chunk is not None:
+            results = chunk[position]
+        else:
+            try:
+                results = _run_one_trial(config, dim, seed)
+            except Exception as exc:  # trial isolation: record, never kill the campaign
+                errors.append({"trial": index, "dim": dim,
+                               "message": f"{type(exc).__name__}: {exc}"})
+                continue
         for name, report in results.items():
             summary = summaries[name]
             summary.trials += 1

@@ -42,7 +42,7 @@ def test_verify_zero_trials_passes(capsys):
 
 def test_verify_negative_tol_usage_error(capsys):
     for flag, value in (("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
-                        ("--trials", "-1")):
+                        ("--trials", "-1"), ("--seed", "-1")):
         code, _, err = run(capsys, "verify", flag, value)
         assert code == 2
         assert flag.lstrip("-") in err
@@ -205,17 +205,16 @@ def test_decompose_rejects_non_projection(capsys, tmp_path):
 
 
 def test_decompose_computes_relation_residuals_once(capsys, tmp_path, monkeypatch):
+    # the decomposition forms the three relation gaps once and keeps their
+    # norms in the blocks it returns; decompose reads them from there
     calls = []
-    real = projections.block_relation_residuals
+    real = projections._relation_gaps
 
-    def recording(blocks):
-        calls.append(blocks)
-        return real(blocks)
+    def recording(D, V, Dp):
+        calls.append(D)
+        return real(D, V, Dp)
 
-    # wrap the function under every module-level name a caller could use
-    for owner in (projections, cli):
-        if getattr(owner, "block_relation_residuals", None) is real:
-            monkeypatch.setattr(owner, "block_relation_residuals", recording)
+    monkeypatch.setattr(projections, "_relation_gaps", recording)
     path = tmp_path / "pair.json"
     save_pair_json(reference_2x2_pair(), path)
     code, out, _ = run(capsys, "decompose", "--input", str(path))
@@ -293,6 +292,10 @@ def test_counterexample_dim2_rejected(capsys):
     assert run(capsys, "counterexample", "--dim", "2")[0] == 2
     assert run(capsys, "counterexample", "--dim", "7")[0] == 2
     assert run(capsys, "counterexample", "--dim", "4", "--budget", "0")[0] == 2
+    code, _, err = run(capsys, "counterexample", "--dim", "4", "--mode", "random",
+                       "--seed", "-5")
+    assert code == 2
+    assert "seed must be >= 0, got -5" in err
 
 
 def test_counterexample_random_mode(capsys, tmp_path):

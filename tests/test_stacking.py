@@ -1,27 +1,34 @@
 """Stacked evaluation against the loops it replaced.
 
-`linalg.spectral_norms` and `linalg.mat_poly_evals` take many matrices in one
-Gram product and eigensolve, or one Horner pass, and the checks hand them
-every degree of their power loops at once. `projections.random_projections`
+`linalg.spectral_norms`, `linalg.mat_poly_evals` and `linalg.hermitian_eigens`
+take many matrices in one Gram product and eigensolve, one Horner pass, or
+one eigh, and the checks hand them every degree of their power loops, for
+every pair of a campaign chunk, at once. `projections.random_projections`
 builds many seeded projections with one QR per rank, and the counterexample
 search builds, validates and measures its pairs a stack at a time. The
-reference versions below are those loops, one matrix or one seed per call,
-with the Horner rule and the per-seed construction as they stood before
-stacking. Each stacked matrix gets the same arithmetic as it would alone, so
-matrices, norms, residuals and quantities must agree bit for bit, not to a
-tolerance, and Horner values entry for entry.
+reference versions below are those loops, one matrix, one pair or one seed
+per call, with the Horner rule, the Halmos decomposition and the per-seed
+construction as they stood before stacking. Each stacked matrix gets the
+same arithmetic as it would alone, so matrices, norms, residuals and
+quantities must agree bit for bit, not to a tolerance, and Horner values
+entry for entry.
 """
 
 import math
 import tracemalloc
+from functools import cache
 from itertools import accumulate, islice, repeat
 
 import numpy as np
 import pytest
 
+import projpair.linalg as linalg
 from projpair.linalg import (
     STACK_BYTES,
+    NonHermitianError,
     adjoint,
+    hermitian_eigen,
+    hermitian_eigens,
     mat_poly_evals,
     spectral_norm,
     spectral_norms,
@@ -33,6 +40,7 @@ from projpair.projections import (
     ProjectionPair,
     Provenance,
     halmos_decompose,
+    halmos_decompositions,
     measure_norms,
     pair_from_angles,
     random_pair,
@@ -45,9 +53,13 @@ from projpair.projections import (
 from projpair.verify import (
     TrialConfig,
     check_lemma_commutator,
+    check_lemma_commutators,
     check_lemma_product_power,
+    check_lemma_product_powers,
     check_nw_block,
+    check_nw_blocks,
     check_power_expansion,
+    check_power_expansions,
     find_commutator_identity_counterexample,
     run_trials,
 )
@@ -116,25 +128,75 @@ def serial_power_expansion(pair, n_max):
     return {"norm_anti": anti_norm, "n_max": n_max}, residual
 
 
+def serial_halmos_decompose(pair):
+    """The blocks of g over range(f), their three relation residuals and ||D||,
+    from one eigh of f with its spectrum sorted descending, stably."""
+    w, v = np.linalg.eigh((pair.f + adjoint(pair.f)) / 2.0)
+    order = np.argsort(-w, kind="stable")
+    basis = v[:, order].copy()
+    r = int(np.sum(w[order] > 0.5))
+    g_in_basis = adjoint(basis) @ pair.g @ basis
+    D, V, Dp = g_in_basis[:r, :r], g_in_basis[:r, r:], g_in_basis[r:, r:]
+    residuals = {
+        "range_block": spectral_norm(D - D @ D - V @ adjoint(V)),
+        "mixed_block": spectral_norm(D @ V + V @ Dp - V),
+        "kernel_block": spectral_norm(Dp - Dp @ Dp - adjoint(V) @ V),
+    }
+    return D, Dp, V, basis, residuals, spectral_norm(D)
+
+
+@cache
+def serial_drop(n):
+    """F_n's largest drop between neighbouring points of a 100-point [0, 1] grid."""
+    values = [poly_eval_real(poly_F(n), x) for x in np.linspace(0.0, 1.0, 100)]
+    return max(values[i] - values[i + 1] for i in range(len(values) - 1))
+
+
 def serial_nw_block(pair, n_max, tol):
-    blocks = halmos_decompose(pair, tol=max(tol, 1e-9))
-    r = blocks.D.shape[0]
+    D, _, V, basis, _, _ = serial_halmos_decompose(pair)
+    r = D.shape[0]
     anti_norm = pair.norm_anti
-    w = adjoint(blocks.basis) @ pair.anti @ blocks.basis
-    f_prev = serial_horner(poly_F(0), blocks.D)
+    w = adjoint(basis) @ pair.anti @ basis
+    f_prev = serial_horner(poly_F(0), D)
     residual = 0.0
     for n, power in enumerate(serial_powers(w, n_max), start=1):
-        f_n = poly_F(n)
-        values = [poly_eval_real(f_n, x) for x in np.linspace(0.0, 1.0, 100)]
-        drop = max(values[i] - values[i + 1] for i in range(len(values) - 1))
-        f_cur = serial_horner(f_n, blocks.D)
+        f_cur = serial_horner(poly_F(n), D)
         scale = max(1.0, anti_norm**n)
         nw = power[:r, :r] - f_cur
-        ne = power[:r, r:] - f_prev @ blocks.V
+        ne = power[:r, r:] - f_prev @ V
         residual = max(residual, spectral_norm(nw) / scale, spectral_norm(ne) / scale)
-        residual = max(residual, drop / scale)
+        residual = max(residual, serial_drop(n) / scale)
         f_prev = f_cur
     return {"norm_anti": anti_norm, "rank_f": r, "n_max": n_max}, residual
+
+
+def serial_checks(pair, k):
+    """Each loop check's (quantities, residual) at loop length k, by the loops."""
+    return {
+        "lemma_product_power": serial_lemma_product_power(pair, k),
+        "lemma_commutator": serial_lemma_commutator(pair),
+        "power_expansion": serial_power_expansion(pair, k),
+        "nw_block": serial_nw_block(pair, k, 1e-8),
+    }
+
+
+def chunk_checks(pairs, k):
+    """Each loop check's reports for a chunk of pairs at loop length k."""
+    return {
+        "lemma_product_power": check_lemma_product_powers(pairs, m_max=k),
+        "lemma_commutator": check_lemma_commutators(pairs),
+        "power_expansion": check_power_expansions(pairs, n_max=k),
+        "nw_block": check_nw_blocks(pairs, n_max=k),
+    }
+
+
+def assert_bit_equal(report, expected, label):
+    quantities, residual = expected
+    assert report.check_name in label
+    assert bits(report.residual) == bits(residual), label
+    assert report.quantities.keys() == quantities.keys(), label
+    for key, value in quantities.items():
+        assert bits(report.quantities[key]) == bits(value), f"{label}: {key}"
 
 
 # --- pairs -----------------------------------------------------------------------
@@ -182,27 +244,80 @@ LOOP_LENGTHS = (1, 2, 8, 12)
 def test_stacked_checks_match_serial_loops(name):
     pair = PAIRS[name]
     for k in LOOP_LENGTHS:
-        cases = (
-            (check_lemma_product_power(pair, m_max=k), serial_lemma_product_power(pair, k)),
-            (check_power_expansion(pair, n_max=k), serial_power_expansion(pair, k)),
-            (check_nw_block(pair, n_max=k), serial_nw_block(pair, k, 1e-8)),
-        )
-        for report, (quantities, residual) in cases:
-            label = f"{report.check_name} at loop length {k}"
-            assert bits(report.residual) == bits(residual), label
-            assert report.quantities.keys() == quantities.keys(), label
-            for key, value in quantities.items():
-                assert bits(report.quantities[key]) == bits(value), f"{label}: {key}"
-    report = check_lemma_commutator(pair)
-    quantities, residual = serial_lemma_commutator(pair)
-    assert bits(report.residual) == bits(residual)
-    assert {k: bits(v) for k, v in report.quantities.items()} == {
-        k: bits(v) for k, v in quantities.items()}
+        reports = {"lemma_product_power": check_lemma_product_power(pair, m_max=k),
+                   "lemma_commutator": check_lemma_commutator(pair),
+                   "power_expansion": check_power_expansion(pair, n_max=k),
+                   "nw_block": check_nw_block(pair, n_max=k)}
+        for check, expected in serial_checks(pair, k).items():
+            assert_bit_equal(reports[check], expected, f"{check} at loop length {k}")
+    blocks = halmos_decompose(pair)
+    D, Dp, V, basis, residuals, norm_D = serial_halmos_decompose(pair)
+    for got, want in ((blocks.D, D), (blocks.Dprime, Dp), (blocks.V, V), (blocks.basis, basis)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert {k: bits(v) for k, v in blocks.relation_residuals.items()} == {
+        k: bits(v) for k, v in residuals.items()}
+    assert bits(blocks.norm_D) == bits(norm_D)
     for member in (pair.f, pair.g):
         validation = validate_projection(member)
         idem, herm = serial_validate(member)
         assert bits(validation.idempotency_residual) == bits(idem)
         assert bits(validation.hermiticity_residual) == bits(herm)
+
+
+# --- chunks of pairs ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 24])
+def test_chunk_checks_match_serial_loops(dim, monkeypatch):
+    # Chunks of one pair, of a full stack, and of just over half a stack, so
+    # that one degree's matrices for all the pairs fill more than a stack and
+    # each run of degrees spans stacks. At dims 2, 3 and 5 a 64 KiB stack
+    # holds hundreds of pairs; a 4 KiB one holds 64, 28 and 10, which keeps
+    # the serial loops quick and cuts the same runs across stacks.
+    if dim < 16:
+        monkeypatch.setattr(linalg, "STACK_BYTES", 1 << 12)
+    capacity = stack_capacity((dim, dim))
+    pairs = random_pairs(dim, list(range(700, 700 + capacity)))
+    sizes = sorted({1, capacity // 2 + 1, capacity})
+    assert 2 * sizes[1] > capacity
+    for k in LOOP_LENGTHS:
+        expected = [serial_checks(pair, k) for pair in pairs]
+        for size in sizes:
+            for check, reports in chunk_checks(pairs[:size], k).items():
+                assert len(reports) == size
+                for i, report in enumerate(reports):
+                    label = f"{check} at loop length {k}, pair {i} of a chunk of {size}"
+                    assert_bit_equal(report, expected[i][check], label)
+    assert all(reports == [] for reports in chunk_checks([], 8).values())
+    assert halmos_decompositions([]) == []
+
+
+def test_nw_block_chunks_mix_ranks_of_f():
+    # dim-5 pairs whose f has rank 1 (one pair), 4 = dim - 1 (many, one of
+    # them axis-aligned and one rotated), 2 (random) and the empty ranks 0
+    # and 5, interleaved, so each rank's blocks stack apart from the others
+    pool = random_pairs(5, list(range(60)))
+    by_rank = {}
+    for pair in pool:
+        by_rank.setdefault(pair.provenance.params["rank_f"], []).append(pair)
+    chunk = [*by_rank[4][:4], angle_pair(0.7, extra_f=3), by_rank[1][0],
+             rotated(angle_pair(1.1, extra_f=3), 3), *by_rank[2][:3],
+             angle_pair(extra_g=5), angle_pair(extra_f=5)]
+    chunk = chunk[1::2] + chunk[0::2]
+    ranks = [round(np.trace(pair.f).real) for pair in chunk]
+    assert sorted(ranks) == [0, 1, 2, 2, 2, 4, 4, 4, 4, 4, 4, 5]
+    for k in LOOP_LENGTHS:
+        reports = check_nw_blocks(chunk, n_max=k)
+        for i, (pair, report) in enumerate(zip(chunk, reports)):
+            label = f"nw_block at loop length {k}, pair {i} (rank {ranks[i]})"
+            assert_bit_equal(report, serial_nw_block(pair, k, 1e-8), label)
+    for pair, blocks in zip(chunk, halmos_decompositions(chunk)):
+        D, Dp, V, basis, residuals, norm_D = serial_halmos_decompose(pair)
+        assert blocks.D.tobytes() == D.tobytes() and blocks.V.shape == V.shape
+        assert blocks.basis.tobytes() == basis.tobytes()
+        assert {k: bits(v) for k, v in blocks.relation_residuals.items()} == {
+            k: bits(v) for k, v in residuals.items()}
+        assert bits(blocks.norm_D) == bits(norm_D)
 
 
 # --- linalg stacks -----------------------------------------------------------------
@@ -233,6 +348,34 @@ def test_spectral_norms_reject_non_finite_and_ragged_input():
         spectral_norms(mats)
     with pytest.raises(ValueError):
         spectral_norms([np.eye(3), np.eye(2)])
+
+
+@pytest.mark.parametrize("shape", [(6, 2, 2), (9, 5, 5), (20, 24, 24), (3, 0, 0)])
+def test_hermitian_eigens_match_serial_eigh(shape):
+    rng = np.random.default_rng(sum(shape))
+    mats = random_complex(rng, shape)
+    mats = (mats + adjoint(mats)) / 2
+    mats[0] = np.eye(shape[-1])  # a degenerate spectrum keeps the solver's order
+    assert len(mats) * mats[0].nbytes > STACK_BYTES or shape[-1] < 24  # 24 splits
+    eigs = hermitian_eigens(mats)
+    assert len(eigs) == len(mats)
+    for A, eig in zip(mats, eigs):
+        w, v = np.linalg.eigh((A + adjoint(A)) / 2.0)
+        order = np.argsort(-w, kind="stable")
+        assert eig.eigenvalues.tobytes() == w[order].tobytes()
+        assert eig.eigenvectors.tobytes() == v[:, order].tobytes()
+        alone = hermitian_eigen(A)
+        assert alone.eigenvectors.tobytes() == eig.eigenvectors.tobytes()
+    assert hermitian_eigens([]) == []
+
+
+def test_hermitian_eigens_check_each_matrix():
+    # one non-Hermitian matrix among Hermitian ones is rejected
+    mats = np.stack([np.eye(3), np.eye(3), np.triu(np.ones((3, 3)))])
+    with pytest.raises(NonHermitianError):
+        hermitian_eigens(mats)
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigens(np.ones((2, 3, 4)))
 
 
 # coefficient lists of mixed lengths: zero polynomial, constants, inner zeros

@@ -13,6 +13,7 @@ import projpair.verify as verify
 from projpair.linalg import mat_poly_evals, spectral_norm, spectral_norms
 from projpair.projections import (
     AngleSpec,
+    DecompositionError,
     Provenance,
     pair_from_angles,
     random_pair,
@@ -343,6 +344,9 @@ def test_counterexample_rejects_bad_dims_and_mode():
         find_commutator_identity_counterexample(4, mode="exhaustive")
     with pytest.raises(ValueError, match="budget"):
         find_commutator_identity_counterexample(4, budget=0)
+    for mode in ("deterministic", "random"):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            find_commutator_identity_counterexample(4, mode=mode, seed=-5)
 
 
 # --- campaign driver ------------------------------------------------------------------------------
@@ -427,9 +431,12 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
     # Each check stacks its matrices of every degree, so a dim-4 trial makes
     # one Hermitian eigensolve per stack: 2 validating the pair, 3 for its
     # norms, 2 in lemma_product_power, 1 in lemma_commutator, 1 in
-    # power_expansion and 6 in nw_block (4 of them in halmos_decompose).
-    # Measured one matrix at a time, it made 53. A chunk of pairs shares its
-    # validation stack: 1 for the chunk, then 13 per trial.
+    # power_expansion and 5 in nw_block (3 of them in halmos_decompose, where
+    # ||D|| shares the range-block residual's stack). Measured one matrix at a
+    # time, it made 53. A chunk of pairs shares its stacks across its pairs:
+    # 1 validating the chunk, 3 norms per pair, 4 for the other checks, and
+    # 5 in nw_block for each rank of f among its pairs (seeds 0-3 have ranks
+    # 3 and 2), so 27 where trial by trial it made 53.
     calls = []
     real = np.linalg.eigvalsh
 
@@ -438,7 +445,7 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    for trials, solves in ((1, 15), (4, 53)):
+    for trials, solves in ((1, 14), (4, 27)):
         calls.clear()
         report = run_trials(TrialConfig(dims=(4,), trials=trials, base_seed=0))
         assert report.verdict == "pass"
@@ -515,10 +522,10 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch):
             raise ValueError("synthetic construction failure")
         return real_stacked(dim, seeds)
 
-    def failing_corollary(pair, cfg):
-        if pair.provenance.params["seed"] == 7:
+    def failing_corollary(pairs, cfg):
+        if any(pair.provenance.params["seed"] == 7 for pair in pairs):
             raise ArithmeticError("synthetic check failure")
-        return real_corollary(pair, cfg)
+        return real_corollary(pairs, cfg)
 
     monkeypatch.setattr(verify, "random_pair", flaky)
     monkeypatch.setattr(verify, "random_pairs", flaky_stacked)
@@ -529,21 +536,45 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch):
     assert chunked.to_json() == serial_campaign(config).to_json()
 
 
-def test_run_trials_drops_each_pair_once_its_trial_has_run(monkeypatch):
-    # 6 dim-4 trials are one chunk; when a trial's check runs, the pairs of
-    # the trials before it (and the products their checks cached) are gone.
+def test_chunk_falls_back_when_one_pairs_decomposition_raises(monkeypatch):
+    # The dim-4 chunk holds trials 0-5; seed 3's decomposition raises, in the
+    # chunk and alone, so the chunk reruns trial by trial and only trial 3
+    # records an error.
+    real = verify.halmos_decompositions
+    sizes = []
+
+    def failing(pairs, tol):
+        sizes.append(len(pairs))
+        if any(pair.provenance.params["seed"] == 3 for pair in pairs):
+            raise DecompositionError("synthetic decomposition failure")
+        return real(pairs, tol)
+
+    monkeypatch.setattr(verify, "halmos_decompositions", failing)
+    config = TrialConfig(dims=(4,), trials=6, base_seed=0)
+    report = run_trials(config)
+    assert sizes == [6] + [1] * 6
+    assert [(e["trial"], e["message"]) for e in report.errors] == [
+        (3, "DecompositionError: synthetic decomposition failure")]
+    assert all(s.trials == 5 for s in report.per_check)
+    assert report.to_json() == serial_campaign(config).to_json()
+
+
+def test_run_trials_drops_each_chunks_pairs_once_its_checks_have_run(monkeypatch):
+    # 20 dim-16 trials are a chunk of 16 and one of 4; when a chunk's check
+    # runs, the pairs of the chunk before it (and the products their checks
+    # cached) are gone.
     real_theorem = verify.CHECKS["theorem"]
     seen, alive = [], []
 
-    def recording_theorem(pair, cfg):
-        seen.append(weakref.ref(pair))
-        alive.append(sum(ref() is not None for ref in seen))
-        return real_theorem(pair, cfg)
+    def recording_theorem(pairs, cfg):
+        seen.extend(weakref.ref(pair) for pair in pairs)
+        alive.append([ref() is not None for ref in seen])
+        return real_theorem(pairs, cfg)
 
     monkeypatch.setitem(verify.CHECKS, "theorem", recording_theorem)
-    report = run_trials(TrialConfig(dims=(4,), trials=6, checks=("theorem",)))
+    report = run_trials(TrialConfig(dims=(16,), trials=20, checks=("theorem",)))
     assert report.verdict == "pass"
-    assert alive == [1] * 6
+    assert alive == [[True] * 16, [False] * 16 + [True] * 4]
 
 
 def test_run_trials_rejects_unknown_check():
@@ -553,6 +584,8 @@ def test_run_trials_rejects_unknown_check():
         TrialConfig(m_max=0)
     with pytest.raises(ValueError, match="n_max"):
         TrialConfig(n_max=0)
+    with pytest.raises(ValueError, match="base_seed must be >= 0, got -1"):
+        TrialConfig(base_seed=-1)
     for tol in (0.0, -1.0, math.nan, math.inf):  # nan and inf serialise as invalid JSON
         with pytest.raises(ValueError, match="tol must"):
             TrialConfig(tol=tol)

@@ -1,6 +1,6 @@
 """Print the sha256 of every output in projpair's byte contract.
 
-The contract is nine campaign reports (`run_trials(config).to_json()`) and
+The contract is ten campaign reports (`run_trials(config).to_json()`) and
 twelve CLI stdouts. A refactor keeps it when this script prints the same
 lines before and after the change on the same machine:
 
@@ -56,6 +56,11 @@ CAMPAIGNS = (
     # split into chunks (16: four of 16 and one of 6; 24: ten of 7)
     ("theorem, corollary dims=(2, 16, 24) trials=70 seed=5",
      TrialConfig(dims=(2, 16, 24), trials=70, base_seed=5, checks=("theorem", "corollary"))),
+    # every check on chunks whose pairs mix ranks of f, with degree runs cut
+    # into one or a few degrees per run (16: a chunk of 16 and one of 5; 20:
+    # chunks of 10, 10 and 1, the last a chunk of one pair)
+    ("all checks dims=(2, 3, 4, 6, 16, 20) trials=21 seed=13",
+     TrialConfig(dims=(2, 3, 4, 6, 16, 20), trials=21, base_seed=13, checks=ALL_CHECKS)),
 )
 
 # In order: the decompose runs read the pair files the counterexample runs write.
