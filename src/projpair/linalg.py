@@ -34,18 +34,13 @@ class EigenConvergenceError(RuntimeError):
     """Eigensolver failed to converge; carries the underlying diagnostic."""
 
 
-def _as_finite_2d(entries) -> np.ndarray:
+def as_matrix(entries) -> np.ndarray:
+    """Validate and return a square complex128 matrix with finite entries."""
     A = np.asarray(entries, dtype=np.complex128)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return A
-
-
-def as_matrix(entries) -> np.ndarray:
-    """Validate and return a square complex128 matrix with finite entries."""
-    A = _as_finite_2d(entries)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     return A
@@ -74,7 +69,7 @@ def hermitian_eigen(A: np.ndarray) -> EigenDecomposition:
     The input is checked against its adjoint first; anything beyond the
     Hermiticity tolerance is rejected rather than silently symmetrized.
     """
-    return hermitian_eigens([as_matrix(A)])[0]
+    return hermitian_eigens([A])[0]
 
 
 def hermitian_eigens(mats) -> list[EigenDecomposition]:
@@ -120,7 +115,7 @@ def spectral_norm(A: np.ndarray) -> float:
     Always computed as sqrt of the top eigenvalue of A*A, even for Hermitian
     input, so every norm in the package shares one code path and error model.
     """
-    return spectral_norms([_as_finite_2d(A)])[0]
+    return spectral_norms([A])[0]
 
 
 def spectral_norms(mats) -> list[float]:
@@ -193,7 +188,7 @@ def mat_poly_eval(p, A: np.ndarray) -> np.ndarray:
     `p` may be an IntPolynomial or any sequence of coefficients indexed by
     power. The zero polynomial yields the zero matrix; a constant c yields c*I.
     """
-    return next(mat_poly_evals([p], [as_matrix(A)]))
+    return next(mat_poly_evals([p], [A]))
 
 
 def mat_poly_evals(polys, mats) -> Iterator[np.ndarray]:

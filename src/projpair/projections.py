@@ -52,8 +52,7 @@ class ProjectionPair:
 
     The products and norms every check reads (fg, gf, fgf, fg + gf, fg - gf and
     their norms) are computed on first access and kept, so a pair measures
-    each of them once however many checks read it; measure_norms measures a
-    norm for many pairs at once and keeps it in the same place.
+    each of them once however many checks read it.
     """
 
     f: np.ndarray
@@ -105,20 +104,6 @@ class ProjectionPair:
         return spectral_norm(self.comm)
 
 
-# The product whose norm each cached norm of ProjectionPair is.
-_NORMED_PRODUCTS = {"norm_fg": "fg", "norm_anti": "anti", "norm_comm": "comm"}
-
-
-def measure_norms(pairs, names) -> None:
-    """Cache the named norms ("norm_fg", "norm_anti", "norm_comm") of every
-    pair, each name's from one spectral_norms call for all the pairs; the
-    pairs' cached properties then read these values instead of measuring."""
-    for name in names:
-        norms = spectral_norms([getattr(pair, _NORMED_PRODUCTS[name]) for pair in pairs])
-        for pair, norm in zip(pairs, norms):
-            pair.__dict__[name] = norm  # where cached_property keeps its value
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Residuals of the two defining projection properties plus the verdict."""
@@ -143,7 +128,6 @@ def require_tol(tol: float) -> None:
 def validate_projection(P: np.ndarray, tol: float = PROJ_TOL) -> ValidationReport:
     """Check P = P* = P^2 within tol. Residuals are reported, never raised;
     a tol that is not finite and positive raises ValueError."""
-    require_tol(tol)
     return validate_projections(as_matrix(P)[np.newaxis], tol)[0]
 
 

@@ -19,23 +19,25 @@ import numpy as np
 
 from .linalg import adjoint, as_stack, mat_poly_evals, spectral_norms, stack_capacity
 from .linalg import mat_poly_eval, spectral_norm  # noqa: F401  (unused; the tracer wraps these)
-from .polynomials import poly_F, poly_PQ_recursive, poly_eval_real
+from .polynomials import poly_F, poly_PQ_recursive
+from .polynomials import poly_eval_real  # noqa: F401  (unused; the tracer wraps this name)
 from .projections import (
     AngleSpec,
     ProjectionPair,
     Provenance,
     group_positions,
     halmos_decompositions,
-    measure_norms,
     pair_from_angles,
-    random_pair,
     random_pairs,
     random_projections,
     require_tol,
-    validate_projection,
     validate_projections,
 )
-from .projections import halmos_decompose  # noqa: F401  (unused; the tracer wraps this name)
+from .projections import (  # noqa: F401  (unused; the tracer wraps these)
+    halmos_decompose,
+    random_pair,
+    validate_projection,
+)
 
 DEFAULT_TOL = 1e-8
 # Slack for floating-point comparisons of analytically tight bounds (the
@@ -102,10 +104,11 @@ def _expansion_terms(n: int) -> tuple:
 
 @cache
 def _block_terms(n: int) -> tuple:
-    """F_n (n >= 0) and its largest drop between neighbouring [0, 1] grid points."""
+    """F_n (n >= 0) and the size of its most negative coefficient, 0 when it
+    has none: a polynomial with no negative coefficient is non-decreasing on
+    [0, 1], which is the monotonicity the norm argument leans on."""
     f_n = poly_F(n)
-    values = [poly_eval_real(f_n, x) for x in np.linspace(0.0, 1.0, 100)]
-    return f_n, max(values[i] - values[i + 1] for i in range(len(values) - 1))
+    return f_n, max(0, -min(f_n.coefficients))
 
 
 def check_theorem(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> TrialReport:
@@ -259,8 +262,8 @@ def check_nw_block(pair: ProjectionPair, n_max: int = 8,
 
     In a basis splitting range(f) from its complement, (fg+gf)^n must carry
     F_n(D) in its northwest block and F_{n-1}(D) V in its northeast block.
-    Sample-point monotonicity of each F_n on [0, 1] is checked alongside,
-    since the norm argument leans on it.
+    Monotonicity of each F_n on [0, 1] is checked alongside, exactly, from
+    the signs of its coefficients, since the norm argument leans on it.
     """
     return check_nw_blocks([pair], n_max, tol)[0]
 
@@ -373,9 +376,8 @@ def check_bound_sandwich(pair: ProjectionPair, N_max: int = 50,
     )
 
 
-def _identity_violation(pair: ProjectionPair) -> float:
-    a = pair.norm_fg
-    return abs(pair.norm_comm**2 - a**2 * (1.0 - a**2))
+def _identity_violation(norm_fg: float, norm_comm: float) -> float:
+    return abs(norm_comm**2 - norm_fg**2 * (1.0 - norm_fg**2))
 
 
 def check_dim2_commutator_identity(pair: ProjectionPair,
@@ -390,21 +392,25 @@ def check_dim2_commutator_identity(pair: ProjectionPair,
     return _report(
         "dim2_commutator_identity", pair,
         {"norm_fg": pair.norm_fg, "norm_comm": pair.norm_comm},
-        _identity_violation(pair), tol,
+        _identity_violation(pair.norm_fg, pair.norm_comm), tol,
     )
 
 
 def _worst_violator(dim: int, rng: np.random.Generator, size: int,
-                    search_seed: int) -> ProjectionPair:
-    """The first pair of largest dim-2 identity violation among `size`
-    rank-dim/2 pairs, built and measured together. Their members' seeds come
-    from rng, f's before g's, pair after pair."""
+                    search_seed: int) -> tuple[float, ProjectionPair]:
+    """The dim-2 identity violation of the first largest violator among
+    `size` rank-dim/2 pairs, and that pair. Their members are built, and fg
+    and fg - gf measured, as stacks; only the violator becomes a
+    ProjectionPair. The members' seeds come from rng, f's before g's, pair
+    after pair."""
     seeds = rng.integers(0, 2**63, size=2 * size).tolist()
     members = random_projections(dim, [dim // 2] * len(seeds), seeds)
-    pairs = [ProjectionPair(f, g, dim, Provenance("random", {"seed": search_seed}))
-             for f, g in zip(members[0::2], members[1::2])]
-    measure_norms(pairs, ("norm_fg", "norm_comm"))
-    return max(pairs, key=_identity_violation)
+    f, g = members[0::2], members[1::2]
+    fg = f @ g
+    violations = list(map(_identity_violation, spectral_norms(fg), spectral_norms(fg - g @ f)))
+    worst = violations.index(max(violations))
+    return violations[worst], ProjectionPair(f[worst], g[worst], dim,
+                                             Provenance("random", {"seed": search_seed}))
 
 
 def find_commutator_identity_counterexample(
@@ -428,17 +434,17 @@ def find_commutator_identity_counterexample(
     if mode == "deterministic":
         angles = (0.0,) + (math.pi / 4,) * (dim // 2 - 1)
         pair = pair_from_angles(AngleSpec(angles))
-    elif mode == "random":
+        return pair, _identity_violation(pair.norm_fg, pair.norm_comm)
+    if mode == "random":
         rng = np.random.Generator(np.random.PCG64(seed))
         step = stack_capacity((dim, dim))
         # max keeps the first pair of largest violation, and holds one
         # chunk's best at a time
         bests = (_worst_violator(dim, rng, min(step, budget - start), seed)
                  for start in range(0, budget, step))
-        pair = max(bests, key=_identity_violation)
-    else:
-        raise ValueError(f"mode must be 'deterministic' or 'random', got {mode!r}")
-    return pair, _identity_violation(pair)
+        violation, pair = max(bests, key=lambda best: best[0])
+        return pair, violation
+    raise ValueError(f"mode must be 'deterministic' or 'random', got {mode!r}")
 
 
 # --- randomized campaign driver ----------------------------------------------
@@ -520,15 +526,25 @@ class AggregateReport:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-def _run_one_trial(config: TrialConfig, dim: int, seed: int) -> dict[str, TrialReport]:
-    """Build one trial's pair and run the configured checks on it, once both
-    its members pass validation."""
-    pair = random_pair(dim, seed)
-    for name, member in zip("fg", (pair.f, pair.g)):
-        report = validate_projection(member)
+def _check_trials(config: TrialConfig, dim: int,
+                  seeds: list[int]) -> list[dict[str, TrialReport]]:
+    """Each seed's reports by check name. The seeds' pairs are built with
+    one random_pairs call, every member is validated in one
+    validate_projections call, and each check runs on all the pairs at once;
+    the first member that fails validation raises ArithmeticError."""
+    pairs = random_pairs(dim, seeds)
+    members = [p.f for p in pairs] + [p.g for p in pairs]
+    for position, report in enumerate(validate_projections(members)):
         if not report.ok:
+            name = "fg"[position // len(pairs)]
             raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
-    return {name: CHECKS[name]([pair], config)[0] for name in config.checks}
+    by_check = {name: CHECKS[name](pairs, config) for name in config.checks}
+    return [dict(zip(by_check, trial)) for trial in zip(*by_check.values())]
+
+
+def _run_one_trial(config: TrialConfig, dim: int, seed: int) -> dict[str, TrialReport]:
+    """One trial's reports by check name: _check_trials for its seed alone."""
+    return _check_trials(config, dim, [seed])[0]
 
 
 def run_trials(config: TrialConfig) -> AggregateReport:
@@ -554,34 +570,24 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     return AggregateReport(config, ordered, errors, "pass" if ok else "fail")
 
 
-def _check_chunk(config: TrialConfig, dim: int, seeds: list[int]) -> list[dict] | None:
-    """Each seed's reports by check name, from pairs built, validated and
-    checked together; None when any of that raises or a member fails
-    validation, so that each trial reruns alone and records its own failure."""
-    try:
-        pairs = random_pairs(dim, seeds)
-        reports = validate_projections([p.f for p in pairs] + [p.g for p in pairs])
-        if not all(report.ok for report in reports):
-            return None
-        by_check = {name: CHECKS[name](pairs, config) for name in config.checks}
-    except Exception:  # rerun trial by trial; the trial that raises records it
-        return None
-    return [dict(zip(by_check, trial)) for trial in zip(*by_check.values())]
-
-
 def _run_chunk(config: TrialConfig, dim: int, indices: range,
                summaries: dict[str, CheckSummary], errors: list[dict]) -> None:
     """Run one chunk of trials, recording each in summaries or errors. A
-    chunk of one pair, or one whose checks could not run together, runs
-    trial by trial."""
-    seeds = [config.base_seed + index for index in indices]
-    chunk = _check_chunk(config, dim, seeds) if len(seeds) > 1 else None
-    for position, (index, seed) in enumerate(zip(indices, seeds)):
+    chunk of one pair, or one whose pairs could not be built, validated or
+    checked together, runs trial by trial, so each trial records its own
+    failure."""
+    chunk = None
+    if len(indices) > 1:
+        try:
+            chunk = _check_trials(config, dim, [config.base_seed + index for index in indices])
+        except Exception:  # rerun trial by trial; the trial that raises records it
+            pass
+    for position, index in enumerate(indices):
         if chunk is not None:
             results = chunk[position]
         else:
             try:
-                results = _run_one_trial(config, dim, seed)
+                results = _run_one_trial(config, dim, config.base_seed + index)
             except Exception as exc:  # trial isolation: record, never kill the campaign
                 errors.append({"trial": index, "dim": dim,
                                "message": f"{type(exc).__name__}: {exc}"})

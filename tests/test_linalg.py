@@ -42,6 +42,21 @@ def test_as_matrix_rejects_non_finite():
         as_matrix(np.array([[1.0, 1j * np.inf], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("call, square", [
+    (spectral_norm, False),
+    (hermitian_eigen, True),
+    (lambda A: mat_poly_eval([1, 2], A), True),
+], ids=["spectral_norm", "hermitian_eigen", "mat_poly_eval"])
+def test_one_matrix_calls_reject_malformed_input(call, square):
+    # the stacked forms these pass their matrix to do the checking
+    bad = [np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(3), np.ones((2, 2, 2))]
+    if square:
+        bad.append(np.ones((2, 3)))
+    for A in bad:
+        with pytest.raises(ValueError):
+            call(A)
+
+
 # --- adjoint -----------------------------------------------------------------
 
 

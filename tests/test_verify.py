@@ -14,6 +14,7 @@ from projpair.linalg import mat_poly_evals, spectral_norm, spectral_norms
 from projpair.projections import (
     AngleSpec,
     DecompositionError,
+    ProjectionPair,
     Provenance,
     pair_from_angles,
     random_pair,
@@ -218,6 +219,12 @@ def test_nw_block_random_pairs():
     for seed in range(50):
         report = check_nw_block(random_pair(12, seed), n_max=6, tol=1e-9)
         assert report.passed, (seed, report.residual)
+
+
+def test_every_F_n_is_non_decreasing_on_the_unit_interval():
+    # F_n has no negative coefficient for every n the CLI can print, so
+    # nw_block's monotonicity term is 0
+    assert [n for n in range(201) if verify._block_terms(n)[1] != 0] == []
 
 
 # --- bound sequences --------------------------------------------------------------------------
@@ -429,8 +436,8 @@ def test_run_trials_evaluates_each_matrix_polynomial_once(monkeypatch):
 
 def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
     # Each check stacks its matrices of every degree, so a dim-4 trial makes
-    # one Hermitian eigensolve per stack: 2 validating the pair, 3 for its
-    # norms, 2 in lemma_product_power, 1 in lemma_commutator, 1 in
+    # one Hermitian eigensolve per stack: 1 validating both members, 3 for
+    # its norms, 2 in lemma_product_power, 1 in lemma_commutator, 1 in
     # power_expansion and 5 in nw_block (3 of them in halmos_decompose, where
     # ||D|| shares the range-block residual's stack). Measured one matrix at a
     # time, it made 53. A chunk of pairs shares its stacks across its pairs:
@@ -445,7 +452,7 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    for trials, solves in ((1, 14), (4, 27)):
+    for trials, solves in ((1, 13), (4, 27)):
         calls.clear()
         report = run_trials(TrialConfig(dims=(4,), trials=trials, base_seed=0))
         assert report.verdict == "pass"
@@ -453,20 +460,14 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
 
 
 def test_run_trials_records_construction_errors(monkeypatch):
-    real, real_stacked = verify.random_pair, verify.random_pairs
-
-    def flaky(dim, seed):
-        if seed == 1:
-            raise ValueError("synthetic construction failure")
-        return real(dim, seed)
+    real_stacked = verify.random_pairs
 
     def flaky_stacked(dim, seeds):
         if 1 in seeds:
             raise ValueError("synthetic construction failure")
         return real_stacked(dim, seeds)
 
-    # a chunk builds its pairs with random_pairs; a trial rerun alone, with random_pair
-    monkeypatch.setattr(verify, "random_pair", flaky)
+    # the chunk, and each trial rerun alone, builds its pairs with random_pairs
     monkeypatch.setattr(verify, "random_pairs", flaky_stacked)
     report = run_trials(TrialConfig(dims=(2,), trials=3, base_seed=0))
     assert report.verdict == "fail"
@@ -507,14 +508,9 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch):
     # middle trial of the dim-8 chunk (seed 7) raises in a check, after its
     # chunk was built and validated together.
     config = TrialConfig(dims=(2, 8), trials=5, base_seed=0)
-    real, real_stacked = verify.random_pair, verify.random_pairs
+    real_stacked = verify.random_pairs
     real_corollary = verify.CHECKS["corollary"]
     stacked_calls = []
-
-    def flaky(dim, seed):
-        if seed == 2:
-            raise ValueError("synthetic construction failure")
-        return real(dim, seed)
 
     def flaky_stacked(dim, seeds):
         stacked_calls.append(list(seeds))
@@ -527,11 +523,12 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch):
             raise ArithmeticError("synthetic check failure")
         return real_corollary(pairs, cfg)
 
-    monkeypatch.setattr(verify, "random_pair", flaky)
     monkeypatch.setattr(verify, "random_pairs", flaky_stacked)
     monkeypatch.setitem(verify.CHECKS, "corollary", failing_corollary)
     chunked = run_trials(config)
-    assert stacked_calls == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    # each failed chunk reruns its trials one seed at a time
+    assert stacked_calls == [[0, 1, 2, 3, 4], [0], [1], [2], [3], [4],
+                             [5, 6, 7, 8, 9], [5], [6], [7], [8], [9]]
     assert [(e["trial"], e["dim"]) for e in chunked.errors] == [(2, 2), (7, 8)]
     assert chunked.to_json() == serial_campaign(config).to_json()
 
@@ -556,6 +553,27 @@ def test_chunk_falls_back_when_one_pairs_decomposition_raises(monkeypatch):
     assert [(e["trial"], e["message"]) for e in report.errors] == [
         (3, "DecompositionError: synthetic decomposition failure")]
     assert all(s.trials == 5 for s in report.per_check)
+    assert report.to_json() == serial_campaign(config).to_json()
+
+
+def test_chunk_reruns_when_one_member_fails_validation(monkeypatch):
+    # The dim-4 chunk holds trials 0-4; seed 2's g is doubled, so it is not
+    # idempotent, in the chunk and alone. The chunk reruns trial by trial and
+    # only trial 2 records the validation failure.
+    real = verify.random_pairs
+
+    def doubling(dim, seeds):
+        return [ProjectionPair(pair.f, 2 * pair.g, dim, pair.provenance)
+                if pair.provenance.params["seed"] == 2 else pair
+                for pair in real(dim, seeds)]
+
+    monkeypatch.setattr(verify, "random_pairs", doubling)
+    config = TrialConfig(dims=(4,), trials=5, base_seed=0)
+    report = run_trials(config)
+    assert [e["trial"] for e in report.errors] == [2]
+    assert report.errors[0]["message"].startswith(
+        "ArithmeticError: constructed g fails projection validation: idempotency ")
+    assert all(s.trials == 4 and not s.failures for s in report.per_check)
     assert report.to_json() == serial_campaign(config).to_json()
 
 

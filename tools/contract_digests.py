@@ -1,7 +1,7 @@
 """Print the sha256 of every output in projpair's byte contract.
 
 The contract is ten campaign reports (`run_trials(config).to_json()`) and
-twelve CLI stdouts. A refactor keeps it when this script prints the same
+thirteen CLI stdouts. A refactor keeps it when this script prints the same
 lines before and after the change on the same machine:
 
     PYTHONPATH=src python3 tools/contract_digests.py > after.txt
@@ -78,6 +78,8 @@ COMMANDS = (
     "verify --dims 2,4 --trials 5 --seed 3 --format csv",
     # 70 pairs in chunks of 64 and 6: 140 members across 3 stacks
     "counterexample --dim 8 --mode random --budget 70 --seed 11 --out wide.json",
+    # 65 pairs in chunks of 64 and 1: the last chunk's one candidate is its worst
+    "counterexample --dim 8 --mode random --budget 65 --seed 4 --out lone.json",
 )
 
 
