@@ -31,9 +31,9 @@ from .projections import (
     halmos_decompose,
     load_pair_json,
     matrix_to_pairs,
+    projection_failures,
     save_pair_json,
     universal_pair_approx,
-    validate_projections,
 )
 from .projections import validate_projection  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .verify import (
@@ -145,10 +145,9 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     pair = load_pair_json(args.input)
-    reports = dict(zip("fg", validate_projections([pair.f, pair.g], args.tol)))
-    bad = {name: rep for name, rep in reports.items() if not rep.ok}
-    if bad:
-        detail = "; ".join(f"{name}: {rep}" for name, rep in bad.items())
+    failures = projection_failures([pair.f, pair.g], args.tol)
+    if failures:
+        detail = "; ".join(f"{'fg'[position]}: {rep}" for position, rep in failures)
         raise ValueError(f"input matrices fail projection validation ({detail})")
     blocks = halmos_decompose(pair, tol=args.tol)
     r = blocks.D.shape[0]

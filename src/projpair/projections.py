@@ -144,18 +144,53 @@ def validate_projections(mats, tol: float = PROJ_TOL) -> list[ValidationReport]:
             for report in _validate_stack(mats[i : i + step], tol)]
 
 
-def _validate_stack(mats, tol: float) -> list[ValidationReport]:
+def projection_failures(mats, tol: float = PROJ_TOL) -> list[tuple[int, ValidationReport]]:
+    """The position and validate_projection report of each of `mats` that
+    fails validation, in order; `mats` is as for validate_projections.
+
+    Since ||X|| <= ||X||_F, a member whose gaps P^2 - P and P - P* both have
+    Frobenius norm at most tol / 2 passes with no eigensolve; the factor 2
+    covers the rounding of the Frobenius sum and of the eigensolve. Every
+    other member, NaN and overflow included, is measured by one
+    validate_projections call, so the reports, and the errors raised, are
+    validate_projections' own.
+    """
+    require_tol(tol)
+    if not len(mats):
+        return []
+    step, bound = stack_capacity(np.shape(mats[0])), tol / 2
+    uncertain = []
+    for start in range(0, len(mats), step):
+        square_gap, adjoint_gap = _projection_gaps(mats[start : start + step])
+        # a norm that overflows, or is nan, certifies nothing; the exact
+        # measurement then raises, or warns, as it would alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            certified = ((np.linalg.norm(square_gap, axis=(1, 2)) <= bound)
+                         & (np.linalg.norm(adjoint_gap, axis=(1, 2)) <= bound))
+        uncertain += (start + np.flatnonzero(~certified)).tolist()
+    reports = validate_projections([mats[i] for i in uncertain], tol)
+    return [(i, report) for i, report in zip(uncertain, reports) if not report.ok]
+
+
+def _projection_gaps(mats) -> tuple[np.ndarray, np.ndarray]:
+    """P^2 - P and P - P* for a stack of square matrices P, each formed in
+    the buffer of P^2 or P*."""
     P = np.asarray(mats, dtype=np.complex128)
     if P.ndim != 3 or P.shape[1] != P.shape[2]:
         raise ValueError(f"expected equally shaped square matrices, got a stack of shape {P.shape}")
-    # P^2 - P and P - P*, each formed in the buffer of P^2 or P*
     square_gap = np.matmul(P, P)
     square_gap -= P
     adjoint_gap = adjoint(P)
     np.subtract(P, adjoint_gap, out=adjoint_gap)
+    return square_gap, adjoint_gap
+
+
+def _validate_stack(mats, tol: float) -> list[ValidationReport]:
+    square_gap, adjoint_gap = _projection_gaps(mats)
     norms = spectral_norms([*square_gap, *adjoint_gap])
+    k = len(square_gap)
     return [ValidationReport(idem, herm, tol, idem <= tol and herm <= tol)
-            for idem, herm in zip(norms[: len(P)], norms[len(P) :])]
+            for idem, herm in zip(norms[:k], norms[k:])]
 
 
 def _box_muller_normals(u1: np.ndarray, u2: np.ndarray, count: int) -> np.ndarray:

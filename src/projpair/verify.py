@@ -28,10 +28,10 @@ from .projections import (
     group_positions,
     halmos_decompositions,
     pair_from_angles,
+    projection_failures,
     random_pairs,
     random_projections,
     require_tol,
-    validate_projections,
 )
 from .projections import (  # noqa: F401  (unused; the tracer wraps these)
     halmos_decompose,
@@ -530,14 +530,14 @@ def _check_trials(config: TrialConfig, dim: int,
                   seeds: list[int]) -> list[dict[str, TrialReport]]:
     """Each seed's reports by check name. The seeds' pairs are built with
     one random_pairs call, every member is validated in one
-    validate_projections call, and each check runs on all the pairs at once;
+    projection_failures call, and each check runs on all the pairs at once;
     the first member that fails validation raises ArithmeticError."""
     pairs = random_pairs(dim, seeds)
-    members = [p.f for p in pairs] + [p.g for p in pairs]
-    for position, report in enumerate(validate_projections(members)):
-        if not report.ok:
-            name = "fg"[position // len(pairs)]
-            raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
+    failures = projection_failures([p.f for p in pairs] + [p.g for p in pairs])
+    if failures:
+        position, report = failures[0]
+        name = "fg"[position // len(pairs)]
+        raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
     by_check = {name: CHECKS[name](pairs, config) for name in config.checks}
     return [dict(zip(by_check, trial)) for trial in zip(*by_check.values())]
 

@@ -1,8 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projpair.linalg import adjoint, spectral_norm
 from projpair.projections import (
@@ -15,12 +18,14 @@ from projpair.projections import (
     halmos_decompose,
     load_pair_json,
     pair_from_angles,
+    projection_failures,
     random_pair,
     random_projection,
     reference_2x2_pair,
     save_pair_json,
     universal_pair_approx,
     validate_projection,
+    validate_projections,
 )
 
 
@@ -45,6 +50,86 @@ def test_validate_rejects_non_hermitian():
     report = validate_projection(np.array([[1.0, 1.0], [0.0, 0.0]]))
     assert not report.ok
     assert report.hermiticity_residual > report.tol
+
+
+# --- projection_failures -----------------------------------------------------------
+
+BOUNDARY_TOL = 1e-6
+
+
+def _range_bump(size: float) -> np.ndarray:
+    """A seeded dim-6 projection P plus eps v v*, v a unit vector in its range,
+    with eps + eps^2 = size: the idempotency gap is then (eps + eps^2) v v*,
+    rank one, so its spectral and Frobenius norms agree, and the Hermiticity
+    gap is 0."""
+    P = random_projection(6, 3, 17)
+    v = P[:, 0] / np.linalg.norm(P[:, 0])
+    eps = 2 * size / (1 + math.sqrt(1 + 4 * size))
+    return P + eps * np.outer(v, v.conj())
+
+
+def test_projection_failures_certifies_below_half_tol(eigvalsh_calls):
+    assert projection_failures([_range_bump(0.4 * BOUNDARY_TOL)], BOUNDARY_TOL) == []
+    assert eigvalsh_calls == []
+
+
+def test_projection_failures_measures_between_half_tol_and_tol(eigvalsh_calls):
+    member = _range_bump(0.6 * BOUNDARY_TOL)
+    assert projection_failures([member], BOUNDARY_TOL) == []
+    assert eigvalsh_calls
+    assert validate_projection(member, BOUNDARY_TOL).ok
+
+
+def test_projection_failures_returns_exact_report_above_tol():
+    members = [random_projection(6, 2, 3), _range_bump(1.5 * BOUNDARY_TOL)]
+    [(position, report)] = projection_failures(members, BOUNDARY_TOL)
+    assert position == 1
+    assert report == validate_projection(members[1], BOUNDARY_TOL)
+    assert report.idempotency_residual == pytest.approx(1.5 * BOUNDARY_TOL)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_projection_failures_raises_validation_errors():
+    nan, gram_overflow, square_overflow = (random_projection(4, 2, 0) for _ in range(3))
+    nan[1, 2] = math.nan
+    gram_overflow[1, 2] = 1e200  # P^2 - P is finite, its Gram product is not
+    square_overflow[1, 2] = square_overflow[2, 1] = 1e200
+    for mats in ([np.eye(4), nan], [np.eye(4), gram_overflow], [square_overflow],
+                 np.ones((2, 3, 4))):
+        with pytest.raises(Exception) as exact:
+            validate_projections(mats)
+        with pytest.raises(type(exact.value), match=re.escape(str(exact.value))):
+            projection_failures(mats)
+    for tol in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            projection_failures([np.eye(4)], tol)
+    assert projection_failures([]) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3, 5, 8]),
+    members=st.lists(
+        st.tuples(st.integers(0, 2**32), st.floats(-14, -6), st.booleans()),
+        min_size=1, max_size=6,
+    ),
+    log_tol=st.floats(-14, -6),
+)
+def test_projection_failures_agrees_with_validate_projections(dim, members, log_tol):
+    # seeded projections plus Hermitian or non-Hermitian perturbations of
+    # spectral size 10^u, on either side of tol and tol / 2
+    mats = []
+    for seed, log_size, hermitian in members:
+        rng = np.random.default_rng(seed)
+        E = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if hermitian:
+            E = E + adjoint(E)
+        rank = int(rng.integers(0, dim + 1))
+        mats.append(random_projection(dim, rank, seed) + 10**log_size * E / spectral_norm(E))
+    tol = 10**log_tol
+    expected = [(i, r) for i, r in enumerate(validate_projections(mats, tol)) if not r.ok]
+    assert projection_failures(mats, tol) == expected
 
 
 # --- random_projection -------------------------------------------------------------

@@ -434,29 +434,31 @@ def test_run_trials_evaluates_each_matrix_polynomial_once(monkeypatch):
     assert repeats == 0, f"{repeats} of {evaluated.total()} evaluations repeat an earlier one"
 
 
-def test_run_trials_solves_few_eigenproblems_per_small_trial(monkeypatch):
+def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
     # Each check stacks its matrices of every degree, so a dim-4 trial makes
-    # one Hermitian eigensolve per stack: 1 validating both members, 3 for
-    # its norms, 2 in lemma_product_power, 1 in lemma_commutator, 1 in
-    # power_expansion and 5 in nw_block (3 of them in halmos_decompose, where
-    # ||D|| shares the range-block residual's stack). Measured one matrix at a
+    # one Hermitian eigensolve per stack: 3 for its norms, 2 in
+    # lemma_product_power, 1 in lemma_commutator, 1 in power_expansion and 5
+    # in nw_block (3 of them in halmos_decompose, where ||D|| shares the
+    # range-block residual's stack). Validation makes none: the Frobenius
+    # bound certifies both constructed members. Measured one matrix at a
     # time, it made 53. A chunk of pairs shares its stacks across its pairs:
-    # 1 validating the chunk, 3 norms per pair, 4 for the other checks, and
-    # 5 in nw_block for each rank of f among its pairs (seeds 0-3 have ranks
-    # 3 and 2), so 27 where trial by trial it made 53.
-    calls = []
-    real = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    for trials, solves in ((1, 13), (4, 27)):
-        calls.clear()
+    # 3 norms per pair, 4 for the other checks, and 5 in nw_block for each
+    # rank of f among its pairs (seeds 0-3 have ranks 3 and 2), so 26 where
+    # trial by trial it made 53.
+    for trials, solves in ((1, 12), (4, 26)):
+        eigvalsh_calls.clear()
         report = run_trials(TrialConfig(dims=(4,), trials=trials, base_seed=0))
         assert report.verdict == "pass"
-        assert len(calls) == solves, calls
+        assert len(eigvalsh_calls) == solves, eigvalsh_calls
+
+
+def test_theorem_campaign_solves_only_its_norms(eigvalsh_calls):
+    # ||fg|| and ||fg + gf|| for each dim-64 pair, one pair per chunk; the
+    # Frobenius bound certifies every member, where measuring them exactly
+    # took 4 more eigensolves per pair (18 in all)
+    report = run_trials(TrialConfig(dims=(64,), trials=3, base_seed=0, checks=("theorem",)))
+    assert report.verdict == "pass"
+    assert eigvalsh_calls == [(1, 64, 64)] * 6
 
 
 def test_run_trials_records_construction_errors(monkeypatch):

@@ -1,7 +1,8 @@
 """Print the sha256 of every output in projpair's byte contract.
 
-The contract is ten campaign reports (`run_trials(config).to_json()`) and
-thirteen CLI stdouts. A refactor keeps it when this script prints the same
+The contract is ten campaign reports (`run_trials(config).to_json()`),
+thirteen CLI stdouts and two failing CLI runs, each hashed as its exit code
+and its stderr. A refactor keeps it when this script prints the same
 lines before and after the change on the same machine:
 
     PYTHONPATH=src python3 tools/contract_digests.py > after.txt
@@ -82,18 +83,39 @@ COMMANDS = (
     "counterexample --dim 8 --mode random --budget 65 --seed 4 --out lone.json",
 )
 
+# Run after COMMANDS, whose pair.json they read: members whose idempotency
+# residuals (f 1.688e-16, g 1.844e-16) exceed the tol fail validation.
+FAILING = (
+    "decompose --input pair.json --tol 1e-16",  # both members fail
+    "decompose --input pair.json --tol 1.75e-16",  # g fails, f passes
+)
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _cli_stdout(command: str) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def _cli_run(command: str) -> tuple[int, str, str]:
+    """`projpair command`'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(command.split())
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_stdout(command: str) -> str:
+    code, out, _ = _cli_run(command)
     if code != 0:
         raise SystemExit(f"`projpair {command}` exited {code}")
-    return out.getvalue()
+    return out
+
+
+def _cli_failure(command: str) -> str:
+    """The exit code and stderr of a run that must fail."""
+    code, _, err = _cli_run(command)
+    if code == 0:
+        raise SystemExit(f"`projpair {command}` exited 0")
+    return f"exit {code}\n{err}"
 
 
 def main() -> None:
@@ -105,6 +127,8 @@ def main() -> None:
         try:
             for command in COMMANDS:
                 print(f"{_sha256(_cli_stdout(command))}  projpair {command}")
+            for command in FAILING:
+                print(f"{_sha256(_cli_failure(command))}  projpair {command} (exit code, stderr)")
         finally:
             os.chdir(cwd)
 
