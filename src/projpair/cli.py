@@ -17,6 +17,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
+from .linalg import EigenConvergenceError
 from .linalg import spectral_norm  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .polynomials import (
     coefficient_strings,
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, DecompositionError) as exc:
+    except (ValueError, ArithmeticError, DecompositionError, EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -129,7 +129,8 @@ def spectral_norms(mats) -> list[float]:
     if not len(mats):
         return []
     step = stack_capacity(np.shape(mats[0]))
-    return [norm for i in range(0, len(mats), step) for norm in _stack_norms(mats[i : i + step])]
+    return [norm for i in range(0, len(mats), step)
+            for norm in gram_norms(grams(mats[i : i + step]))]
 
 
 def max_spectral_norm(stack: np.ndarray) -> float:
@@ -166,13 +167,19 @@ def _finite_stack(mats) -> np.ndarray:
     return stack
 
 
-def _stack_norms(mats) -> list[float]:
-    """sqrt of the top eigenvalue of A*A for each matrix A of one stack: one
-    Gram product and one eigensolve for the stack."""
+def grams(mats) -> np.ndarray:
+    """A*A for each matrix A of one stack: `mats` is a (k, m, n) array or a
+    sequence of equally shaped matrices, whose entries must be finite.
+    spectral_norms measures each stack as gram_norms(grams(stack))."""
     stack = _finite_stack(mats)
-    if stack.size == 0:
-        return [0.0] * len(stack)
-    gram = np.matmul(adjoint(stack), stack)
+    return np.matmul(adjoint(stack), stack)
+
+
+def gram_norms(gram: np.ndarray) -> list[float]:
+    """sqrt of the top eigenvalue of each Gram matrix A*A of a stack, that is
+    ||A||: one eigensolve for the stack. Size-0 Grams give 0.0."""
+    if gram.size == 0:
+        return [0.0] * len(gram)
     try:
         w = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
@@ -180,6 +187,65 @@ def _stack_norms(mats) -> list[float]:
     # eigvalsh sorts ascending, so each top is the last entry; max keeps a
     # -0.0 top, whose root stays -0.0
     return [float(np.sqrt(max(top, 0.0))) for top in w[:, -1].tolist()]
+
+
+# Relative slack of the Gram bounds below over the norm gram_norms computes
+# from the same Gram G = A*A. eigvalsh is backward stable: its top eigenvalue
+# is within p(n) eps ||G||_2 of G's, p a modest polynomial (LAPACK Users'
+# Guide, section 4.7), and the bounds' own sums and products carry relative
+# errors of at most about n^2 eps. Both stay far below 1% for any n a dense
+# matrix can have, and the square and fourth roots shrink them further.
+GRAM_MARGIN = 0.01
+
+
+def gram_bounds(gram: np.ndarray) -> np.ndarray:
+    """(1 + GRAM_MARGIN) ||G||_F^(1/2) for each complex Gram matrix G = A*A
+    of a stack: at least the ||A|| gram_norms gives, since ||A||^2 =
+    ||G||_2 <= ||G||_F. An all-zero Gram gives 0.0; one with a non-finite
+    entry, or whose largest entry is subnormal, certifies nothing and gives
+    inf."""
+    return np.sqrt(_frobenius(gram)) * (1.0 + GRAM_MARGIN)
+
+
+def gram_moment_bounds(gram: np.ndarray) -> np.ndarray:
+    """(1 + GRAM_MARGIN) s^(1/2) ||(G/s)^2||_F^(1/4), with s = ||G||_F, for
+    each complex Gram matrix G = A*A of a stack: at least the ||A||
+    gram_norms gives, since ||A||^4 = ||G^2||_2 <= ||G^2||_F, and at most
+    gram_bounds' bound (equal to it at rank 1), at the cost of one more
+    product. Scaling by s keeps the square from overflowing or underflowing.
+    Grams that gram_bounds gives 0.0 or inf give the same."""
+    size = _frobenius(gram)
+    roots = np.ones(len(gram))
+    scaled = np.isfinite(size) & (size > 0)
+    if scaled.any():
+        unit = (gram if scaled.all() else gram[scaled]) / size[scaled, np.newaxis, np.newaxis]
+        roots[scaled] = np.sqrt(np.sqrt(_frobenius(unit @ unit)))
+    return np.sqrt(size) * roots * (1.0 + GRAM_MARGIN)
+
+
+# Below this sum of squares, or at inf or nan, _frobenius scales a matrix by
+# its largest entry first; at or above it, the squares that underflow change
+# the sum by at most 2 n^2 2^-1022, a relative 2^-421 n^2.
+_SAFE_SQUARES = 2.0**-600
+
+
+def _frobenius(mats: np.ndarray) -> np.ndarray:
+    """||M||_F for each complex matrix M of a stack; inf where M has a
+    non-finite entry or its largest entry is subnormal."""
+    parts = np.ascontiguousarray(mats).reshape(len(mats), math.prod(mats.shape[1:]))
+    parts = parts.view(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.einsum("ki,ki->k", parts, parts)
+        size = np.sqrt(squares)
+        for i in np.flatnonzero(~((squares >= _SAFE_SQUARES) & (squares < np.inf))):
+            top = float(np.abs(mats[i]).max(initial=0.0))
+            if top == 0.0:
+                size[i] = 0.0
+            elif not np.finfo(np.float64).tiny <= top < np.inf:  # nan fails both
+                size[i] = np.inf
+            else:
+                size[i] = top * np.linalg.norm(mats[i] / top)
+    return size
 
 
 def mat_poly_eval(p, A: np.ndarray) -> np.ndarray:
@@ -215,12 +281,12 @@ _UNCHANGED = complex(-0.0, -0.0)
 def _horner(coeffs: list[tuple], mats) -> list[np.ndarray]:
     """One Horner pass over a stack of k square matrices: coeffs[i] at mats[i].
 
-    Every slice runs its own sequence of steps, acc <- acc @ A then
-    acc <- acc + c I on the diagonal, from acc = 0 at its leading coefficient,
-    so each slice gets the same bits as a pass over it alone. A zero c adds
-    -0.0 - 0.0j, which leaves every entry unchanged, in place of skipping
-    the add. Slices are sorted by length, longest first, so the slices that
-    have started are always a prefix of the sorted stack.
+    Every slice starts at c I for its leading coefficient c and then runs
+    its own sequence of steps, acc <- acc @ A then acc <- acc + c I on the
+    diagonal, so each slice gets the same bits as a pass over it alone. A
+    zero c adds -0.0 - 0.0j, which leaves every entry unchanged, in place of
+    skipping the add. Slices are sorted by length, longest first, so the
+    slices that have started are always a prefix of the sorted stack.
     """
     k = len(mats)
     order = sorted(range(k), key=lambda i: len(coeffs[i]), reverse=True)
@@ -234,15 +300,18 @@ def _horner(coeffs: list[tuple], mats) -> list[np.ndarray]:
     table = np.array([[0j] * (top - len(c)) + [complex(x) if x else _UNCHANGED for x in c[::-1]]
                       for c in coeffs]).reshape(k, top)
     # two buffers, each step writing its product into the other; a slice
-    # stays zero in both until its leading coefficient is reached
+    # stays zero in both until its leading coefficient is reached, so the
+    # step that reaches it only adds c I
     buffers = [np.zeros((k, n, n), dtype=np.complex128) for _ in range(2)]
     diagonals = [b.reshape(k, n * n)[:, :: n + 1] for b in buffers]  # views: writes land in b
     active = 0  # slices whose leading coefficient has been reached
     for step in range(top):
+        started = active
         while active < k and len(coeffs[active]) >= top - step:
             active += 1
         src, dst = step % 2, (step + 1) % 2
-        np.matmul(buffers[src][:active], stack[:active], out=buffers[dst][:active])
+        if started:
+            np.matmul(buffers[src][:started], stack[:started], out=buffers[dst][:started])
         diagonals[dst][:active] += table[:active, step, np.newaxis]
     result = buffers[top % 2]
     place = {i: j for j, i in enumerate(order)}

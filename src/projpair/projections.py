@@ -186,8 +186,12 @@ def _projection_gaps(mats) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validate_stack(mats, tol: float) -> list[ValidationReport]:
-    square_gap, adjoint_gap = _projection_gaps(mats)
-    norms = spectral_norms([*square_gap, *adjoint_gap])
+    # entries large enough to overflow the gaps or their Grams give nan or
+    # inf norms, which fail validation, or an EigenConvergenceError; the
+    # report or the error says so, with no numpy warning beside it
+    with np.errstate(over="ignore", invalid="ignore"):
+        square_gap, adjoint_gap = _projection_gaps(mats)
+        norms = spectral_norms([*square_gap, *adjoint_gap])
     k = len(square_gap)
     return [ValidationReport(idem, herm, tol, idem <= tol and herm <= tol)
             for idem, herm in zip(norms[:k], norms[k:])]

@@ -17,7 +17,17 @@ from itertools import accumulate, islice, repeat
 
 import numpy as np
 
-from .linalg import adjoint, as_stack, mat_poly_evals, spectral_norms, stack_capacity
+from .linalg import (
+    adjoint,
+    as_stack,
+    gram_bounds,
+    gram_moment_bounds,
+    gram_norms,
+    grams,
+    mat_poly_evals,
+    spectral_norms,
+    stack_capacity,
+)
 from .linalg import mat_poly_eval, spectral_norm  # noqa: F401  (unused; the tracer wraps these)
 from .polynomials import poly_F, poly_PQ_recursive
 from .polynomials import poly_eval_real  # noqa: F401  (unused; the tracer wraps this name)
@@ -95,6 +105,100 @@ def _rows(values: list, k: int) -> list[list]:
     return [values[i : i + k] for i in range(0, len(values), k)]
 
 
+class _Gaps:
+    """The pure gap terms of one stacked check: norms of matrices that vanish
+    in exact arithmetic, each adding ||X|| / scale to its pair's residual.
+
+    With no floor every term is measured by spectral_norms as it comes. With
+    a floor, the campaign's largest residual so far for the check at this
+    dim, a term is measured only if it can raise a residual above
+    min(tol, limit), where limit is the floor or the largest value measured
+    so far, whichever is larger: no such term can set the campaign's maximum
+    or fail a trial that would pass, so the report keeps its bytes, while a
+    trial's residual may fall short of its exact value. Each stack's Grams
+    are formed as spectral_norms forms them, and a term whose Frobenius bound
+    certifies it is held as a view of its Gram. After the check's last
+    degree, finish() measures the held term with the largest bound, then the
+    rest in descending order of their tighter Gram-moment bound, one stack
+    at a time, skipping those the limit reached by then covers.
+    """
+
+    def __init__(self, residuals: list[float], tol: float, floor: float | None):
+        self.residuals, self.tol, self.floor = residuals, tol, floor
+        self.held = []  # (bound / scale, Gram stack, position, pair, scale)
+
+    def add(self, mats, owners, scales) -> None:
+        """Terms ||mats[j]|| / scales[j] of pairs owners[j]."""
+        if self.floor is None:
+            for owner, scale, norm in zip(owners, scales, spectral_norms(mats)):
+                self._record(owner, norm / scale)
+            return
+        step = stack_capacity(np.shape(mats[0]))
+        for start in range(0, len(mats), step):
+            gram = grams(mats[start : start + step])
+            bounds = gram_bounds(gram).tolist()
+            terms = zip(range(len(gram)), owners[start : start + step],
+                        scales[start : start + step], bounds)
+            if math.inf in bounds:  # an uncertain Gram is measured, raising, as spectral_norms would
+                for (_, owner, scale, _), norm in zip(terms, gram_norms(gram)):
+                    self._record(owner, norm / scale)
+                continue
+            self.held += self._can_matter([(bound / scale, gram, j, owner, scale)
+                                           for j, owner, scale, bound in terms])
+
+    def finish(self) -> None:
+        """Measure the held terms that can still matter."""
+        held, self.held = self._can_matter(self.held), []
+        if not held:
+            return
+        self._measure([held.pop(max(range(len(held)), key=lambda i: held[i][0]))])
+        by_gram = {}
+        for term in self._can_matter(held):
+            by_gram.setdefault(id(term[1]), []).append(term)
+        held = []
+        for terms in by_gram.values():
+            bounds = gram_moment_bounds(_select(terms[0][1], [term[2] for term in terms]))
+            held += [(bound / term[4], *term[1:]) for term, bound in zip(terms, bounds.tolist())]
+        held.sort(key=lambda term: term[0], reverse=True)
+        while held := self._can_matter(held):
+            shape, batch, rest = held[0][1].shape[1:], [], []
+            capacity = stack_capacity(shape)
+            for term in held:
+                fits = len(batch) < capacity and term[1].shape[1:] == shape
+                (batch if fits else rest).append(term)
+            self._measure(batch)
+            held = rest
+
+    def _can_matter(self, terms: list) -> list:
+        """The terms whose bound exceeds min(tol, limit)."""
+        if not terms:
+            return terms
+        cut = min(self.tol, max(self.floor, *self.residuals))
+        return [term for term in terms if term[0] > cut]
+
+    def _measure(self, terms: list) -> None:
+        """Record the exact norms of held terms, one eigensolve for them all."""
+        if len({id(term[1]) for term in terms}) == 1:
+            stack = _select(terms[0][1], [term[2] for term in terms])
+        else:
+            stack = np.stack([term[1][term[2]] for term in terms])
+        for (_, _, _, owner, scale), norm in zip(terms, gram_norms(stack)):
+            self._record(owner, norm / scale)
+
+    def _record(self, owner: int, value: float) -> None:
+        self.residuals[owner] = max(self.residuals[owner], value)
+
+
+def _select(stack: np.ndarray, positions: list[int]) -> np.ndarray:
+    """The matrices of a stack at the given positions, in their order: a view
+    where they are the whole stack in order, or one matrix."""
+    if positions == list(range(len(stack))):
+        return stack
+    if len(positions) == 1:
+        return stack[positions[0] : positions[0] + 1]
+    return stack[positions]
+
+
 # Neither family depends on the pair, so each n is built once per process.
 @cache
 def _expansion_terms(n: int) -> tuple:
@@ -146,11 +250,12 @@ def check_lemma_product_power(pair: ProjectionPair, m_max: int = 8,
     return check_lemma_product_powers([pair], m_max, tol)[0]
 
 
-def check_lemma_product_powers(pairs, m_max: int = 8,
-                               tol: float = DEFAULT_TOL) -> list[TrialReport]:
+def check_lemma_product_powers(pairs, m_max: int = 8, tol: float = DEFAULT_TOL, *,
+                               floor: float | None = None) -> list[TrialReport]:
     """check_lemma_product_power for each of many equally sized pairs, in
     order: the powers of every pair are formed as one stack, and each run of
-    degrees is measured for all the pairs in one spectral_norms call."""
+    degrees is measured for all the pairs at once. With a floor, the gaps
+    (fg)^m - (fgf)^(m-1) fg are measured only where they can matter (_Gaps)."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if not pairs:
@@ -160,17 +265,18 @@ def check_lemma_product_powers(pairs, m_max: int = 8,
     a = [pair.norm_fg for pair in pairs]
     norm_fgf = spectral_norms(fgf)
     residuals = [abs(norm - x * x) for norm, x in zip(norm_fgf, a)]
+    gaps = _Gaps(residuals, tol, floor)
     # m = 1 holds by construction: ||fg|| <= ||fg|| and fg = (fgf)^0 fg
     powers = islice(_powers(fg, m_max), 1, None)
     prefixes = _powers(fgf, m_max - 1)
     for group in _degree_groups(range(2, m_max + 1), 2 * k, pairs[0].dim):
         group_powers = list(islice(powers, len(group)))
-        gaps = [power - prefix @ fg for power, prefix in zip(group_powers, prefixes)]
-        rows = _rows(spectral_norms(_slices(group_powers + gaps)), k)
-        for m, power_norms, gap_norms in zip(group, rows, rows[len(group):]):
-            for i, (power_norm, gap_norm) in enumerate(zip(power_norms, gap_norms)):
+        for m, row in zip(group, _rows(spectral_norms(_slices(group_powers)), k)):
+            for i, power_norm in enumerate(row):
                 residuals[i] = max(residuals[i], power_norm - a[i] ** (2 * m - 1))
-                residuals[i] = max(residuals[i], gap_norm)
+        gaps.add(_slices([power - prefix @ fg for power, prefix in zip(group_powers, prefixes)]),
+                 [*range(k)] * len(group), [1.0] * (k * len(group)))
+    gaps.finish()
     return [_report("lemma_product_power", pair,
                     {"norm_fg": x, "norm_fgf": norm, "m_max": m_max},
                     max(residual, 0.0), tol)
@@ -187,10 +293,12 @@ def check_lemma_commutator(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> Tr
     return check_lemma_commutators([pair], tol)[0]
 
 
-def check_lemma_commutators(pairs, tol: float = DEFAULT_TOL) -> list[TrialReport]:
+def check_lemma_commutators(pairs, tol: float = DEFAULT_TOL, *,
+                            floor: float | None = None) -> list[TrialReport]:
     """check_lemma_commutator for each of many equally sized pairs, in order,
-    with every pair's matrices formed as stacks and measured in one
-    spectral_norms call."""
+    with every pair's matrices formed as stacks and measured together. With
+    a floor, the split gap and the overlap are measured only where they can
+    matter (_Gaps)."""
     if not pairs:
         return []
     eye = np.eye(pairs[0].dim, dtype=np.complex128)
@@ -198,22 +306,17 @@ def check_lemma_commutators(pairs, tol: float = DEFAULT_TOL) -> list[TrialReport
     u = as_stack([pair.fg for pair in pairs]) @ (eye - as_stack([pair.f for pair in pairs]))
     uu = u @ adjoint(u)
     u_u = adjoint(u) @ u
-    norms = spectral_norms(_slices([u, adjoint(comm) @ comm - (uu + u_u), uu @ u_u]))
-    reports = []
-    for pair, u_norm, split_gap, overlap in zip(pairs, *_rows(norms, len(pairs))):
-        comm_norm = pair.norm_comm
-        residual = max(
-            abs(comm_norm - u_norm),
-            max(0.0, comm_norm - pair.norm_fg),
-            split_gap,
-            overlap,
-        )
-        reports.append(_report(
-            "lemma_commutator", pair,
-            {"norm_comm": comm_norm, "norm_u": u_norm, "norm_fg": pair.norm_fg},
-            residual, tol,
-        ))
-    return reports
+    u_norms = spectral_norms(u)
+    residuals = [max(abs(pair.norm_comm - u_norm), max(0.0, pair.norm_comm - pair.norm_fg))
+                 for pair, u_norm in zip(pairs, u_norms)]
+    gaps = _Gaps(residuals, tol, floor)
+    gaps.add(_slices([adjoint(comm) @ comm - (uu + u_u), uu @ u_u]),
+             [*range(len(pairs))] * 2, [1.0] * (2 * len(pairs)))
+    gaps.finish()
+    return [_report("lemma_commutator", pair,
+                    {"norm_comm": pair.norm_comm, "norm_u": u_norm, "norm_fg": pair.norm_fg},
+                    residual, tol)
+            for pair, u_norm, residual in zip(pairs, u_norms, residuals)]
 
 
 def check_power_expansion(pair: ProjectionPair, n_max: int = 8,
@@ -226,11 +329,12 @@ def check_power_expansion(pair: ProjectionPair, n_max: int = 8,
     return check_power_expansions([pair], n_max, tol)[0]
 
 
-def check_power_expansions(pairs, n_max: int = 8,
-                           tol: float = DEFAULT_TOL) -> list[TrialReport]:
+def check_power_expansions(pairs, n_max: int = 8, tol: float = DEFAULT_TOL, *,
+                           floor: float | None = None) -> list[TrialReport]:
     """check_power_expansion for each of many equally sized pairs, in order:
-    each run of degrees gets one mat_poly_evals and one spectral_norms call
-    for all the pairs."""
+    each run of degrees gets one mat_poly_evals call for all the pairs, and
+    their gaps are measured together. With a floor, the gaps are measured
+    only where they can matter (_Gaps)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not pairs:
@@ -240,17 +344,17 @@ def check_power_expansions(pairs, n_max: int = 8,
     anti_norms = [pair.norm_anti for pair in pairs]
     powers = _powers(as_stack([pair.anti for pair in pairs]), n_max)
     residuals = [0.0] * k
+    gaps = _Gaps(residuals, tol, floor)
     for group in _degree_groups(range(1, n_max + 1), 4 * k, pairs[0].dim):
         polys = [poly for n in group for p, q in [_expansion_terms(n)]
                  for poly in (p, p, q, q) * k]
         values = mat_poly_evals(polys, terms * len(group))
         # P_n(fg) + P_n(gf) + Q_n(fgf) + Q_n(gfg), summed left to right as the
         # values come, so a run of one degree holds no more than a loop would
-        gaps = spectral_norms([power - (next(values) + next(values) + next(values) + next(values))
-                               for powers_n in islice(powers, len(group)) for power in powers_n])
-        for n, row in zip(group, _rows(gaps, k)):
-            for i, gap in enumerate(row):
-                residuals[i] = max(residuals[i], gap / max(1.0, anti_norms[i]**n))
+        gaps.add([power - (next(values) + next(values) + next(values) + next(values))
+                  for powers_n in islice(powers, len(group)) for power in powers_n],
+                 [*range(k)] * len(group), [max(1.0, x**n) for n in group for x in anti_norms])
+    gaps.finish()
     return [_report("power_expansion", pair, {"norm_anti": anti_norm, "n_max": n_max},
                     residual, tol)
             for pair, anti_norm, residual in zip(pairs, anti_norms, residuals)]
@@ -268,13 +372,15 @@ def check_nw_block(pair: ProjectionPair, n_max: int = 8,
     return check_nw_blocks([pair], n_max, tol)[0]
 
 
-def check_nw_blocks(pairs, n_max: int = 8, tol: float = DEFAULT_TOL) -> list[TrialReport]:
+def check_nw_blocks(pairs, n_max: int = 8, tol: float = DEFAULT_TOL, *,
+                    floor: float | None = None) -> list[TrialReport]:
     """check_nw_block for each of many equally sized pairs, in order.
 
     One halmos_decompositions call splits every pair. The pairs whose f has
     the same rank share their blocks' stacks: each run of degrees gets one
-    Horner pass for their F_k(D) and one spectral_norms call for each of the
-    northwest and northeast gaps.
+    Horner pass for their F_k(D), and their northwest gaps, and their
+    northeast gaps, are measured together. With a floor, the gaps are
+    measured only where they can matter (_Gaps).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -284,6 +390,7 @@ def check_nw_blocks(pairs, n_max: int = 8, tol: float = DEFAULT_TOL) -> list[Tri
     bases = as_stack([b.basis for b in blocks])
     w = adjoint(bases) @ as_stack([pair.anti for pair in pairs]) @ bases
     residuals = [0.0] * len(pairs)
+    gaps = _Gaps(residuals, tol, floor)
     for r, members in group_positions([b.D.shape[0] for b in blocks]).items():
         k = len(members)
         D, V = as_stack([blocks[i].D for i in members]), as_stack([blocks[i].V for i in members])
@@ -297,16 +404,18 @@ def check_nw_blocks(pairs, n_max: int = 8, tol: float = DEFAULT_TOL) -> list[Tri
                                     [*D] * len(needed))
             f = f_prev + [as_stack(list(islice(values, k))) for _ in needed]
             group_powers = list(islice(powers, len(group)))
-            nw_gaps = spectral_norms(_slices(
-                [power[:, :r, :r] - f_n for power, f_n in zip(group_powers, f[1:])]))
-            ne_gaps = spectral_norms(_slices(
-                [power[:, :r, r:] - f_before @ V for power, f_before in zip(group_powers, f)]))
-            for n, nw_row, ne_row in zip(group, _rows(nw_gaps, k), _rows(ne_gaps, k)):
-                for i, anti_norm, nw, ne in zip(members, anti_norms, nw_row, ne_row):
-                    scale = max(1.0, anti_norm**n)
-                    residuals[i] = max(residuals[i], nw / scale, ne / scale)
+            owners = members * len(group)
+            scales = [max(1.0, x**n) for n in group for x in anti_norms]
+            for n, row in zip(group, _rows(scales, k)):
+                for i, scale in zip(members, row):
                     residuals[i] = max(residuals[i], _block_terms(n)[1] / scale)
+            gaps.add(_slices([power[:, :r, :r] - f_n for power, f_n in zip(group_powers, f[1:])]),
+                     owners, scales)
+            gaps.add(_slices([power[:, :r, r:] - f_before @ V
+                              for power, f_before in zip(group_powers, f)]),
+                     owners, scales)
             f_prev = f[-1:]
+    gaps.finish()
     return [_report("nw_block", pair,
                     {"norm_anti": pair.norm_anti, "rank_f": b.D.shape[0], "n_max": n_max},
                     residual, tol)
@@ -384,8 +493,10 @@ def check_dim2_commutator_identity(pair: ProjectionPair,
                                    tol: float = DEFAULT_TOL) -> TrialReport:
     """||fg - gf||^2 = ||fg||^2 (1 - ||fg||^2), an identity special to dim 2.
 
-    It holds empirically for every 2x2 projection pair yet fails from dim 4
-    up, so requesting it for any other dimension is an error.
+    It holds empirically for every 2x2 projection pair yet fails from dim 3
+    up (f onto span(e1, e2) and g onto span(e1, cos .9 e2 + sin .9 e3)
+    violate it by 0.2371), so requesting it for any other dimension is an
+    error.
     """
     if pair.dim != 2:
         raise ValueError(f"identity check is defined for dim 2 only, got {pair.dim}")
@@ -449,14 +560,20 @@ def find_commutator_identity_counterexample(
 
 # --- randomized campaign driver ----------------------------------------------
 
-# Each check runs on a list of equally sized pairs and returns their reports in order.
+# Each check runs on a list of equally sized pairs and returns their reports
+# in order. floor is None, for exact residuals, or the campaign's largest
+# residual so far for the check at the pairs' dim: a residual that can
+# neither exceed it nor fail may then be left short of exact.
 CHECKS = {
-    "theorem": lambda pairs, cfg: [check_theorem(pair, cfg.tol) for pair in pairs],
-    "corollary": lambda pairs, cfg: [check_corollary(pair, cfg.tol) for pair in pairs],
-    "lemma_product_power": lambda pairs, cfg: check_lemma_product_powers(pairs, cfg.m_max, cfg.tol),
-    "lemma_commutator": lambda pairs, cfg: check_lemma_commutators(pairs, cfg.tol),
-    "power_expansion": lambda pairs, cfg: check_power_expansions(pairs, cfg.n_max, cfg.tol),
-    "nw_block": lambda pairs, cfg: check_nw_blocks(pairs, cfg.n_max, cfg.tol),
+    "theorem": lambda pairs, cfg, floor: [check_theorem(pair, cfg.tol) for pair in pairs],
+    "corollary": lambda pairs, cfg, floor: [check_corollary(pair, cfg.tol) for pair in pairs],
+    "lemma_product_power": lambda pairs, cfg, floor: check_lemma_product_powers(
+        pairs, cfg.m_max, cfg.tol, floor=floor),
+    "lemma_commutator": lambda pairs, cfg, floor: check_lemma_commutators(
+        pairs, cfg.tol, floor=floor),
+    "power_expansion": lambda pairs, cfg, floor: check_power_expansions(
+        pairs, cfg.n_max, cfg.tol, floor=floor),
+    "nw_block": lambda pairs, cfg, floor: check_nw_blocks(pairs, cfg.n_max, cfg.tol, floor=floor),
 }
 
 ALL_CHECKS = tuple(CHECKS)
@@ -526,25 +643,28 @@ class AggregateReport:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-def _check_trials(config: TrialConfig, dim: int,
-                  seeds: list[int]) -> list[dict[str, TrialReport]]:
+def _check_trials(config: TrialConfig, dim: int, seeds: list[int],
+                  floors: dict[str, float] | None = None) -> list[dict[str, TrialReport]]:
     """Each seed's reports by check name. The seeds' pairs are built with
     one random_pairs call, every member is validated in one
-    projection_failures call, and each check runs on all the pairs at once;
-    the first member that fails validation raises ArithmeticError."""
+    projection_failures call, and each check runs on all the pairs at once,
+    with its floor from `floors` (exact residuals when None); the first
+    member that fails validation raises ArithmeticError."""
     pairs = random_pairs(dim, seeds)
     failures = projection_failures([p.f for p in pairs] + [p.g for p in pairs])
     if failures:
         position, report = failures[0]
         name = "fg"[position // len(pairs)]
         raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
-    by_check = {name: CHECKS[name](pairs, config) for name in config.checks}
+    by_check = {name: CHECKS[name](pairs, config, None if floors is None else floors[name])
+                for name in config.checks}
     return [dict(zip(by_check, trial)) for trial in zip(*by_check.values())]
 
 
-def _run_one_trial(config: TrialConfig, dim: int, seed: int) -> dict[str, TrialReport]:
+def _run_one_trial(config: TrialConfig, dim: int, seed: int,
+                   floors: dict[str, float] | None = None) -> dict[str, TrialReport]:
     """One trial's reports by check name: _check_trials for its seed alone."""
-    return _check_trials(config, dim, [seed])[0]
+    return _check_trials(config, dim, [seed], floors)[0]
 
 
 def run_trials(config: TrialConfig) -> AggregateReport:
@@ -557,29 +677,38 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     are freed once its checks have run, so however many trials a campaign
     runs it holds one chunk's pairs with the products their checks cache,
     and the stacks of one check.
+
+    Only each check's largest residual and its failing trials are reported,
+    so each check gets its largest residual so far at the dim as a floor and
+    measures only the gap norms that can exceed it or fail (_Gaps); the
+    report is the one exact residuals give.
     """
     summaries = {name: CheckSummary(name) for name in config.checks}
     errors = []
+    floors = {}
     for position, dim in enumerate(config.dims):
         first, step = position * config.trials, stack_capacity((dim, dim))
+        dim_floors = floors.setdefault(dim, dict.fromkeys(config.checks, 0.0))
         for start in range(first, first + config.trials, step):
             _run_chunk(config, dim, range(start, min(start + step, first + config.trials)),
-                       summaries, errors)
+                       summaries, errors, dim_floors)
     ordered = [summaries[name] for name in config.checks]
     ok = not errors and all(not s.failures for s in ordered)
     return AggregateReport(config, ordered, errors, "pass" if ok else "fail")
 
 
 def _run_chunk(config: TrialConfig, dim: int, indices: range,
-               summaries: dict[str, CheckSummary], errors: list[dict]) -> None:
-    """Run one chunk of trials, recording each in summaries or errors. A
-    chunk of one pair, or one whose pairs could not be built, validated or
-    checked together, runs trial by trial, so each trial records its own
-    failure."""
+               summaries: dict[str, CheckSummary], errors: list[dict],
+               floors: dict[str, float]) -> None:
+    """Run one chunk of trials, recording each in summaries or errors, and
+    raising each check's floor to its largest residual. A chunk of one pair,
+    or one whose pairs could not be built, validated or checked together,
+    runs trial by trial, so each trial records its own failure."""
     chunk = None
     if len(indices) > 1:
         try:
-            chunk = _check_trials(config, dim, [config.base_seed + index for index in indices])
+            chunk = _check_trials(config, dim, [config.base_seed + index for index in indices],
+                                  floors)
         except Exception:  # rerun trial by trial; the trial that raises records it
             pass
     for position, index in enumerate(indices):
@@ -587,7 +716,7 @@ def _run_chunk(config: TrialConfig, dim: int, indices: range,
             results = chunk[position]
         else:
             try:
-                results = _run_one_trial(config, dim, config.base_seed + index)
+                results = _run_one_trial(config, dim, config.base_seed + index, floors)
             except Exception as exc:  # trial isolation: record, never kill the campaign
                 errors.append({"trial": index, "dim": dim,
                                "message": f"{type(exc).__name__}: {exc}"})
@@ -596,5 +725,6 @@ def _run_chunk(config: TrialConfig, dim: int, indices: range,
             summary = summaries[name]
             summary.trials += 1
             summary.max_residual = max(summary.max_residual, report.residual)
+            floors[name] = max(floors[name], report.residual)
             if not report.passed:
                 summary.failures.append(index)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,25 @@ def test_decompose_computes_relation_residuals_once(capsys, tmp_path, monkeypatc
     assert set(json.loads(out)["relation_residuals"]) == {
         "range_block", "mixed_block", "kernel_block"}
     assert len(calls) == 1, f"relation residuals computed {len(calls)} times"
+
+
+def test_decompose_hostile_finite_input_is_usage_error(capsys, tmp_path):
+    # An entry of 1e200 is finite, but validation's Gram products overflow:
+    # at dim 2 the residual is nan, from dim 3 up the eigensolve does not
+    # converge. Either way: exit 2, one error line and no numpy warning.
+    from projpair.projections import ProjectionPair, Provenance, random_projection
+
+    path = tmp_path / "hostile.json"
+    for dim in (2, 4):
+        f = random_projection(dim, 1, 0).copy()
+        f[1, 0] = 1e200
+        save_pair_json(ProjectionPair(f, random_projection(dim, 1, 1), dim, Provenance("file")),
+                       path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "decompose", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_decompose_missing_file_is_io_error(capsys, tmp_path):

@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 
 from projpair.linalg import (
     EIG_TOL,
+    GRAM_MARGIN,
     NonHermitianError,
     adjoint,
     as_matrix,
+    gram_bounds,
+    gram_moment_bounds,
+    gram_norms,
+    grams,
     hermitian_eigen,
     mat_poly_eval,
     max_spectral_norm,
     spectral_norm,
+    spectral_norms,
 )
 from projpair.projections import reference_2x2_pair
 
@@ -177,6 +183,53 @@ def test_max_spectral_norm_is_blockwise_spectral_norm():
         a = random_complex(rng, shape)
         expected = max(spectral_norm(c) for c in a.reshape(-1, *shape[-2:]))
         assert max_spectral_norm(a) == expected  # exact: the same arithmetic per block
+
+
+# --- Gram bounds ----------------------------------------------------------------
+
+
+def bound_cases():
+    """Stacks of 6 x 4 matrices: random, rank 1, zero, and random scaled so
+    that their Grams' sums of squares underflow or overflow."""
+    rng = np.random.default_rng(11)
+    mats = random_complex(rng, (5, 6, 4))
+    rank_one = np.einsum("ki,kj->kij", random_complex(rng, (5, 6)), random_complex(rng, (5, 4)))
+    return {"random": mats, "rank 1": rank_one, "zero": np.zeros((2, 6, 4), dtype=complex),
+            "1e-150": mats * 1e-150, "1e150": mats * 1e150}
+
+
+@pytest.mark.parametrize("case", list(bound_cases()))
+def test_gram_bounds_cover_spectral_norms(case):
+    mats = bound_cases()[case]
+    norms = np.array(spectral_norms(mats))
+    gram = grams(mats)
+    assert gram_norms(gram) == list(norms)
+    frobenius, moment = gram_bounds(gram), gram_moment_bounds(gram)
+    assert np.all(moment >= norms) and np.all(frobenius >= norms)
+    assert np.all(moment <= frobenius * (1 + 1e-12))
+    if case == "rank 1":  # G = |v|^2 w w*: both bounds are the norm, plus the margin
+        np.testing.assert_allclose(moment, norms * (1 + GRAM_MARGIN), rtol=1e-12)
+    if case == "zero":
+        assert frobenius.tolist() == moment.tolist() == [0.0, 0.0]
+    else:
+        assert np.all(moment <= norms * 1.5)
+
+
+def test_gram_bounds_certify_nothing_for_non_finite_or_subnormal_grams():
+    eye = np.eye(3, dtype=complex)
+    bad = [np.full((3, 3), np.nan, dtype=complex), np.where(eye, np.inf, 0).astype(complex),
+           np.where(eye, complex(0, -np.inf), 0), eye * 1e-310,
+           np.full((3, 3), 5e-324, dtype=complex)]
+    for bound in (gram_bounds, gram_moment_bounds):
+        alone = bound(eye[np.newaxis]).tolist()
+        assert alone[0] >= 1.0
+        for gram in bad:
+            stack = np.stack([eye, gram, np.zeros((3, 3), dtype=complex)])
+            assert bound(stack).tolist() == alone + [math.inf, 0.0]
+        assert bound(np.zeros((2, 0, 0), dtype=complex)).tolist() == [0.0, 0.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflowed = grams(np.full((1, 2, 2), 1e200, dtype=complex))
+        assert bound(overflowed).tolist() == [math.inf]
 
 
 # --- mat_poly_eval --------------------------------------------------------------

@@ -291,6 +291,38 @@ def test_chunk_checks_match_serial_loops(dim, monkeypatch):
     assert halmos_decompositions([]) == []
 
 
+def floored_checks(pairs, tol, floor):
+    """Each loop check's reports for a chunk of pairs at the default loop
+    length, with the given floor (None for exact residuals)."""
+    return {
+        "lemma_product_power": check_lemma_product_powers(pairs, 8, tol, floor=floor),
+        "lemma_commutator": check_lemma_commutators(pairs, tol, floor=floor),
+        "power_expansion": check_power_expansions(pairs, 8, tol, floor=floor),
+        "nw_block": check_nw_blocks(pairs, 8, tol, floor=floor),
+    }
+
+
+@pytest.mark.parametrize("dim", [3, 16, 64])
+def test_floored_checks_keep_each_chunks_maximum_and_verdicts(dim):
+    # With a floor, a check may leave a residual short of exact only where
+    # the exact one is at most tol and at most the floor or the chunk's
+    # largest residual, so the largest of the floor and the residuals, and
+    # every verdict, are the exact ones, to the bit
+    pairs = random_pairs(dim, list(range(40, 40 + min(6, stack_capacity((dim, dim))))))
+    for tol in (1e-8, 1e-15):
+        exact = floored_checks(pairs, tol, None)
+        for floor in (0.0, 1e-15, 1.0):
+            for check, reports in floored_checks(pairs, tol, floor).items():
+                label = f"{check}, tol {tol}, floor {floor}"
+                limit = max(floor, *(report.residual for report in reports))
+                assert bits(limit) == bits(max(floor, *(r.residual for r in exact[check]))), label
+                for report, want in zip(reports, exact[check], strict=True):
+                    assert report.passed == want.passed, label
+                    assert report.quantities == want.quantities, label
+                    if bits(report.residual) != bits(want.residual):
+                        assert report.residual < want.residual <= min(tol, limit), label
+
+
 def test_nw_block_chunks_mix_ranks_of_f():
     # dim-5 pairs whose f has rank 1 (one pair), 4 = dim - 1 (many, one of
     # them axis-aligned and one rotated), 2 (random) and the empty ranks 0

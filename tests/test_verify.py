@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +319,23 @@ def test_dim2_identity_rejects_other_dims():
         check_dim2_commutator_identity(random_pair(4, 0))
 
 
+def test_dim2_identity_fails_at_dim_3():
+    # f onto span(e1, e2) and g onto span(e1, cos .9 e2 + sin .9 e3): the
+    # shared e1 drives ||fg|| to 1, while the cell at angle .9 keeps
+    # ||fg - gf|| at cos .9 sin .9, so the identity's two sides differ by
+    # (sin(1.8) / 2)^2 = 0.2371
+    v = np.array([0.0, math.cos(0.9), math.sin(0.9)])
+    f = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    g = (np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) + np.outer(v, v)).astype(complex)
+    pair = ProjectionPair(f, g, 3, Provenance("file"))
+    assert pair.norm_fg == pytest.approx(1.0, abs=1e-14)
+    violation = verify._identity_violation(pair.norm_fg, pair.norm_comm)
+    assert violation == pytest.approx((math.sin(1.8) / 2) ** 2, abs=1e-14)
+    assert round(violation, 4) == 0.2371
+    with pytest.raises(ValueError, match="dim 2 only"):
+        check_dim2_commutator_identity(pair)
+
+
 # --- counterexample construction ----------------------------------------------------------------
 
 
@@ -437,19 +456,71 @@ def test_run_trials_evaluates_each_matrix_polynomial_once(monkeypatch):
 def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
     # Each check stacks its matrices of every degree, so a dim-4 trial makes
     # one Hermitian eigensolve per stack: 3 for its norms, 2 in
-    # lemma_product_power, 1 in lemma_commutator, 1 in power_expansion and 5
-    # in nw_block (3 of them in halmos_decompose, where ||D|| shares the
-    # range-block residual's stack). Validation makes none: the Frobenius
-    # bound certifies both constructed members. Measured one matrix at a
-    # time, it made 53. A chunk of pairs shares its stacks across its pairs:
-    # 3 norms per pair, 4 for the other checks, and 5 in nw_block for each
-    # rank of f among its pairs (seeds 0-3 have ranks 3 and 2), so 26 where
-    # trial by trial it made 53.
-    for trials, solves in ((1, 12), (4, 26)):
+    # lemma_product_power (||fgf|| and the powers), 1 in lemma_commutator
+    # for ||u|| and 3 in halmos_decompose, where ||D|| shares the range-block
+    # residual's stack. Validation makes none: the Frobenius bound certifies
+    # both constructed members. The gap norms make 3 more: the Gram bounds
+    # leave lemma_product_power none to measure, and lemma_commutator,
+    # power_expansion and nw_block one each, their gap of largest bound.
+    # Measured one matrix at a time, it made 53. A chunk of pairs shares its
+    # stacks across its pairs: 3 norms per pair, 3 for the other checks, 3
+    # in halmos_decompositions for each rank of f among its pairs (seeds 0-3
+    # have ranks 3 and 2), and 3 for gaps, so 24 where trial by trial it
+    # made 53, and measuring every gap 26.
+    for trials, solves in ((1, 12), (4, 24)):
         eigvalsh_calls.clear()
         report = run_trials(TrialConfig(dims=(4,), trials=trials, base_seed=0))
         assert report.verdict == "pass"
         assert len(eigvalsh_calls) == solves, eigvalsh_calls
+
+
+def test_large_campaign_solves_few_gap_norms(eigvalsh_calls):
+    # One dim-64 and one dim-96 trial, each a chunk of one pair: 31
+    # eigensolves for norms that are not pure gaps, and 10 for gaps, about
+    # one per check and pair, where measuring every gap took 66 (97 in all)
+    report = run_trials(TrialConfig(dims=(64, 96), trials=1, base_seed=0))
+    assert report.verdict == "pass"
+    assert len(eigvalsh_calls) == 41
+
+
+def exact_checks(monkeypatch):
+    """Make every campaign check run with no floor, measuring every gap."""
+    for name, check in list(verify.CHECKS.items()):
+        monkeypatch.setitem(verify.CHECKS, name,
+                            lambda pairs, cfg, floor, check=check: check(pairs, cfg, None))
+
+
+def contract_campaigns() -> dict:
+    """The campaigns of tools/contract_digests.py, by label."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "contract_digests.py"
+    spec = importlib.util.spec_from_file_location("contract_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.CAMPAIGNS)
+
+
+# theorem and corollary measure no gaps, so campaigns of only them are left out
+GAP_CAMPAIGNS = {label: config for label, config in contract_campaigns().items()
+                 if set(config.checks) - {"theorem", "corollary"}}
+
+
+@pytest.mark.parametrize("label", list(GAP_CAMPAIGNS))
+def test_campaign_floors_keep_the_report_bytes(label, monkeypatch):
+    config = GAP_CAMPAIGNS[label]
+    certified = run_trials(config).to_json()
+    exact_checks(monkeypatch)
+    assert run_trials(config).to_json() == certified
+
+
+@pytest.mark.parametrize("dims, trials", [((64,), 6), ((2, 4, 8, 16), 25), ((24,), 15)])
+def test_failing_campaign_floors_keep_the_report_bytes(dims, trials, monkeypatch):
+    # at a tol below most residuals' rounding, many trials fail, and each
+    # failing index, not only each check's maximum, must be the exact one
+    config = TrialConfig(dims=dims, trials=trials, tol=1e-15)
+    certified = run_trials(config)
+    assert sum(len(s.failures) for s in certified.per_check) >= trials
+    exact_checks(monkeypatch)
+    assert run_trials(config).to_json() == certified.to_json()
 
 
 def test_theorem_campaign_solves_only_its_norms(eigvalsh_calls):
@@ -520,10 +591,10 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch):
             raise ValueError("synthetic construction failure")
         return real_stacked(dim, seeds)
 
-    def failing_corollary(pairs, cfg):
+    def failing_corollary(pairs, cfg, floor):
         if any(pair.provenance.params["seed"] == 7 for pair in pairs):
             raise ArithmeticError("synthetic check failure")
-        return real_corollary(pairs, cfg)
+        return real_corollary(pairs, cfg, floor)
 
     monkeypatch.setattr(verify, "random_pairs", flaky_stacked)
     monkeypatch.setitem(verify.CHECKS, "corollary", failing_corollary)
@@ -586,10 +657,10 @@ def test_run_trials_drops_each_chunks_pairs_once_its_checks_have_run(monkeypatch
     real_theorem = verify.CHECKS["theorem"]
     seen, alive = [], []
 
-    def recording_theorem(pairs, cfg):
+    def recording_theorem(pairs, cfg, floor):
         seen.extend(weakref.ref(pair) for pair in pairs)
         alive.append([ref() is not None for ref in seen])
-        return real_theorem(pairs, cfg)
+        return real_theorem(pairs, cfg, floor)
 
     monkeypatch.setitem(verify.CHECKS, "theorem", recording_theorem)
     report = run_trials(TrialConfig(dims=(16,), trials=20, checks=("theorem",)))

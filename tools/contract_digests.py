@@ -1,8 +1,8 @@
 """Print the sha256 of every output in projpair's byte contract.
 
-The contract is ten campaign reports (`run_trials(config).to_json()`),
-thirteen CLI stdouts and two failing CLI runs, each hashed as its exit code
-and its stderr. A refactor keeps it when this script prints the same
+The contract is eleven campaign reports (`run_trials(config).to_json()`),
+thirteen CLI stdouts and three failing CLI runs, each hashed as its exit
+code and its stderr. A refactor keeps it when this script prints the same
 lines before and after the change on the same machine:
 
     PYTHONPATH=src python3 tools/contract_digests.py > after.txt
@@ -26,7 +26,9 @@ os.environ.update(dict.fromkeys(
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 from projpair import cli  # noqa: E402
 from projpair.verify import ALL_CHECKS, TrialConfig, run_trials  # noqa: E402
@@ -62,6 +64,11 @@ CAMPAIGNS = (
     # chunks of 10, 10 and 1, the last a chunk of one pair)
     ("all checks dims=(2, 3, 4, 6, 16, 20) trials=21 seed=13",
      TrialConfig(dims=(2, 3, 4, 6, 16, 20), trials=21, base_seed=13, checks=ALL_CHECKS)),
+    # a tol below the rounding of most residuals: many trials fail, so every
+    # failing index, and not only each check's maximum, must be exact
+    ("all checks dims=(2, 4, 8, 16, 24, 64) trials=10 seed=0 tol=1e-15",
+     TrialConfig(dims=(2, 4, 8, 16, 24, 64), trials=10, base_seed=0, tol=1e-15,
+                 checks=ALL_CHECKS)),
 )
 
 # In order: the decompose runs read the pair files the counterexample runs write.
@@ -88,7 +95,16 @@ COMMANDS = (
 FAILING = (
     "decompose --input pair.json --tol 1e-16",  # both members fail
     "decompose --input pair.json --tol 1.75e-16",  # g fails, f passes
+    # finite input whose Gram products overflow, so validation cannot converge
+    "decompose --input hostile.json",
 )
+
+
+def _write_hostile(source: str, target: str) -> None:
+    """A copy of a dim-4 pair file with entry [1, 2] of f set to 1e200."""
+    payload = json.loads(Path(source).read_text())
+    payload["f"][1 * payload["dim"] + 2] = [1e200, 0.0]
+    Path(target).write_text(json.dumps(payload))
 
 
 def _sha256(text: str) -> str:
@@ -127,6 +143,7 @@ def main() -> None:
         try:
             for command in COMMANDS:
                 print(f"{_sha256(_cli_stdout(command))}  projpair {command}")
+            _write_hostile("pair.json", "hostile.json")
             for command in FAILING:
                 print(f"{_sha256(_cli_failure(command))}  projpair {command} (exit code, stderr)")
         finally:
