@@ -177,16 +177,22 @@ def grams(mats) -> np.ndarray:
 
 def gram_norms(gram: np.ndarray) -> list[float]:
     """sqrt of the top eigenvalue of each Gram matrix A*A of a stack, that is
-    ||A||: one eigensolve for the stack. Size-0 Grams give 0.0."""
+    ||A||: one eigensolve for the stack. Size-0 Grams give 0.0.
+
+    A top that is not finite means the Gram of a finite matrix overflowed;
+    that raises OverflowError rather than pass on a nan or inf norm."""
     if gram.size == 0:
         return [0.0] * len(gram)
     try:
         w = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    # eigvalsh sorts ascending, so each top is the last entry; max keeps a
-    # -0.0 top, whose root stays -0.0
-    return [float(np.sqrt(max(top, 0.0))) for top in w[:, -1].tolist()]
+    # eigvalsh sorts ascending, so each top is the last entry
+    tops = w[:, -1].tolist()
+    if not all(map(math.isfinite, tops)):
+        raise OverflowError("matrix entries too large: the Gram product A*A overflows")
+    # max keeps a -0.0 top, whose root stays -0.0
+    return [math.sqrt(max(top, 0.0)) for top in tops]
 
 
 # Relative slack of the Gram bounds below over the norm gram_norms computes

@@ -142,14 +142,36 @@ def poly_PQ_recursive(n: int) -> tuple[IntPolynomial, IntPolynomial]:
     """The pair (P_n, Q_n) expanding (fg+gf)^n, by the defining recursion.
 
     P_{n+1} = x(P_n + Q_n) and Q_{n+1} = P_n + x Q_n, starting from P_1 = x,
-    Q_1 = 0.
+    Q_1 = 0, run on packed integers (see _unpacked).
     """
     if n < 1:
         raise ValueError(f"family is defined for n >= 1, got {n}")
-    p, q = X, ZERO
+    # coefficients lie in [0, 2^(n-2)] (P_1 = x aside): n - 1 bits
+    width = -(-max(1, n - 1) // 8)
+    w = 8 * width
+    p, q = 1 << w, 0
     for _ in range(n - 1):
-        p, q = (p + q).shift(1), p + q.shift(1)
-    return p, q
+        p, q = (p + q) << w, p + (q << w)
+    return _unpacked(p, width), _unpacked(q, width)
+
+
+def _unpacked(value: int, width: int) -> IntPolynomial:
+    """The polynomial whose coefficients are the base-2^(8 width) digits of value.
+
+    The recursions run on p(2^w), w = 8 width, in place of p: evaluation at
+    2^w is a ring map, so x^k becomes a shift by w k and each step a few
+    big-integer shifts and adds over the whole polynomial. The closed forms
+    give every coefficient of the result as non-negative and at most the
+    family's value at 1, which is below 2^w, so the digits of value are the
+    coefficients, with no carry or borrow between them. The closed forms
+    are computed apart and compared by the caller, so a broken bound would
+    show as a mismatch, not pass unseen.
+    """
+    count = -(-value.bit_length() // (8 * width))
+    data = value.to_bytes(count * width, "little")
+    return IntPolynomial._from_ints(
+        [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    )
 
 
 def poly_PQ_closed(n: int) -> tuple[IntPolynomial, IntPolynomial]:
@@ -175,17 +197,20 @@ def poly_PQ_closed(n: int) -> tuple[IntPolynomial, IntPolynomial]:
 def poly_F(n: int) -> IntPolynomial:
     """Fibonacci-type block polynomial by recursion.
 
-    F_{n+1} = 2x F_n + (x - x^2) F_{n-1}, with F_0 = 1 and F_1 = 2x.
+    F_{n+1} = 2x F_n + (x - x^2) F_{n-1}, with F_0 = 1 and F_1 = 2x, run on
+    packed integers (see _unpacked).
     """
     if n < 0:
         raise ValueError(f"family is defined for n >= 0, got {n}")
-    prev, cur = ONE, 2 * X
     if n == 0:
-        return prev
-    weight = X - X * X
+        return ONE
+    # coefficients lie in [0, 2^n]: n + 1 bits
+    width = n // 8 + 1
+    w = 8 * width
+    prev, cur = 1, 2 << w
     for _ in range(n - 1):
-        prev, cur = cur, 2 * cur.shift(1) + weight * prev
-    return cur
+        prev, cur = cur, (cur << (w + 1)) + (prev << w) - (prev << 2 * w)
+    return _unpacked(cur, width)
 
 
 def poly_F_closed(n: int) -> IntPolynomial:

@@ -227,8 +227,9 @@ def test_decompose_computes_relation_residuals_once(capsys, tmp_path, monkeypatc
 
 def test_decompose_hostile_finite_input_is_usage_error(capsys, tmp_path):
     # An entry of 1e200 is finite, but validation's Gram products overflow:
-    # at dim 2 the residual is nan, from dim 3 up the eigensolve does not
-    # converge. Either way: exit 2, one error line and no numpy warning.
+    # at dim 2 the eigensolve gives a nan top, which gram_norms rejects; from
+    # dim 3 up it does not converge. Either way: exit 2, one error line and no
+    # numpy warning.
     from projpair.projections import ProjectionPair, Provenance, random_projection
 
     path = tmp_path / "hostile.json"
@@ -242,6 +243,20 @@ def test_decompose_hostile_finite_input_is_usage_error(capsys, tmp_path):
             code, out, err = run(capsys, "decompose", "--input", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("entry", [1e160, 1e200, 1e300])
+def test_decompose_overflowing_dim2_input_names_the_overflow(capsys, tmp_path, entry):
+    # at dim 2 the eigensolver returns a nan top for the overflowed Gram,
+    # which used to come out as a nan hermiticity residual
+    path = tmp_path / "hostile.json"
+    pair = reference_2x2_pair()
+    f = pair.f.copy()
+    f[0, 1] = entry
+    save_pair_json(projections.ProjectionPair(f, pair.g, 2, pair.provenance), path)
+    code, out, err = run(capsys, "decompose", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: matrix entries too large: the Gram product A*A overflows\n"
 
 
 def test_decompose_missing_file_is_io_error(capsys, tmp_path):

@@ -177,6 +177,28 @@ def test_spectral_norm_adjoint_invariant():
         assert abs(spectral_norm(adjoint(a)) - spectral_norm(a)) <= 1e-12
 
 
+def test_gram_norms_root_rule(monkeypatch):
+    # a -0.0 top keeps its sign, a slightly negative top is clamped to 0.0,
+    # and a nan top (an overflowed Gram) raises instead of passing on nan
+    gram = np.zeros((1, 2, 2), dtype=complex)
+    for top, root in ((-0.0, "-0.0"), (-1e-17, "0.0"), (math.nan, None)):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda _: np.array([[-1.0, top]]))
+        if root is None:
+            with pytest.raises(OverflowError, match="overflows"):
+                gram_norms(gram)
+        else:
+            assert repr(gram_norms(gram)[0]) == root
+
+
+@pytest.mark.parametrize("entry", [1e160, 1e200, 1e300])
+def test_spectral_norms_reject_overflowing_grams(entry):
+    # finite input whose Gram overflows: at dim 2 the eigensolver returns a
+    # nan top rather than an error, which must not come out as a norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match="overflows"):
+            spectral_norms([[[1.0, entry], [0.0, 0.0]]])
+
+
 def test_max_spectral_norm_is_blockwise_spectral_norm():
     rng = np.random.default_rng(17)
     for shape in ((3, 3), (4, 2), (5, 3, 3), (4, 2, 5), (2, 3, 4, 4)):

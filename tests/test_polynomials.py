@@ -25,6 +25,27 @@ def poly(*coeffs):
     return IntPolynomial(tuple(coeffs))
 
 
+# The recursions in IntPolynomial ring arithmetic: the reference the packed
+# integer recursions of poly_PQ_recursive and poly_F must match.
+
+
+def reference_pq(n):
+    p, q = X, ZERO
+    for _ in range(n - 1):
+        p, q = (p + q).shift(1), p + q.shift(1)
+    return p, q
+
+
+def reference_f(n):
+    prev, cur = ONE, 2 * X
+    if n == 0:
+        return prev
+    weight = X - X * X
+    for _ in range(n - 1):
+        prev, cur = cur, 2 * cur.shift(1) + weight * prev
+    return cur
+
+
 # --- IntPolynomial basics -------------------------------------------------------
 
 
@@ -97,6 +118,42 @@ def test_pq_recursive_equals_closed_up_to_200():
         assert poly_PQ_recursive(n) == poly_PQ_closed(n)
 
 
+def test_pq_recursive_equals_ring_recursion_up_to_200():
+    for n in range(1, 201):
+        p, q = poly_PQ_recursive(n)
+        ref_p, ref_q = reference_pq(n)
+        assert p.coefficients == ref_p.coefficients and q.coefficients == ref_q.coefficients
+        assert all(type(c) is int for c in p.coefficients + q.coefficients)
+
+
+def test_q1_is_the_zero_polynomial():
+    p, q = poly_PQ_recursive(1)
+    assert q.coefficients == () and q == ZERO and coefficient_strings(q) == ["0"]
+    assert p.coefficients == (0, 1)
+
+
+# P_n and Q_n are packed with 8 ceil((n-1)/8) bits a coefficient, which is
+# n - 1 bits exactly when n - 1 is a multiple of 8; F_n with 8 (n // 8 + 1)
+# bits, n + 1 exactly when n + 1 is.
+@pytest.mark.parametrize("n", [2, 9, 10, 17, 65, 193, 201, 257])
+def test_pq_packed_at_tightest_widths(n):
+    p, q = poly_PQ_recursive(n)
+    assert (p, q) == reference_pq(n)
+    assert all(0 <= c <= 2 ** (n - 2) for c in p.coefficients + q.coefficients)
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 63, 191, 199, 255])
+def test_f_packed_at_tightest_widths(n):
+    f = poly_F(n)
+    assert f == reference_f(n)
+    assert all(0 <= c <= 2**n for c in f.coefficients)
+
+
+def test_packed_recursions_equal_closed_forms_at_500():
+    assert poly_PQ_recursive(500) == poly_PQ_closed(500)
+    assert poly_F(500) == poly_F_closed(500)
+
+
 def test_pq_even_index_binomial_sums():
     # independent oracle: P_2N = sum_l C(2N-1, 2l-1) x^(N+l),
     #                     Q_2N = sum_l C(2N-1, 2l)   x^(N+l)
@@ -149,6 +206,13 @@ def test_f_rejects_negative():
 def test_f_recursive_equals_closed_up_to_200():
     for n in range(201):
         assert poly_F(n) == poly_F_closed(n)
+
+
+def test_f_recursive_equals_ring_recursion_up_to_200():
+    for n in range(201):
+        f = poly_F(n)
+        assert f.coefficients == reference_f(n).coefficients
+        assert all(type(c) is int for c in f.coefficients)
 
 
 def test_f_degree_and_positivity():

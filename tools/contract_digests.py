@@ -1,7 +1,7 @@
 """Print the sha256 of every output in projpair's byte contract.
 
 The contract is eleven campaign reports (`run_trials(config).to_json()`),
-thirteen CLI stdouts and three failing CLI runs, each hashed as its exit
+sixteen CLI stdouts and four failing CLI runs, each hashed as its exit
 code and its stderr. A refactor keeps it when this script prints the same
 lines before and after the change on the same machine:
 
@@ -31,6 +31,7 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from projpair import cli  # noqa: E402
+from projpair.projections import reference_2x2_pair, save_pair_json  # noqa: E402
 from projpair.verify import ALL_CHECKS, TrialConfig, run_trials  # noqa: E402
 
 CAMPAIGNS = (
@@ -83,6 +84,10 @@ COMMANDS = (
     "poly --family P --n 150",
     "poly --family F --n 200",
     "poly --family A --n 60",
+    # the zero polynomial Q_1, a long Q, and F_1, the first recursion step
+    "poly --family Q --n 1",
+    "poly --family Q --n 200",
+    "poly --family F --n 1",
     "verify --dims 2,4 --trials 5 --seed 3 --format csv",
     # 70 pairs in chunks of 64 and 6: 140 members across 3 stacks
     "counterexample --dim 8 --mode random --budget 70 --seed 11 --out wide.json",
@@ -97,13 +102,15 @@ FAILING = (
     "decompose --input pair.json --tol 1.75e-16",  # g fails, f passes
     # finite input whose Gram products overflow, so validation cannot converge
     "decompose --input hostile.json",
+    # the same at dim 2, where the eigensolver returns a nan top, not an error
+    "decompose --input hostile2.json",
 )
 
 
-def _write_hostile(source: str, target: str) -> None:
-    """A copy of a dim-4 pair file with entry [1, 2] of f set to 1e200."""
+def _write_hostile(source: str, target: str, row: int, col: int) -> None:
+    """A copy of a pair file with entry [row, col] of f set to 1e200."""
     payload = json.loads(Path(source).read_text())
-    payload["f"][1 * payload["dim"] + 2] = [1e200, 0.0]
+    payload["f"][row * payload["dim"] + col] = [1e200, 0.0]
     Path(target).write_text(json.dumps(payload))
 
 
@@ -143,7 +150,9 @@ def main() -> None:
         try:
             for command in COMMANDS:
                 print(f"{_sha256(_cli_stdout(command))}  projpair {command}")
-            _write_hostile("pair.json", "hostile.json")
+            _write_hostile("pair.json", "hostile.json", 1, 2)
+            save_pair_json(reference_2x2_pair(), "reference.json")
+            _write_hostile("reference.json", "hostile2.json", 0, 1)
             for command in FAILING:
                 print(f"{_sha256(_cli_failure(command))}  projpair {command} (exit code, stderr)")
         finally:
