@@ -3,8 +3,8 @@
 
 Subcommands: verify, poly, decompose, bounds, counterexample, universal.
 Exit codes: 0 all checks passed, 1 checks ran and some failed, 2 usage or
-validation error, 3 I/O failure. Identical invocations produce byte-identical
-output.
+validation error (a size too large to allocate included), 3 I/O failure.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from functools import cache
 from pathlib import Path
 
+from ._jsontext import json_text
 from .linalg import EigenConvergenceError
 from .linalg import spectral_norm  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .polynomials import (
@@ -61,7 +61,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -301,6 +301,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError, DecompositionError, EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # sizes whose arrays cannot be allocated
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

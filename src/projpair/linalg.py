@@ -191,8 +191,8 @@ def gram_norms(gram: np.ndarray) -> list[float]:
     tops = w[:, -1].tolist()
     if not all(map(math.isfinite, tops)):
         raise OverflowError("matrix entries too large: the Gram product A*A overflows")
-    # max keeps a -0.0 top, whose root stays -0.0
-    return [math.sqrt(max(top, 0.0)) for top in tops]
+    # a -0.0 top passes the test, so its root stays -0.0
+    return [math.sqrt(top) if top >= 0.0 else 0.0 for top in tops]
 
 
 # Relative slack of the Gram bounds below over the norm gram_norms computes

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsontext import json_text
 from .linalg import (
     adjoint,
     as_matrix,
@@ -563,7 +564,7 @@ def save_pair_json(pair: ProjectionPair, path) -> None:
         "f": matrix_to_pairs(pair.f),
         "g": matrix_to_pairs(pair.g),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(payload) + "\n")
 
 
 def load_pair_json(path) -> ProjectionPair:

@@ -9,7 +9,6 @@ into a reproducible aggregate whose JSON form is byte-stable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cache
@@ -17,6 +16,7 @@ from itertools import accumulate, islice, repeat
 
 import numpy as np
 
+from ._jsontext import json_text
 from .linalg import (
     adjoint,
     as_stack,
@@ -640,7 +640,7 @@ class AggregateReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True)
+        return json_text(self.to_payload())
 
 
 def _check_trials(config: TrialConfig, dim: int, seeds: list[int],

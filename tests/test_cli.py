@@ -333,6 +333,19 @@ def test_counterexample_dim2_rejected(capsys):
     assert "seed must be >= 0, got -5" in err
 
 
+def test_counterexample_unallocatable_dim_is_usage_error(capsys, tmp_path):
+    # 2 x 16777216^2 complex entries are 8 PiB, beyond any x86-64 address
+    # space, so numpy refuses the request before it allocates anything
+    out_file = tmp_path / "huge.json"
+    code, out, err = run(capsys, "counterexample", "--dim", "16777216", "--mode", "random",
+                         "--budget", "1", "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
 def test_counterexample_random_mode(capsys, tmp_path):
     out_file = tmp_path / "rand.json"
     code, out, _ = run(

@@ -179,9 +179,10 @@ def test_spectral_norm_adjoint_invariant():
 
 def test_gram_norms_root_rule(monkeypatch):
     # a -0.0 top keeps its sign, a slightly negative top is clamped to 0.0,
-    # and a nan top (an overflowed Gram) raises instead of passing on nan
+    # and a nan or inf top (an overflowed Gram) raises instead of passing on
+    # a non-finite norm
     gram = np.zeros((1, 2, 2), dtype=complex)
-    for top, root in ((-0.0, "-0.0"), (-1e-17, "0.0"), (math.nan, None)):
+    for top, root in ((-0.0, "-0.0"), (-1e-17, "0.0"), (math.nan, None), (math.inf, None)):
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda _: np.array([[-1.0, top]]))
         if root is None:
             with pytest.raises(OverflowError, match="overflows"):

@@ -1,9 +1,10 @@
 """Print the sha256 of every output in projpair's byte contract.
 
 The contract is eleven campaign reports (`run_trials(config).to_json()`),
-sixteen CLI stdouts and four failing CLI runs, each hashed as its exit
-code and its stderr. A refactor keeps it when this script prints the same
-lines before and after the change on the same machine:
+sixteen CLI stdouts, the four pair files those runs write, and four failing
+CLI runs, each hashed as its exit code and its stderr. A refactor keeps it
+when this script prints the same lines before and after the change on the
+same machine:
 
     PYTHONPATH=src python3 tools/contract_digests.py > after.txt
     diff before.txt after.txt
@@ -95,6 +96,9 @@ COMMANDS = (
     "counterexample --dim 8 --mode random --budget 65 --seed 4 --out lone.json",
 )
 
+# The pair files the counterexample runs in COMMANDS write.
+PAIR_FILES = ("pair.json", "det.json", "wide.json", "lone.json")
+
 # Run after COMMANDS, whose pair.json they read: members whose idempotency
 # residuals (f 1.688e-16, g 1.844e-16) exceed the tol fail validation.
 FAILING = (
@@ -150,6 +154,8 @@ def main() -> None:
         try:
             for command in COMMANDS:
                 print(f"{_sha256(_cli_stdout(command))}  projpair {command}")
+            for name in PAIR_FILES:
+                print(f"{_sha256(Path(name).read_text())}  pair file {name}")
             _write_hostile("pair.json", "hostile.json", 1, 2)
             save_pair_json(reference_2x2_pair(), "reference.json")
             _write_hostile("reference.json", "hostile2.json", 0, 1)
