@@ -10,12 +10,10 @@ import numpy as np
 
 # Hermiticity acceptance threshold, relative to max(1, Frobenius norm).
 HERM_TOL = 1e-10
-# Accuracy the eigensolver is held to (residuals, orthonormality).
-EIG_TOL = 1e-9
-# Most bytes of matrices that spectral_norms and mat_poly_evals stack for one
-# eigensolve or Horner pass; longer sequences are split. Stacking pays at small
-# dims, where call overhead dominates; at dim >= 64 one complex matrix fills
-# the budget, so large matrices go one at a time, as unstacked calls do.
+# Most bytes of matrices that one stack holds, for one eigensolve or Horner
+# pass; stack_slices splits longer sequences. Stacking pays at small dims,
+# where call overhead dominates; at dim >= 64 one complex matrix fills the
+# budget, so large matrices go one at a time, as unstacked calls do.
 STACK_BYTES = 1 << 16
 
 
@@ -79,10 +77,7 @@ def hermitian_eigens(mats) -> list[EigenDecomposition]:
     gets its own Hermiticity check; they are stacked at most STACK_BYTES at a
     time, and each stack gets one eigensolve.
     """
-    if not len(mats):
-        return []
-    step = stack_capacity(np.shape(mats[0]))
-    return [eig for i in range(0, len(mats), step) for eig in _stack_eigen(mats[i : i + step])]
+    return [eig for part in stack_slices(mats) for eig in _stack_eigen(mats[part])]
 
 
 def _stack_eigen(mats) -> list[EigenDecomposition]:
@@ -126,11 +121,7 @@ def spectral_norms(mats) -> list[float]:
     gets one finiteness check, one Gram product and one eigensolve. Size-0
     matrices have norm 0.0.
     """
-    if not len(mats):
-        return []
-    step = stack_capacity(np.shape(mats[0]))
-    return [norm for i in range(0, len(mats), step)
-            for norm in gram_norms(grams(mats[i : i + step]))]
+    return [norm for part in stack_slices(mats) for norm in gram_norms(grams(mats[part]))]
 
 
 def max_spectral_norm(stack: np.ndarray) -> float:
@@ -144,6 +135,16 @@ def stack_capacity(shape: tuple) -> int:
     """How many complex matrices of this shape one stack holds: as many as fit
     in STACK_BYTES, one at least."""
     return max(1, STACK_BYTES // max(1, 16 * math.prod(shape)))  # 16 bytes per complex128
+
+
+def stack_slices(mats) -> list[slice]:
+    """The consecutive slices that split mats, a (k, m, n) array or a
+    sequence of equally shaped matrices, into stacks of stack_capacity
+    matrices, the last one perhaps shorter; none for no matrices."""
+    if not len(mats):
+        return []
+    step = stack_capacity(np.shape(mats[0]))
+    return [slice(i, i + step) for i in range(0, len(mats), step)]
 
 
 def as_stack(mats) -> np.ndarray:
@@ -275,9 +276,7 @@ def mat_poly_evals(polys, mats) -> Iterator[np.ndarray]:
     if len(polys) != len(mats):
         raise ValueError(f"{len(polys)} polynomials for {len(mats)} matrices")
     coeffs = [tuple(getattr(p, "coefficients", p)) for p in polys]
-    step = stack_capacity(np.shape(mats[0])) if len(mats) else 1
-    return (value for i in range(0, len(mats), step)
-            for value in _horner(coeffs[i : i + step], mats[i : i + step]))
+    return (value for part in stack_slices(mats) for value in _horner(coeffs[part], mats[part]))
 
 
 # Added to the diagonal for a zero coefficient: x + -0.0 == x for every x.

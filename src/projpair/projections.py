@@ -20,7 +20,7 @@ from .linalg import (
     max_spectral_norm,
     spectral_norm,
     spectral_norms,
-    stack_capacity,
+    stack_slices,
 )
 from .linalg import hermitian_eigen  # noqa: F401  (unused; perfbench's tracer wraps this name)
 
@@ -138,11 +138,7 @@ def validate_projections(mats, tol: float = PROJ_TOL) -> list[ValidationReport]:
     call per stack. `mats` is a (k, n, n) array or a sequence of n x n
     matrices."""
     require_tol(tol)
-    if not len(mats):
-        return []
-    step = stack_capacity(np.shape(mats[0]))
-    return [report for i in range(0, len(mats), step)
-            for report in _validate_stack(mats[i : i + step], tol)]
+    return [report for part in stack_slices(mats) for report in _validate_stack(mats[part], tol)]
 
 
 def projection_failures(mats, tol: float = PROJ_TOL) -> list[tuple[int, ValidationReport]]:
@@ -157,18 +153,15 @@ def projection_failures(mats, tol: float = PROJ_TOL) -> list[tuple[int, Validati
     validate_projections' own.
     """
     require_tol(tol)
-    if not len(mats):
-        return []
-    step, bound = stack_capacity(np.shape(mats[0])), tol / 2
-    uncertain = []
-    for start in range(0, len(mats), step):
-        square_gap, adjoint_gap = _projection_gaps(mats[start : start + step])
+    bound, uncertain = tol / 2, []
+    for part in stack_slices(mats):
+        square_gap, adjoint_gap = _projection_gaps(mats[part])
         # a norm that overflows, or is nan, certifies nothing; the exact
         # measurement then raises, or warns, as it would alone
         with np.errstate(over="ignore", invalid="ignore"):
             certified = ((np.linalg.norm(square_gap, axis=(1, 2)) <= bound)
                          & (np.linalg.norm(adjoint_gap, axis=(1, 2)) <= bound))
-        uncertain += (start + np.flatnonzero(~certified)).tolist()
+        uncertain += (part.start + np.flatnonzero(~certified)).tolist()
     reports = validate_projections([mats[i] for i in uncertain], tol)
     return [(i, report) for i, report in zip(uncertain, reports) if not report.ok]
 

@@ -27,6 +27,7 @@ from .linalg import (
     mat_poly_evals,
     spectral_norms,
     stack_capacity,
+    stack_slices,
 )
 from .linalg import mat_poly_eval, spectral_norm  # noqa: F401  (unused; the tracer wraps these)
 from .polynomials import poly_F, poly_PQ_recursive
@@ -109,18 +110,18 @@ class _Gaps:
     """The pure gap terms of one stacked check: norms of matrices that vanish
     in exact arithmetic, each adding ||X|| / scale to its pair's residual.
 
-    With no floor every term is measured by spectral_norms as it comes. With
-    a floor, the campaign's largest residual so far for the check at this
-    dim, a term is measured only if it can raise a residual above
-    min(tol, limit), where limit is the floor or the largest value measured
-    so far, whichever is larger: no such term can set the campaign's maximum
-    or fail a trial that would pass, so the report keeps its bytes, while a
-    trial's residual may fall short of its exact value. Each stack's Grams
-    are formed as spectral_norms forms them, and a term whose Frobenius bound
-    certifies it is held as a view of its Gram. After the check's last
-    degree, finish() measures the held term with the largest bound, then the
-    rest in descending order of their tighter Gram-moment bound, one stack
-    at a time, skipping those the limit reached by then covers.
+    With no floor every term is measured by spectral_norms as it comes. With a
+    floor, the campaign's largest residual so far for the check, a term is
+    measured only if it can raise a residual above min(tol, limit), where
+    limit is the floor or the largest value measured so far, whichever is
+    larger: no such term can set the campaign's maximum or fail a trial that
+    would pass, so the report keeps its bytes, while a trial's residual may
+    fall short of its exact value. Each stack's Grams are formed as
+    spectral_norms forms them, and a term whose Frobenius bound certifies it
+    is held as a view of its Gram. After the check's last degree, finish()
+    measures the held term with the largest bound, then the rest in descending
+    order of their tighter Gram-moment bound, one stack at a time, skipping
+    those the limit reached by then covers.
     """
 
     def __init__(self, residuals: list[float], tol: float, floor: float | None):
@@ -133,12 +134,10 @@ class _Gaps:
             for owner, scale, norm in zip(owners, scales, spectral_norms(mats)):
                 self._record(owner, norm / scale)
             return
-        step = stack_capacity(np.shape(mats[0]))
-        for start in range(0, len(mats), step):
-            gram = grams(mats[start : start + step])
+        for part in stack_slices(mats):
+            gram = grams(mats[part])
             bounds = gram_bounds(gram).tolist()
-            terms = zip(range(len(gram)), owners[start : start + step],
-                        scales[start : start + step], bounds)
+            terms = zip(range(len(gram)), owners[part], scales[part], bounds)
             if math.inf in bounds:  # an uncertain Gram is measured, raising, as spectral_norms would
                 for (_, owner, scale, _), norm in zip(terms, gram_norms(gram)):
                     self._record(owner, norm / scale)
@@ -562,8 +561,8 @@ def find_commutator_identity_counterexample(
 
 # Each check runs on a list of equally sized pairs and returns their reports
 # in order. floor is None, for exact residuals, or the campaign's largest
-# residual so far for the check at the pairs' dim: a residual that can
-# neither exceed it nor fail may then be left short of exact.
+# residual so far for the check: a residual that can neither exceed it nor
+# fail may then be left short of exact.
 CHECKS = {
     "theorem": lambda pairs, cfg, floor: [check_theorem(pair, cfg.tol) for pair in pairs],
     "corollary": lambda pairs, cfg, floor: [check_corollary(pair, cfg.tol) for pair in pairs],
@@ -679,36 +678,33 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     and the stacks of one check.
 
     Only each check's largest residual and its failing trials are reported,
-    so each check gets its largest residual so far at the dim as a floor and
+    so each check gets its summary's max_residual so far as a floor and
     measures only the gap norms that can exceed it or fail (_Gaps); the
     report is the one exact residuals give.
     """
     summaries = {name: CheckSummary(name) for name in config.checks}
     errors = []
-    floors = {}
     for position, dim in enumerate(config.dims):
         first, step = position * config.trials, stack_capacity((dim, dim))
-        dim_floors = floors.setdefault(dim, dict.fromkeys(config.checks, 0.0))
         for start in range(first, first + config.trials, step):
             _run_chunk(config, dim, range(start, min(start + step, first + config.trials)),
-                       summaries, errors, dim_floors)
+                       summaries, errors)
     ordered = [summaries[name] for name in config.checks]
     ok = not errors and all(not s.failures for s in ordered)
     return AggregateReport(config, ordered, errors, "pass" if ok else "fail")
 
 
 def _run_chunk(config: TrialConfig, dim: int, indices: range,
-               summaries: dict[str, CheckSummary], errors: list[dict],
-               floors: dict[str, float]) -> None:
-    """Run one chunk of trials, recording each in summaries or errors, and
-    raising each check's floor to its largest residual. A chunk of one pair,
-    or one whose pairs could not be built, validated or checked together,
-    runs trial by trial, so each trial records its own failure."""
+               summaries: dict[str, CheckSummary], errors: list[dict]) -> None:
+    """Run one chunk of trials, recording each in summaries or errors, with
+    each check's max_residual so far as its floor. A chunk of one pair, or
+    one whose pairs could not be built, validated or checked together, runs
+    trial by trial, so each trial records its own failure."""
     chunk = None
     if len(indices) > 1:
         try:
             chunk = _check_trials(config, dim, [config.base_seed + index for index in indices],
-                                  floors)
+                                  {name: s.max_residual for name, s in summaries.items()})
         except Exception:  # rerun trial by trial; the trial that raises records it
             pass
     for position, index in enumerate(indices):
@@ -716,7 +712,8 @@ def _run_chunk(config: TrialConfig, dim: int, indices: range,
             results = chunk[position]
         else:
             try:
-                results = _run_one_trial(config, dim, config.base_seed + index, floors)
+                results = _run_one_trial(config, dim, config.base_seed + index,
+                                         {name: s.max_residual for name, s in summaries.items()})
             except Exception as exc:  # trial isolation: record, never kill the campaign
                 errors.append({"trial": index, "dim": dim,
                                "message": f"{type(exc).__name__}: {exc}"})
@@ -725,6 +722,5 @@ def _run_chunk(config: TrialConfig, dim: int, indices: range,
             summary = summaries[name]
             summary.trials += 1
             summary.max_residual = max(summary.max_residual, report.residual)
-            floors[name] = max(floors[name], report.residual)
             if not report.passed:
                 summary.failures.append(index)

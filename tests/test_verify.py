@@ -476,11 +476,13 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
 
 def test_large_campaign_solves_few_gap_norms(eigvalsh_calls):
     # One dim-64 and one dim-96 trial, each a chunk of one pair: 31
-    # eigensolves for norms that are not pure gaps, and 10 for gaps, about
-    # one per check and pair, where measuring every gap took 66 (97 in all)
+    # eigensolves for norms that are not pure gaps, and 5 for gaps, all in
+    # the dim-64 trial: each check's floor is its campaign maximum, and the
+    # dim-64 maxima cover every gap of the dim-96 trial. Measuring every gap
+    # took 66 (97 in all), and floors kept per dim took 10 (41 in all)
     report = run_trials(TrialConfig(dims=(64, 96), trials=1, base_seed=0))
     assert report.verdict == "pass"
-    assert len(eigvalsh_calls) == 41
+    assert len(eigvalsh_calls) == 36
 
 
 def exact_checks(monkeypatch):
@@ -512,7 +514,10 @@ def test_campaign_floors_keep_the_report_bytes(label, monkeypatch):
     assert run_trials(config).to_json() == certified
 
 
-@pytest.mark.parametrize("dims, trials", [((64,), 6), ((2, 4, 8, 16), 25), ((24,), 15)])
+# (16, 4, 16, 2): floors carry from a larger dim into smaller ones and into
+# a repeated dim
+@pytest.mark.parametrize("dims, trials", [((64,), 6), ((2, 4, 8, 16), 25), ((24,), 15),
+                                          ((16, 4, 16, 2), 10)])
 def test_failing_campaign_floors_keep_the_report_bytes(dims, trials, monkeypatch):
     # at a tol below most residuals' rounding, many trials fail, and each
     # failing index, not only each check's maximum, must be the exact one
