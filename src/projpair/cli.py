@@ -51,6 +51,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 POLY_MAX_N = {"P": 200, "Q": 200, "F": 200, "A": 100, "B": 100}
+# The approximant's arrays grow with the grid: 10**6 already takes ~5 s and
+# ~400 MiB, and 10**8 exhausts the memory of an 8 GiB host.
+UNIVERSAL_MAX_GRID = 10**6
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -212,8 +215,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_universal(args: argparse.Namespace) -> int:
-    if args.grid_size < 2:
-        raise ValueError(f"--grid-size must be >= 2, got {args.grid_size}")
+    if not 2 <= args.grid_size <= UNIVERSAL_MAX_GRID:
+        raise ValueError(
+            f"--grid-size must lie in [2, {UNIVERSAL_MAX_GRID}], got {args.grid_size}")
     approx = universal_pair_approx(args.grid_size)
     a = approx.norm_product()
     payload = {

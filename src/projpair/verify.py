@@ -87,8 +87,9 @@ def _degree_groups(degrees: range, per_degree: int, dim: int) -> list[range]:
 
     A check hands linalg each run's matrices for all its pairs together,
     which measures them with one Horner pass or one eigensolve per stack, and
-    holds one run at a time, so memory stays bounded however long the power
-    loop is.
+    holds one run at a time. With no floor, memory thus stays bounded however
+    long the power loop is; with one, _Gaps keeps the Grams of the gap terms
+    that can matter until the check ends, and those grow with the loop.
     """
     size = max(1, stack_capacity((dim, dim)) // per_degree)
     return [degrees[i : i + size] for i in range(0, len(degrees), size)]
@@ -117,16 +118,17 @@ class _Gaps:
     larger: no such term can set the campaign's maximum or fail a trial that
     would pass, so the report keeps its bytes, while a trial's residual may
     fall short of its exact value. Each stack's Grams are formed as
-    spectral_norms forms them, and a term whose Frobenius bound certifies it
-    is held as a view of its Gram. After the check's last degree, finish()
-    measures the held term with the largest bound, then the rest in descending
-    order of their tighter Gram-moment bound, one stack at a time, skipping
-    those the limit reached by then covers.
+    spectral_norms forms them, and a term whose Frobenius bound does not
+    certify it is held as a one-Gram view of its stack. Held terms keep their
+    stacks alive until finish(), so a floored check's memory grows with its
+    number of degrees. finish() takes the held terms in descending order of
+    their bounds: it measures the first, then each later one whose tighter
+    Gram-moment bound the limit reached by then does not cover.
     """
 
     def __init__(self, residuals: list[float], tol: float, floor: float | None):
         self.residuals, self.tol, self.floor = residuals, tol, floor
-        self.held = []  # (bound / scale, Gram stack, position, pair, scale)
+        self.held = []  # (bound / scale, Gram of one term, pair, scale)
 
     def add(self, mats, owners, scales) -> None:
         """Terms ||mats[j]|| / scales[j] of pairs owners[j]."""
@@ -137,65 +139,36 @@ class _Gaps:
         for part in stack_slices(mats):
             gram = grams(mats[part])
             bounds = gram_bounds(gram).tolist()
-            terms = zip(range(len(gram)), owners[part], scales[part], bounds)
+            terms = list(zip(owners[part], scales[part], bounds))
             if math.inf in bounds:  # an uncertain Gram is measured, raising, as spectral_norms would
-                for (_, owner, scale, _), norm in zip(terms, gram_norms(gram)):
+                for (owner, scale, _), norm in zip(terms, gram_norms(gram)):
                     self._record(owner, norm / scale)
                 continue
-            self.held += self._can_matter([(bound / scale, gram, j, owner, scale)
-                                           for j, owner, scale, bound in terms])
+            cut = min(self.tol, max(self.floor, *self.residuals))
+            self.held += [(bound / scale, gram[j : j + 1], owner, scale)
+                          for j, (owner, scale, bound) in enumerate(terms) if bound / scale > cut]
 
     def finish(self) -> None:
-        """Measure the held terms that can still matter."""
-        held, self.held = self._can_matter(self.held), []
-        if not held:
+        """Measure the held terms that can still matter. Bounds only fall
+        and the limit only rises along the pass, so the first term the limit
+        covers ends it."""
+        held, self.held = sorted(self.held, key=lambda term: term[0], reverse=True), []
+        if not held:  # always so with no floor
             return
-        self._measure([held.pop(max(range(len(held)), key=lambda i: held[i][0]))])
-        by_gram = {}
-        for term in self._can_matter(held):
-            by_gram.setdefault(id(term[1]), []).append(term)
-        held = []
-        for terms in by_gram.values():
-            bounds = gram_moment_bounds(_select(terms[0][1], [term[2] for term in terms]))
-            held += [(bound / term[4], *term[1:]) for term, bound in zip(terms, bounds.tolist())]
-        held.sort(key=lambda term: term[0], reverse=True)
-        while held := self._can_matter(held):
-            shape, batch, rest = held[0][1].shape[1:], [], []
-            capacity = stack_capacity(shape)
-            for term in held:
-                fits = len(batch) < capacity and term[1].shape[1:] == shape
-                (batch if fits else rest).append(term)
-            self._measure(batch)
-            held = rest
-
-    def _can_matter(self, terms: list) -> list:
-        """The terms whose bound exceeds min(tol, limit)."""
-        if not terms:
-            return terms
-        cut = min(self.tol, max(self.floor, *self.residuals))
-        return [term for term in terms if term[0] > cut]
-
-    def _measure(self, terms: list) -> None:
-        """Record the exact norms of held terms, one eigensolve for them all."""
-        if len({id(term[1]) for term in terms}) == 1:
-            stack = _select(terms[0][1], [term[2] for term in terms])
-        else:
-            stack = np.stack([term[1][term[2]] for term in terms])
-        for (_, _, _, owner, scale), norm in zip(terms, gram_norms(stack)):
-            self._record(owner, norm / scale)
+        limit = max(self.floor, *self.residuals)
+        for position, (bound, gram, owner, scale) in enumerate(held):
+            cut = min(self.tol, limit)
+            if bound <= cut:
+                break
+            # the first term's norm most often sets the limit, so it is measured outright
+            if position and gram_moment_bounds(gram)[0] / scale <= cut:
+                continue
+            value = gram_norms(gram)[0] / scale
+            self._record(owner, value)
+            limit = max(limit, value)
 
     def _record(self, owner: int, value: float) -> None:
         self.residuals[owner] = max(self.residuals[owner], value)
-
-
-def _select(stack: np.ndarray, positions: list[int]) -> np.ndarray:
-    """The matrices of a stack at the given positions, in their order: a view
-    where they are the whole stack in order, or one matrix."""
-    if positions == list(range(len(stack))):
-        return stack
-    if len(positions) == 1:
-        return stack[positions[0] : positions[0] + 1]
-    return stack[positions]
 
 
 # Neither family depends on the pair, so each n is built once per process.
@@ -675,7 +648,9 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     pairs, and each check runs on a chunk's pairs at once; a chunk's pairs
     are freed once its checks have run, so however many trials a campaign
     runs it holds one chunk's pairs with the products their checks cache,
-    and the stacks of one check.
+    and the stacks of one check. Under the floors below, a check also holds
+    the Grams of its gap terms that can matter until its last degree, so its
+    memory grows with m_max and n_max (_Gaps).
 
     Only each check's largest residual and its failing trials are reported,
     so each check gets its summary's max_residual so far as a floor and

@@ -403,6 +403,19 @@ def test_universal_rejects_small_grid(capsys):
     assert run(capsys, "universal", "--grid-size", "1")[0] == 2
 
 
+def test_universal_rejects_oversized_grid_before_building_it(capsys, monkeypatch):
+    # 10**8 would exhaust an 8 GiB host's memory; no grid may be built at all
+    def refuse(grid_size):
+        raise AssertionError(f"built a grid of {grid_size}")
+
+    monkeypatch.setattr(cli, "universal_pair_approx", refuse)
+    for size in (cli.UNIVERSAL_MAX_GRID + 1, 10**8):
+        code, out, err = run(capsys, "universal", "--grid-size", str(size))
+        assert code == 2
+        assert out == ""
+        assert f"--grid-size must lie in [2, {cli.UNIVERSAL_MAX_GRID}], got {size}" in err
+
+
 # --- parser level -----------------------------------------------------------------------
 
 

@@ -572,3 +572,15 @@ def test_search_and_campaign_memory_does_not_grow_with_the_run():
                 for trials in (100, 400)]
     assert campaign[1] < 1.1 * campaign[0], campaign
 
+
+@pytest.mark.parametrize("check", [check_lemma_product_powers, check_power_expansions,
+                                   check_nw_blocks])
+def test_unfloored_power_loops_hold_one_run_of_degrees(check):
+    # With no floor, each run of degrees is measured and freed before the
+    # next, so four times the loop needs no more memory. (Under a floor the
+    # gap terms' Grams are held to the end: power_expansion's peak on this
+    # pair grows about 3x from 8 to 32 degrees.)
+    pairs = random_pairs(64, [0])
+    peaks = [traced_peak(lambda: check(pairs, degrees, floor=None)) for degrees in (8, 32)]
+    assert peaks[1] < 1.1 * peaks[0], peaks
+

@@ -528,6 +528,39 @@ def test_failing_campaign_floors_keep_the_report_bytes(dims, trials, monkeypatch
     assert run_trials(config).to_json() == certified.to_json()
 
 
+def test_gaps_measure_only_terms_the_limit_does_not_cover(eigvalsh_calls, monkeypatch):
+    # Bounds (Frobenius, then Gram moment) and norms of three pure gap terms:
+    #   a = 1e-12 I_16:  2.02e-12,            norm 1e-12
+    #   c = 3e-13 I_256: 1.21e-12, 6.06e-13,  norm 3e-13
+    #   b = 2e-13 I_3:   2.66e-13,            norm 2e-13
+    # With floor 0, a has the largest bound and is measured outright, raising
+    # the limit to 1e-12; c's Frobenius bound exceeds that but its moment
+    # bound does not, and b's Frobenius bound ends the pass.
+    a, c, b = (x * np.eye(n, dtype=np.complex128) for x, n in ((1e-12, 16), (3e-13, 256),
+                                                                 (2e-13, 3)))
+    moments = []
+    real = verify.gram_moment_bounds
+
+    def spy(gram):
+        moments.append(gram.shape)
+        return real(gram)
+
+    monkeypatch.setattr(verify, "gram_moment_bounds", spy)
+    for floor, norms, solved, bounded in (
+            (0.0, [1e-12, 0.0, 0.0], [(1, 16, 16)], [(1, 256, 256)]),
+            (None, [1e-12, 3e-13, 2e-13], [(1, 16, 16), (1, 256, 256), (1, 3, 3)], [])):
+        eigvalsh_calls.clear()
+        moments.clear()
+        residuals = [0.0] * 3
+        gaps = verify._Gaps(residuals, 1e-8, floor)
+        for owner, matrix in enumerate((a, c, b)):
+            gaps.add([matrix], [owner], [1.0])
+        gaps.finish()
+        assert residuals == norms, floor
+        assert eigvalsh_calls == solved, floor
+        assert moments == bounded, floor
+
+
 def test_theorem_campaign_solves_only_its_norms(eigvalsh_calls):
     # ||fg|| and ||fg + gf|| for each dim-64 pair, one pair per chunk; the
     # Frobenius bound certifies every member, where measuring them exactly

@@ -1,7 +1,7 @@
 """Print the sha256 of every output in projpair's byte contract.
 
-The contract is eleven campaign reports (`run_trials(config).to_json()`),
-sixteen CLI stdouts, the four pair files those runs write, and four failing
+The contract is twelve campaign reports (`run_trials(config).to_json()`),
+sixteen CLI stdouts, the four pair files those runs write, and five failing
 CLI runs, each hashed as its exit code and its stderr. A refactor keeps it
 when this script prints the same lines before and after the change on the
 same machine:
@@ -71,6 +71,10 @@ CAMPAIGNS = (
     ("all checks dims=(2, 4, 8, 16, 24, 64) trials=10 seed=0 tol=1e-15",
      TrialConfig(dims=(2, 4, 8, 16, 24, 64), trials=10, base_seed=0, tol=1e-15,
                  checks=ALL_CHECKS)),
+    # long power loops at a dim where every gap term's Gram is a stack of its
+    # own, so a floored check holds many single-Gram stacks at once
+    ("all checks dims=(64,) trials=2 seed=0 m_max=n_max=12",
+     TrialConfig(dims=(64,), trials=2, base_seed=0, checks=ALL_CHECKS, m_max=12, n_max=12)),
 )
 
 # In order: the decompose runs read the pair files the counterexample runs write.
@@ -108,6 +112,8 @@ FAILING = (
     "decompose --input hostile.json",
     # the same at dim 2, where the eigensolver returns a nan top, not an error
     "decompose --input hostile2.json",
+    # one past UNIVERSAL_MAX_GRID, rejected before any grid is built
+    "universal --grid-size 1000001",
 )
 
 
