@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -269,55 +271,107 @@ def mat_poly_evals(polys, mats) -> Iterator[np.ndarray]:
 
     `mats` is a (k, n, n) array or a sequence of equally shaped square
     matrices. They are stacked at most STACK_BYTES at a time, and each stack
-    gets one finiteness check and one Horner pass. Values are yielded one
-    stack at a time, so a caller that consumes them as they come holds one
-    stack's values, not all of them.
+    gets one finiteness check and one Horner pass, run by a plan made once
+    per distinct list of coefficient tuples (_horner_plan). Values are
+    yielded one stack at a time, as views into that stack's result buffer,
+    so a caller that consumes them as they come holds one stack's values,
+    not all of them.
     """
     if len(polys) != len(mats):
         raise ValueError(f"{len(polys)} polynomials for {len(mats)} matrices")
     coeffs = [tuple(getattr(p, "coefficients", p)) for p in polys]
-    return (value for part in stack_slices(mats) for value in _horner(coeffs[part], mats[part]))
+    return (value for part in stack_slices(mats)
+            for value in _horner(tuple(coeffs[part]), mats[part]))
 
 
 # Added to the diagonal for a zero coefficient: x + -0.0 == x for every x.
 _UNCHANGED = complex(-0.0, -0.0)
+# Most Horner plans kept: a campaign_small or campaign_large job of the
+# benchmark uses 25-30 distinct coefficient lists.
+HORNER_PLANS = 64
 
 
-def _horner(coeffs: list[tuple], mats) -> list[np.ndarray]:
+class _HornerPlan(NamedTuple):
+    """What a Horner pass over one list of coefficient tuples needs that does
+    not depend on the matrices. Slices are sorted by length, longest first."""
+
+    order: list[int]  # the slice at each sorted position
+    place: list[int]  # the sorted position of each slice
+    top: int  # the longest length
+    first: list[tuple[int, slice]]  # sorted slices of length >= 2 whose c A lands in that buffer
+    lead: np.ndarray  # (k, 1, 1) leading coefficients, sorted
+    steps: list[tuple[int, int, int, np.ndarray]]  # (step, slices multiplied, slices added, adds)
+    constants: int  # the first sorted slice of length 0 or 1
+
+
+@lru_cache(maxsize=HORNER_PLANS)
+def _horner_plan(coeffs: tuple[tuple, ...]) -> _HornerPlan:
+    """The plan of a Horner pass over coeffs, made once per distinct tuple.
+
+    A slice of length L starts at step top - L at c I, for its leading
+    coefficient c; its next step's product (c I) @ A is c A, which the pass
+    writes before its loop into the buffer that step would have written, so
+    the slice's steps from then on multiply, L - 2 of them, and add.
+    """
+    k = len(coeffs)
+    order = sorted(range(k), key=lambda i: len(coeffs[i]), reverse=True)
+    lengths = [len(coeffs[i]) for i in order]
+    top = lengths[0]
+    # column s holds the coefficients of power top - 1 - s
+    table = np.array([[0j] * (top - len(c)) + [complex(x) if x else _UNCHANGED for x in c[::-1]]
+                      for c in (coeffs[i] for i in order)]).reshape(k, top)
+    lead = np.array([complex(coeffs[i][-1]) if coeffs[i] else 0j for i in order]).reshape(k, 1, 1)
+    lead.flags.writeable = False
+    constants = sum(length >= 2 for length in lengths)
+    first = []  # runs of consecutive sorted slices whose c A lands in one buffer
+    for j in range(constants):
+        buffer = (top - lengths[j]) % 2
+        if first and first[-1][0] == buffer:
+            first[-1] = (buffer, slice(first[-1][1].start, j + 1))
+        else:
+            first.append((buffer, slice(j, j + 1)))
+    steps = []
+    for step in range(top):
+        # a slice multiplies from its third step on and adds from its second,
+        # or, at length 1, at its only step
+        multiplied = sum(length >= top - step + 2 for length in lengths)
+        added = sum(length >= (top - step + 1 if step < top - 1 else 1) for length in lengths)
+        if added:
+            adds = table[:added, step, np.newaxis].copy()
+            adds.flags.writeable = False
+            steps.append((step, multiplied, added, adds))
+    place = sorted(range(k), key=order.__getitem__)
+    return _HornerPlan(order, place, top, first, lead, steps, constants)
+
+
+def _horner(coeffs: tuple[tuple, ...], mats) -> list[np.ndarray]:
     """One Horner pass over a stack of k square matrices: coeffs[i] at mats[i].
 
     Every slice starts at c I for its leading coefficient c and then runs
     its own sequence of steps, acc <- acc @ A then acc <- acc + c I on the
-    diagonal, so each slice gets the same bits as a pass over it alone. A
-    zero c adds -0.0 - 0.0j, which leaves every entry unchanged, in place of
-    skipping the add. Slices are sorted by length, longest first, so the
-    slices that have started are always a prefix of the sorted stack.
+    diagonal, so each slice gets the same bits as a pass over it alone; its
+    first product (c I) @ A is formed as c A, which has the same bits, up to
+    the sign of a zero entry. A zero c adds -0.0 - 0.0j, which leaves every
+    entry unchanged, in place of skipping the add. The pass follows
+    _horner_plan(coeffs): slices sorted by length, longest first, so the
+    slices that multiply or add at a step are always a prefix of the stack.
     """
-    k = len(mats)
-    order = sorted(range(k), key=lambda i: len(coeffs[i]), reverse=True)
-    stack = _finite_stack([mats[i] for i in order])
-    n = stack.shape[-1]
+    plan = _horner_plan(coeffs)
+    stack = _finite_stack([mats[i] for i in plan.order])
+    k, n = len(stack), stack.shape[-1]
     if stack.shape[1] != n:
         raise ValueError(f"matrix must be square, got shape {stack.shape[1:]}")
-    coeffs = [coeffs[i] for i in order]
-    top = len(coeffs[0])
-    # column s holds the coefficients of power top - 1 - s
-    table = np.array([[0j] * (top - len(c)) + [complex(x) if x else _UNCHANGED for x in c[::-1]]
-                      for c in coeffs]).reshape(k, top)
-    # two buffers, each step writing its product into the other; a slice
-    # stays zero in both until its leading coefficient is reached, so the
-    # step that reaches it only adds c I
-    buffers = [np.zeros((k, n, n), dtype=np.complex128) for _ in range(2)]
+    # two buffers, each step writing its product into the other; a slice of
+    # length 0 or 1 stays zero until its constant is added
+    buffers = [np.empty((k, n, n), dtype=np.complex128) for _ in range(2)]
+    buffers[plan.top % 2][plan.constants:] = 0.0
+    for buffer, run in plan.first:
+        np.multiply(stack[run], plan.lead[run], out=buffers[buffer][run])
     diagonals = [b.reshape(k, n * n)[:, :: n + 1] for b in buffers]  # views: writes land in b
-    active = 0  # slices whose leading coefficient has been reached
-    for step in range(top):
-        started = active
-        while active < k and len(coeffs[active]) >= top - step:
-            active += 1
+    for step, multiplied, added, adds in plan.steps:
         src, dst = step % 2, (step + 1) % 2
-        if started:
-            np.matmul(buffers[src][:started], stack[:started], out=buffers[dst][:started])
-        diagonals[dst][:active] += table[:active, step, np.newaxis]
-    result = buffers[top % 2]
-    place = {i: j for j, i in enumerate(order)}
-    return [result[place[i]] for i in range(k)]
+        if multiplied:
+            np.matmul(buffers[src][:multiplied], stack[:multiplied], out=buffers[dst][:multiplied])
+        diagonals[dst][:added] += adds
+    result = buffers[plan.top % 2]
+    return [result[j] for j in plan.place]

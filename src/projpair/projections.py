@@ -145,25 +145,29 @@ def projection_failures(mats, tol: float = PROJ_TOL) -> list[tuple[int, Validati
     """The position and validate_projection report of each of `mats` that
     fails validation, in order; `mats` is as for validate_projections.
 
-    Since ||X|| <= ||X||_F, a member whose gaps P^2 - P and P - P* both have
-    Frobenius norm at most tol / 2 passes with no eigensolve; the factor 2
-    covers the rounding of the Frobenius sum and of the eigensolve. Every
-    other member, NaN and overflow included, is measured by one
-    validate_projections call, so the reports, and the errors raised, are
-    validate_projections' own.
+    A member whose gaps P^2 - P and P - P* are both certified (_certified)
+    passes with no eigensolve. Every other member, NaN and overflow
+    included, is measured by one validate_projections call, so the reports,
+    and the errors raised, are validate_projections' own.
     """
     require_tol(tol)
-    bound, uncertain = tol / 2, []
+    uncertain = []
     for part in stack_slices(mats):
         square_gap, adjoint_gap = _projection_gaps(mats[part])
-        # a norm that overflows, or is nan, certifies nothing; the exact
-        # measurement then raises, or warns, as it would alone
-        with np.errstate(over="ignore", invalid="ignore"):
-            certified = ((np.linalg.norm(square_gap, axis=(1, 2)) <= bound)
-                         & (np.linalg.norm(adjoint_gap, axis=(1, 2)) <= bound))
+        certified = _certified(square_gap, tol) & _certified(adjoint_gap, tol)
         uncertain += (part.start + np.flatnonzero(~certified)).tolist()
     reports = validate_projections([mats[i] for i in uncertain], tol)
     return [(i, report) for i, report in zip(uncertain, reports) if not report.ok]
+
+
+def _certified(gaps: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each matrix X of a stack has ||X|| <= tol for certain, with no
+    eigensolve: since ||X|| <= ||X||_F, when ||X||_F <= tol / 2; the factor 2
+    covers the rounding of the Frobenius sum and of the eigensolve. A norm
+    that overflows, or is nan, certifies nothing, and the exact measurement
+    then raises, or warns, as it would alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(gaps, axis=(1, 2)) <= tol / 2
 
 
 def _projection_gaps(mats) -> tuple[np.ndarray, np.ndarray]:
@@ -368,16 +372,22 @@ class HalmosBlocks:
     g splits as [[D, V], [V*, Dprime]] with D of size r x r, V of size
     r x (dim - r), and Dprime of size (dim - r) x (dim - r); projectionhood of
     g forces D - D^2 = V V*, D V + V Dprime = V, and Dprime - Dprime^2 = V* V.
-    The residuals of those relations, which the decomposition checked, and
-    ||D||, which equals ||fg||^2, are kept with the blocks.
+    The gaps of those relations, which the decomposition checked, and ||D||,
+    which equals ||fg||^2, are kept with the blocks. The gaps' norms,
+    relation_residuals, are measured on first read: the decomposition
+    certifies most of them from a bound and needs none of them exactly.
     """
 
     D: np.ndarray
     Dprime: np.ndarray
     V: np.ndarray
     basis: np.ndarray
-    relation_residuals: dict[str, float]
+    relation_gaps: dict[str, np.ndarray] = field(repr=False, compare=False)
     norm_D: float
+
+    @cached_property
+    def relation_residuals(self) -> dict[str, float]:
+        return {name: spectral_norm(gap) for name, gap in self.relation_gaps.items()}
 
 
 def _relation_gaps(D: np.ndarray, V: np.ndarray, Dp: np.ndarray) -> dict[str, np.ndarray]:
@@ -392,7 +402,8 @@ def _relation_gaps(D: np.ndarray, V: np.ndarray, Dp: np.ndarray) -> dict[str, np
 
 
 def block_relation_residuals(blocks: HalmosBlocks) -> dict[str, float]:
-    """Residuals of the three relations projectionhood of g imposes on the blocks."""
+    """Residuals of the three relations projectionhood of g imposes on the
+    blocks, from the blocks themselves: a recomputation of relation_residuals."""
     return {name: spectral_norm(gap)
             for name, gap in _relation_gaps(blocks.D, blocks.V, blocks.Dprime).items()}
 
@@ -415,8 +426,11 @@ def halmos_decompositions(pairs, tol: float = 1e-9) -> list[HalmosBlocks]:
 
     One hermitian_eigens call diagonalizes every f and one stacked product
     carries every g into its basis. Pairs whose f has the same rank share
-    one stack of blocks, and each of their relation residuals, and ||D||,
-    comes from one spectral_norms call.
+    one stack of blocks and of relation gaps. A gap that _certified bounds
+    by tol needs no eigensolve; the others, and ||D||, are measured with one
+    spectral_norms call per relation, ||D|| riding with the range block's.
+    A pair that fails is measured in full, so its DecompositionError names
+    the same residuals, in the same words, as measuring every gap would.
     """
     require_tol(tol)
     if not pairs:
@@ -432,25 +446,29 @@ def halmos_decompositions(pairs, tol: float = 1e-9) -> list[HalmosBlocks]:
     bases = as_stack([eig.eigenvectors for eig in eigs])
     g_in_bases = adjoint(bases) @ as_stack([pair.g for pair in pairs]) @ bases
     blocks = [None] * len(pairs)
+    worst = [0.0] * len(pairs)  # the largest measured relation residual of each pair
     ranks = [int(np.sum(eig.eigenvalues > 0.5)) for eig in eigs]
     for r, members in group_positions(ranks).items():
         g_in_basis = g_in_bases[members]
         D, V, Dp = g_in_basis[:, :r, :r], g_in_basis[:, :r, r:], g_in_basis[:, r:, r:]
         gaps = _relation_gaps(D, V, Dp)
-        # ||D|| shares the range-block residual's eigensolve: both are r x r
-        range_norms = spectral_norms([*gaps["range_block"], *D])
-        mixed_norms = spectral_norms(gaps["mixed_block"])
-        kernel_norms = spectral_norms(gaps["kernel_block"])
+        uncertain = {name: np.flatnonzero(~_certified(gap, tol)) for name, gap in gaps.items()}
+        # ||D|| shares the uncertain range-block gaps' eigensolve: all are r x r
+        range_norms = spectral_norms([*gaps["range_block"][uncertain["range_block"]], *D])
+        norms_D = range_norms[-len(members):]
+        measured = {"range_block": range_norms[: -len(members)],
+                    **{name: spectral_norms(gaps[name][uncertain[name]])
+                       for name in ("mixed_block", "kernel_block")}}
+        for name, norms in measured.items():
+            for j, norm in zip(uncertain[name], norms):
+                worst[members[j]] = max(worst[members[j]], norm)
         for j, i in enumerate(members):
-            residuals = {"range_block": range_norms[j], "mixed_block": mixed_norms[j],
-                         "kernel_block": kernel_norms[j]}
-            blocks[i] = HalmosBlocks(D[j], Dp[j], V[j], bases[i], residuals,
-                                     range_norms[len(members) + j])
-    for pair, block in zip(pairs, blocks):
-        residuals = dict(block.relation_residuals,
-                         norm_identity=abs(pair.norm_fg**2 - block.norm_D))
-        worst = max(residuals.values())
-        if worst > tol:
+            blocks[i] = HalmosBlocks(D[j], Dp[j], V[j], bases[i],
+                                     {name: gap[j] for name, gap in gaps.items()}, norms_D[j])
+    for pair, block, relations in zip(pairs, blocks, worst):
+        norm_identity = abs(pair.norm_fg**2 - block.norm_D)
+        if max(relations, norm_identity) > tol:
+            residuals = dict(block.relation_residuals, norm_identity=norm_identity)
             raise DecompositionError(
                 f"block relations violated beyond tol={tol:.3e}: {residuals}", residuals
             )

@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import accumulate, islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -360,12 +361,16 @@ def check_nw_blocks(pairs, n_max: int = 8, tol: float = DEFAULT_TOL, *,
         return []
     blocks = halmos_decompositions(pairs, tol=max(tol, 1e-9))
     bases = as_stack([b.basis for b in blocks])
+    ranks = [b.D.shape[0] for b in blocks]
+    groups = [(r, members, as_stack([blocks[i].D for i in members]),
+               as_stack([blocks[i].V for i in members]))
+              for r, members in group_positions(ranks).items()]
+    del blocks  # and with them their relation gaps, which this check does not read
     w = adjoint(bases) @ as_stack([pair.anti for pair in pairs]) @ bases
     residuals = [0.0] * len(pairs)
     gaps = _Gaps(residuals, tol, floor)
-    for r, members in group_positions([b.D.shape[0] for b in blocks]).items():
+    for r, members, D, V in groups:
         k = len(members)
-        D, V = as_stack([blocks[i].D for i in members]), as_stack([blocks[i].V for i in members])
         anti_norms = [pairs[i].norm_anti for i in members]
         powers = _powers(w[members], n_max)
         f_prev = []  # [F_{n-1}(D)] for the run's first n, carried over
@@ -389,13 +394,12 @@ def check_nw_blocks(pairs, n_max: int = 8, tol: float = DEFAULT_TOL, *,
             f_prev = f[-1:]
     gaps.finish()
     return [_report("nw_block", pair,
-                    {"norm_anti": pair.norm_anti, "rank_f": b.D.shape[0], "n_max": n_max},
+                    {"norm_anti": pair.norm_anti, "rank_f": r, "n_max": n_max},
                     residual, tol)
-            for pair, b, residual in zip(pairs, blocks, residuals)]
+            for pair, r, residual in zip(pairs, ranks, residuals)]
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     N: int
     upper: float
     lower: float

@@ -16,6 +16,7 @@ entry for entry.
 
 import math
 import tracemalloc
+from collections import Counter
 from functools import cache
 from itertools import accumulate, islice, repeat
 
@@ -37,6 +38,7 @@ from projpair.linalg import (
 from projpair.polynomials import poly_eval_real, poly_F, poly_PQ_recursive
 from projpair.projections import (
     AngleSpec,
+    DecompositionError,
     ProjectionPair,
     Provenance,
     halmos_decompose,
@@ -351,6 +353,83 @@ def test_nw_block_chunks_mix_ranks_of_f():
         assert bits(blocks.norm_D) == bits(norm_D)
 
 
+# --- certified relation gaps -----------------------------------------------------
+
+
+def scaled_g(pair, scale, shift=0.0):
+    """The pair with g replaced by scale g + shift f, no longer a projection."""
+    return ProjectionPair(pair.f, scale * pair.g + shift * pair.f, pair.dim, Provenance("scaled"))
+
+
+def exact_decomposition_error(pair, tol):
+    """The message and residuals of the DecompositionError that measuring every
+    relation gap of the pair raises, or None when that passes it."""
+    _, _, _, _, residuals, norm_D = serial_halmos_decompose(pair)
+    residuals = dict(residuals, norm_identity=abs(pair.norm_fg**2 - norm_D))
+    if max(residuals.values()) <= tol:
+        return None
+    return f"block relations violated beyond tol={tol:.3e}: {residuals}", residuals
+
+
+def test_certified_relations_leave_one_eigensolve_per_rank_for_norm_D(eigvalsh_calls):
+    # dim-8 pairs whose f has ranks 2, 4 and 6: every relation gap is
+    # rounding, which the Frobenius bound certifies, so each rank's stack
+    # makes one eigensolve, for ||D||; the residuals are measured when read
+    chunk = [pair for pair in random_pairs(8, list(range(40)))
+             if pair.provenance.params["rank_f"] in (2, 4, 6)][:9]
+    ranks = Counter(pair.provenance.params["rank_f"] for pair in chunk)
+    assert ranks.keys() == {2, 4, 6}
+    for pair in chunk:
+        pair.norm_fg  # the norm identity's ||fg||, measured beforehand
+    eigvalsh_calls.clear()
+    blocks = halmos_decompositions(chunk)
+    assert sorted(eigvalsh_calls) == sorted((count, r, r) for r, count in ranks.items())
+    for pair, block in zip(chunk, blocks):
+        D, _, _, _, residuals, norm_D = serial_halmos_decompose(pair)
+        assert bits(block.norm_D) == bits(norm_D)
+        assert {k: bits(v) for k, v in block.relation_residuals.items()} == {
+            k: bits(v) for k, v in residuals.items()}
+
+
+def test_uncertain_relations_are_measured_and_pass_within_tol(eigvalsh_calls):
+    # 16 cells at pi/4 make D, V and Dprime multiples of I_16, so scaling g by
+    # 1 + tol makes each relation gap about tol/2 I_16: its Frobenius norm,
+    # 2 tol, certifies nothing, but its norm, tol / 2, passes
+    tol = 1e-6
+    pair = scaled_g(angle_pair(*[math.pi / 4] * 16), 1.0 + tol)
+    pair.norm_fg
+    eigvalsh_calls.clear()
+    blocks = halmos_decompose(pair, tol)
+    assert len(eigvalsh_calls) == 3  # each relation, ||D|| with the range block's
+    assert exact_decomposition_error(pair, tol) is None
+    _, _, _, _, residuals, norm_D = serial_halmos_decompose(pair)
+    assert bits(blocks.norm_D) == bits(norm_D)
+    for name, residual in residuals.items():
+        assert tol / 4 < residual <= tol, name
+        assert bits(blocks.relation_residuals[name]) == bits(residual), name
+
+
+@pytest.mark.parametrize("scale, shift", [(1.0 + 4e-6, 0.0), (1.0, 1e-5)])
+def test_decomposition_error_matches_measuring_every_gap(scale, shift):
+    # scaling g breaks all three relations; shifting it by a multiple of f
+    # breaks the range and mixed ones and leaves the kernel one rounding,
+    # which the bound certifies, yet the message names its measured norm
+    tol = 1e-6
+    good = angle_pair(*[0.3] * 16)
+    bad = scaled_g(good, scale, shift)
+    other = scaled_g(rotated(good, 5), 1.0 + 1e-3)
+    message, residuals = exact_decomposition_error(bad, tol)
+    assert exact_decomposition_error(good, tol) is None
+    for chunk in ([bad], [good, bad, other]):
+        with pytest.raises(DecompositionError) as excinfo:
+            halmos_decompositions(chunk, tol)
+        assert str(excinfo.value) == message
+        assert {k: bits(v) for k, v in excinfo.value.residuals.items()} == {
+            k: bits(v) for k, v in residuals.items()}
+    if shift:
+        assert 0.0 < residuals["kernel_block"] < tol / 100
+
+
 # --- linalg stacks -----------------------------------------------------------------
 
 
@@ -409,25 +488,46 @@ def test_hermitian_eigens_check_each_matrix():
         hermitian_eigens(np.ones((2, 3, 4)))
 
 
-# coefficient lists of mixed lengths: zero polynomial, constants, inner zeros
-POLYS = [(), (0,), (3,), (0, 1), (1, 2, 3), (0, -3, 0, 0, 2), (5, 0, 0), (0, 0, 1), (-7, 1)]
+# coefficient lists of mixed lengths: zero polynomial, constants, inner zeros,
+# leading coefficients other than 1, as Q_n and F_n have, negative ones among
+# them
+POLYS = [(), (0,), (3,), (0, 1), (1, 2, 3), (0, -3, 0, 0, 2), (5, 0, 0), (0, 0, 1), (-7, 1),
+         (0, 0, 4, 4), (2, 0, -4), (1, 10, 5, 9, 0, -6)]
+# as many lists as POLYS, each of a different polynomial
+OTHER_POLYS = [tuple(c + 1 for c in p) for p in POLYS]
+
+
+def horner_parities(polys):
+    """The buffer parity each slice of length >= 2 starts at, in a pass over polys."""
+    top = max(map(len, polys))
+    return {(top - len(p)) % 2 for p in polys if len(p) >= 2}
 
 
 @pytest.mark.parametrize("dim", [1, 3, 24, 64])
 def test_mat_poly_evals_match_serial_horner(dim):
     rng = np.random.default_rng(dim)
     polys = POLYS + POLYS[::-1]
+    assert horner_parities(polys) == {0, 1}
     mats = random_complex(rng, (len(polys), dim, dim)) / math.sqrt(dim)
     assert len(polys) * mats[0].nbytes > STACK_BYTES or dim < 24  # 24 and 64 split
-    for values in (list(mat_poly_evals(polys, mats)), list(mat_poly_evals(polys, list(mats)))):
-        assert len(values) == len(polys)
-        for p, A, value in zip(polys, mats, values):
+    # a repeat call, which reuses the plan, and then, back to back, a list of
+    # as many other polynomials, which a plan keyed on less than the
+    # coefficients themselves would evaluate with the first list's plan
+    runs = [(polys, list(mat_poly_evals(polys, mats))),
+            (polys, list(mat_poly_evals(polys, list(mats)))),
+            (OTHER_POLYS * 2, list(mat_poly_evals(OTHER_POLYS * 2, mats)))]
+    for run_polys, values in runs:
+        assert len(values) == len(run_polys)
+        for p, A, value in zip(run_polys, mats, values):
             # equal entry for entry; a zero entry may differ in sign, because
             # the constant term now goes on the diagonal only, where the loop
-            # added c * I, and so +0.0, to every entry
+            # added c * I, and so +0.0, to every entry, and the first product
+            # is c * A, where the loop formed (c * I) @ A
             expected = serial_horner(p, A)
             assert value.shape == expected.shape
             assert np.array_equal(value, expected), p
+    for first, repeat in zip(runs[0][1], runs[1][1], strict=True):
+        assert first.tobytes() == repeat.tobytes()
 
 
 def test_mat_poly_evals_rejects_bad_input():
@@ -438,6 +538,48 @@ def test_mat_poly_evals_rejects_bad_input():
     with pytest.raises(ValueError, match="square"):
         list(mat_poly_evals([(1,)], [np.ones((2, 3))]))
     assert list(mat_poly_evals([], [])) == []
+
+
+def test_horner_pass_makes_length_minus_two_products_per_slice(monkeypatch):
+    # the first product of a slice of length L, (c I) @ A, is written as c A,
+    # so the pass multiplies L - 2 matrices for it: one stack per step, each
+    # stack holding every slice that multiplies at that step
+    products = []
+    real = np.matmul
+
+    def counting(a, b, *args, **kwargs):
+        products.append(len(a))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    mats = random_complex(np.random.default_rng(0), (len(POLYS), 3, 3))
+    for p, A in zip(POLYS, mats):
+        products.clear()
+        list(mat_poly_evals([p], [A]))
+        assert products == [1] * max(0, len(p) - 2), p
+    products.clear()
+    list(mat_poly_evals(POLYS, mats))
+    assert sum(products) == sum(max(0, len(p) - 2) for p in POLYS)
+    assert len(products) == max(map(len, POLYS)) - 2
+    # at the benchmark's n_max = 8: P_n and Q_n at fg, gf, fgf and gfg for
+    # n = 1..8 make 98 products, and F_0..F_8 at D make 28
+    terms = [poly for n in range(1, 9) for p, q in [poly_PQ_recursive(n)] for poly in (p, p, q, q)]
+    for polys, count in ((terms, 98), ([poly_F(n) for n in range(9)], 28)):
+        products.clear()
+        list(mat_poly_evals(polys, [np.eye(2)] * len(polys)))
+        assert sum(products) == count
+
+
+def test_horner_plans_once_per_list_in_a_bounded_cache():
+    linalg._horner_plan.cache_clear()
+    mats = random_complex(np.random.default_rng(1), (len(POLYS), 2, 2))
+    for polys in (POLYS, POLYS, OTHER_POLYS, POLYS, OTHER_POLYS):
+        list(mat_poly_evals(polys, mats))
+    info = linalg._horner_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
+    for i in range(linalg.HORNER_PLANS + 10):
+        list(mat_poly_evals([(i, 1)], mats[:1]))
+    assert linalg._horner_plan.cache_info().currsize == linalg.HORNER_PLANS
 
 
 # --- seeded construction -----------------------------------------------------------

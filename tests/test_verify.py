@@ -457,17 +457,18 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
     # Each check stacks its matrices of every degree, so a dim-4 trial makes
     # one Hermitian eigensolve per stack: 3 for its norms, 2 in
     # lemma_product_power (||fgf|| and the powers), 1 in lemma_commutator
-    # for ||u|| and 3 in halmos_decompose, where ||D|| shares the range-block
-    # residual's stack. Validation makes none: the Frobenius bound certifies
-    # both constructed members. The gap norms make 3 more: the Gram bounds
-    # leave lemma_product_power none to measure, and lemma_commutator,
-    # power_expansion and nw_block one each, their gap of largest bound.
-    # Measured one matrix at a time, it made 53. A chunk of pairs shares its
-    # stacks across its pairs: 3 norms per pair, 3 for the other checks, 3
-    # in halmos_decompositions for each rank of f among its pairs (seeds 0-3
-    # have ranks 3 and 2), and 3 for gaps, so 24 where trial by trial it
-    # made 53, and measuring every gap 26.
-    for trials, solves in ((1, 12), (4, 24)):
+    # for ||u|| and 1 in halmos_decompose, for ||D||: the Frobenius bound
+    # certifies its three relation gaps. Validation makes none: the same
+    # bound certifies both constructed members. The gap norms make 3 more:
+    # the Gram bounds leave lemma_product_power none to measure, and
+    # lemma_commutator, power_expansion and nw_block one each, their gap of
+    # largest bound. Measured one matrix at a time, it made 53. A chunk of
+    # pairs shares its stacks across its pairs: 3 norms per pair, 3 for the
+    # other checks, 1 in halmos_decompositions for each rank of f among its
+    # pairs (seeds 0-3 have ranks 3 and 2), and 3 for gaps, so 20 where
+    # trial by trial it made 53, measuring every relation gap 24, and
+    # measuring every gap as well 26.
+    for trials, solves in ((1, 10), (4, 20)):
         eigvalsh_calls.clear()
         report = run_trials(TrialConfig(dims=(4,), trials=trials, base_seed=0))
         assert report.verdict == "pass"
@@ -475,14 +476,16 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
 
 
 def test_large_campaign_solves_few_gap_norms(eigvalsh_calls):
-    # One dim-64 and one dim-96 trial, each a chunk of one pair: 31
+    # One dim-64 and one dim-96 trial, each a chunk of one pair: 26
     # eigensolves for norms that are not pure gaps, and 5 for gaps, all in
     # the dim-64 trial: each check's floor is its campaign maximum, and the
-    # dim-64 maxima cover every gap of the dim-96 trial. Measuring every gap
-    # took 66 (97 in all), and floors kept per dim took 10 (41 in all)
+    # dim-64 maxima cover every gap of the dim-96 trial. halmos_decompose
+    # measures only ||D||, the Frobenius bound certifying its relation gaps;
+    # measuring them took 5 more (36 in all). Measuring every gap took 66
+    # (97 in all), and floors kept per dim took 10 (41 in all)
     report = run_trials(TrialConfig(dims=(64, 96), trials=1, base_seed=0))
     assert report.verdict == "pass"
-    assert len(eigvalsh_calls) == 36
+    assert len(eigvalsh_calls) == 31
 
 
 def exact_checks(monkeypatch):
