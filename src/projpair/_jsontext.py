@@ -1,6 +1,7 @@
 # src/projpair/_jsontext.py
 """The package's one JSON writer: json.dumps(payload, indent=2,
-sort_keys=True), byte for byte, at about the cost of the compact C encoder.
+sort_keys=True) for dict keys of type str, byte for byte, at about the cost
+of the compact C encoder.
 
 An indent sends json.dumps to its pure-Python encoder, one generator step per
 value. Here the layout and the strings are written in Python, but every
@@ -29,8 +30,9 @@ _SLOT = "\0"
 
 
 def json_text(payload) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True). Tuples are written as
-    lists, and a value json.dumps rejects raises TypeError here too; a
+    """json.dumps(payload, indent=2, sort_keys=True); a dict key whose type is
+    not str, a str subclass included, raises TypeError. Tuples are written as
+    lists, a value json.dumps rejects raises TypeError here too, and a
     circular payload exhausts the recursion limit instead of raising
     ValueError."""
     parts: list[str] = []
@@ -94,21 +96,18 @@ def _lay_out_dict(mapping: dict, nl: str, parts: list[str], scalars: list) -> No
     if not mapping:
         parts.append("{}")
         return
-    if _all_str(map(type, mapping)):
-        keys = sorted(mapping)
-        values = list(map(mapping.__getitem__, keys))
-        if _SCALARS.issuperset(map(type, values)):
-            parts.append(_flat_dict(keys, nl))
-            scalars.extend(values)
-            return
-        items = zip(map(_encode_str, keys), values)
-    else:
-        # json.dumps sorts the raw keys, then converts them (or raises)
-        items = ((_key_text(key), value) for key, value in sorted(mapping.items()))
+    if not _all_str(map(type, mapping)):
+        raise TypeError("json_text writes only dict keys of type str")
+    keys = sorted(mapping)
+    values = list(map(mapping.__getitem__, keys))
+    if _SCALARS.issuperset(map(type, values)):
+        parts.append(_flat_dict(keys, nl))
+        scalars.extend(values)
+        return
     inner = nl + "  "
     sep = "{" + inner
-    for key, value in items:
-        parts.append(sep + key + ": ")
+    for key, value in zip(keys, values):
+        parts.append(sep + _encode_str(key) + ": ")
         sep = "," + inner
         _lay_out(value, inner, parts, scalars)
     parts.append(nl + "}")
@@ -142,13 +141,3 @@ def _row_keys(rows) -> list[str] | None:
         return None
     return sorted(keys)
 
-
-def _key_text(key) -> str:
-    """A dict key's text as json.dumps writes it: str, int, float, bool and
-    None keys become JSON strings, any other key raises TypeError."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):
-        return _encode_str(_encode_scalars(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")

@@ -54,6 +54,8 @@ POLY_MAX_N = {"P": 200, "Q": 200, "F": 200, "A": 100, "B": 100}
 # The approximant's arrays grow with the grid: 10**6 already takes ~5 s and
 # ~400 MiB, and 10**8 exhausts the memory of an 8 GiB host.
 UNIVERSAL_MAX_GRID = 10**6
+# bounds holds ~1.5 KB per row: 10**6 rows peak near 1.5 GB, 10**7 need ~15 GB.
+BOUNDS_MAX_N = 10**6
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -175,6 +177,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.max_n > BOUNDS_MAX_N:
+        raise ValueError(f"--max-n must be at most {BOUNDS_MAX_N}, got {args.max_n}")
     table = bound_sequences(args.a, args.max_n)
     if args.format == "json":
         payload = {

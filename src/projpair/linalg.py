@@ -87,8 +87,6 @@ def _stack_eigen(mats) -> list[EigenDecomposition]:
     n = stack.shape[-1]
     if stack.shape[1] != n:
         raise ValueError(f"matrix must be square, got shape {stack.shape[1:]}")
-    if n == 0:
-        return [EigenDecomposition(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))] * len(stack)
     for A in stack:
         tol = HERM_TOL * max(1.0, float(np.linalg.norm(A)))
         residual = float(np.linalg.norm(A - adjoint(A)))
@@ -124,13 +122,6 @@ def spectral_norms(mats) -> list[float]:
     matrices have norm 0.0.
     """
     return [norm for part in stack_slices(mats) for norm in gram_norms(grams(mats[part]))]
-
-
-def max_spectral_norm(stack: np.ndarray) -> float:
-    """Largest operator norm in a stack (..., m, n) of matrices, which is the
-    norm of their direct sum; a 2-D argument is a stack of one."""
-    stack = np.asarray(stack)
-    return max(spectral_norms(stack.reshape(math.prod(stack.shape[:-2]), *stack.shape[-2:])))
 
 
 def stack_capacity(shape: tuple) -> int:

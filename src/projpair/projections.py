@@ -17,7 +17,6 @@ from .linalg import (
     as_matrix,
     as_stack,
     hermitian_eigens,
-    max_spectral_norm,
     spectral_norm,
     spectral_norms,
     stack_slices,
@@ -401,13 +400,6 @@ def _relation_gaps(D: np.ndarray, V: np.ndarray, Dp: np.ndarray) -> dict[str, np
     }
 
 
-def block_relation_residuals(blocks: HalmosBlocks) -> dict[str, float]:
-    """Residuals of the three relations projectionhood of g imposes on the
-    blocks, from the blocks themselves: a recomputation of relation_residuals."""
-    return {name: spectral_norm(gap)
-            for name, gap in _relation_gaps(blocks.D, blocks.V, blocks.Dprime).items()}
-
-
 def halmos_decompose(pair: ProjectionPair, tol: float = 1e-9) -> HalmosBlocks:
     """Split g into blocks relative to range(f) + its orthogonal complement.
 
@@ -494,7 +486,7 @@ class UniversalPairApprox:
         """||pq||, ||pq - qp|| and ||pq + qp||, each measured once."""
         f, g = _angle_cells(self.angles)
         pq, qp = np.matmul(f, g), np.matmul(g, f)
-        return max_spectral_norm(pq), max_spectral_norm(pq - qp), max_spectral_norm(pq + qp)
+        return max(spectral_norms(pq)), max(spectral_norms(pq - qp)), max(spectral_norms(pq + qp))
 
     def norm_product(self) -> float:
         return self._norms[0]

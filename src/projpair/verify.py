@@ -112,19 +112,19 @@ class _Gaps:
     """The pure gap terms of one stacked check: norms of matrices that vanish
     in exact arithmetic, each adding ||X|| / scale to its pair's residual.
 
-    With no floor every term is measured by spectral_norms as it comes. With a
-    floor, the campaign's largest residual so far for the check, a term is
+    One loop forms each stack's Grams as spectral_norms does; with no floor,
+    or a Gram whose Frobenius bound is inf, it measures the stack whole. With
+    a floor, the campaign's largest residual so far for the check, a term is
     measured only if it can raise a residual above min(tol, limit), where
     limit is the floor or the largest value measured so far, whichever is
     larger: no such term can set the campaign's maximum or fail a trial that
     would pass, so the report keeps its bytes, while a trial's residual may
-    fall short of its exact value. Each stack's Grams are formed as
-    spectral_norms forms them, and a term whose Frobenius bound does not
-    certify it is held as a one-Gram view of its stack. Held terms keep their
-    stacks alive until finish(), so a floored check's memory grows with its
-    number of degrees. finish() takes the held terms in descending order of
-    their bounds: it measures the first, then each later one whose tighter
-    Gram-moment bound the limit reached by then does not cover.
+    fall short of its exact value; a term its bound does not certify is held
+    as a one-Gram view of its stack. Held terms keep their stacks alive until
+    finish(), so a floored check's memory grows with its number of degrees.
+    finish() takes the held terms in descending order of their bounds: it
+    measures the first, then each later one whose tighter Gram-moment bound
+    the limit reached by then does not cover.
     """
 
     def __init__(self, residuals: list[float], tol: float, floor: float | None):
@@ -133,19 +133,15 @@ class _Gaps:
 
     def add(self, mats, owners, scales) -> None:
         """Terms ||mats[j]|| / scales[j] of pairs owners[j]."""
-        if self.floor is None:
-            for owner, scale, norm in zip(owners, scales, spectral_norms(mats)):
-                self._record(owner, norm / scale)
-            return
         for part in stack_slices(mats):
             gram = grams(mats[part])
-            bounds = gram_bounds(gram).tolist()
-            terms = list(zip(owners[part], scales[part], bounds))
-            if math.inf in bounds:  # an uncertain Gram is measured, raising, as spectral_norms would
-                for (owner, scale, _), norm in zip(terms, gram_norms(gram)):
+            bounds = [math.inf] if self.floor is None else gram_bounds(gram).tolist()
+            if math.inf in bounds:  # measured whole, raising, as spectral_norms would
+                for owner, scale, norm in zip(owners[part], scales[part], gram_norms(gram)):
                     self._record(owner, norm / scale)
                 continue
             cut = min(self.tol, max(self.floor, *self.residuals))
+            terms = zip(owners[part], scales[part], bounds)
             self.held += [(bound / scale, gram[j : j + 1], owner, scale)
                           for j, (owner, scale, bound) in enumerate(terms) if bound / scale > cut]
 

@@ -12,7 +12,6 @@ import time
 from projpair.linalg import spectral_norm
 from projpair.polynomials import poly_AB, poly_F, poly_F_closed, poly_PQ_closed, poly_PQ_recursive
 from projpair.projections import (
-    block_relation_residuals,
     halmos_decompose,
     random_pair,
     reference_2x2_pair,
@@ -123,7 +122,7 @@ def test_criterion_06_halmos_decomposition():
         for _ in range(100):
             pair = random_pair(dim, 60_000 + count)
             blocks = halmos_decompose(pair, tol=1e-9)
-            residuals = block_relation_residuals(blocks)
+            residuals = blocks.relation_residuals
             norm_gap = abs(
                 spectral_norm(pair.f @ pair.g) ** 2 - spectral_norm(blocks.D)
             )

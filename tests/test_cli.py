@@ -308,6 +308,19 @@ def test_bounds_rejects_out_of_range(capsys):
     assert run(capsys, "bounds", "--a", "0.5", "--max-n", "0")[0] == 2
 
 
+def test_bounds_rejects_oversized_max_n_before_computing_rows(capsys, monkeypatch):
+    # 10**7 rows would need about 15 GB; no row may be computed at all
+    def refuse(a, max_n):
+        raise AssertionError(f"computed {max_n} rows")
+
+    monkeypatch.setattr(cli, "bound_sequences", refuse)
+    for max_n in (cli.BOUNDS_MAX_N + 1, 10**7):
+        code, out, err = run(capsys, "bounds", "--a", "0.5", "--max-n", str(max_n))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --max-n must be at most {cli.BOUNDS_MAX_N}, got {max_n}\n"
+
+
 # --- counterexample ---------------------------------------------------------------
 
 
@@ -382,13 +395,13 @@ def test_universal_k2_two_cells(capsys):
 
 def test_universal_measures_each_stack_norm_once(capsys, monkeypatch):
     measured = []
-    real = projections.max_spectral_norm
+    real = projections.spectral_norms
 
     def recording(m):
         measured.append(np.array(m, copy=True))
         return real(m)
 
-    monkeypatch.setattr(projections, "max_spectral_norm", recording)
+    monkeypatch.setattr(projections, "spectral_norms", recording)
     code, _, _ = run(capsys, "universal", "--grid-size", "7")
     assert code == 0
     f, g = _angle_cells(universal_pair_approx(7).angles)

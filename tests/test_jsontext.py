@@ -61,9 +61,6 @@ def test_json_text_matches_json_dumps(value):
     {"1%": 1, "a, b": [0.5, "x, y%s"], "é": {"ü": None}},
     [{"a": 1, "b": 2.5}, {"b": -0.0, "a": True}],  # equal keys, another order
     [{"a": 1}, {"b": 2}, {}],
-    {0: "int", 2.5: "float", True: "bool"},
-    {None: "null"},
-    {math.nan: 1, math.inf: [2]},
     {"x": np.float64(0.1), "y": [np.float64(-0.0)]},  # float subclasses
     (1, (2, ()), {"t": (3.5,)}),
     [[], {}, [[]], [{}]],
@@ -90,4 +87,17 @@ def test_json_text_raises_type_error_where_json_dumps_does(value):
     with pytest.raises(TypeError):
         dumps(value)
     with pytest.raises(TypeError):
+        json_text(value)
+
+
+@pytest.mark.parametrize("value", [
+    {0: "int", 2.5: "float", True: "bool"},
+    {None: "null"},
+    {math.nan: 1, math.inf: [2]},
+    {np.str_("a"): 1},
+])
+def test_json_text_raises_type_error_on_keys_that_are_not_str(value):
+    # json.dumps writes these keys as strings; json_text writes keys of type str only
+    dumps(value)
+    with pytest.raises(TypeError, match="only dict keys of type str"):
         json_text(value)

@@ -14,7 +14,6 @@ from projpair.projections import (
     DecompositionError,
     ProjectionPair,
     Provenance,
-    block_relation_residuals,
     halmos_decompose,
     load_pair_json,
     pair_from_angles,
@@ -360,7 +359,7 @@ def test_decompose_reassembles_pair():
 def test_decompose_relation_residuals_small():
     for seed in range(20):
         blocks = halmos_decompose(random_pair(16, 1000 + seed))
-        residuals = block_relation_residuals(blocks)
+        residuals = blocks.relation_residuals
         assert max(residuals.values()) <= 1e-9
 
 

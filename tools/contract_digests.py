@@ -114,6 +114,8 @@ FAILING = (
     "decompose --input hostile2.json",
     # one past UNIVERSAL_MAX_GRID, rejected before any grid is built
     "universal --grid-size 1000001",
+    # one past BOUNDS_MAX_N, rejected before any row is computed
+    "bounds --a 0.5 --max-n 1000001",
 )
 
 
