@@ -61,6 +61,10 @@ def test_json_text_matches_json_dumps(value):
     {"1%": 1, "a, b": [0.5, "x, y%s"], "é": {"ü": None}},
     [{"a": 1, "b": 2.5}, {"b": -0.0, "a": True}],  # equal keys, another order
     [{"a": 1}, {"b": 2}, {}],
+    # the keys json.dumps writes for 0, 2.5, True and None, given here as str
+    {"0": "int", "2.5": "float", "true": "bool"},
+    {"null": "null"},
+    {"NaN": math.nan, "Infinity": [math.inf, -math.inf]},  # non-finite values
     {"x": np.float64(0.1), "y": [np.float64(-0.0)]},  # float subclasses
     (1, (2, ()), {"t": (3.5,)}),
     [[], {}, [[]], [{}]],
