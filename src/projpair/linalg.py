@@ -223,6 +223,43 @@ def gram_moment_bounds(gram: np.ndarray) -> np.ndarray:
     return np.sqrt(size) * roots * (1.0 + GRAM_MARGIN)
 
 
+# Below this Frobenius norm no entry or partial sum of a Gram A*A overflows,
+# each being at most ||A||_F^2 in size, so spectral_norms raises nothing for a
+# stack of finite matrices whose bounds all lie below it.
+_GRAM_SAFE = 2.0**500
+
+
+def largest_norm(mats) -> float:
+    """max(spectral_norms(mats)), bit for bit and with the same exceptions,
+    from an eigensolve of only the matrices that can reach it.
+
+    By the margin argument of gram_bounds, (1 + GRAM_MARGIN) ||X||_F is at
+    least the norm spectral_norms computes for X. So the first matrix with the
+    largest bound is measured, and then every other matrix whose bound is at
+    least that norm, a stack of at most STACK_BYTES at a time; the rest cannot
+    be the maximum. Equal positive norms have equal bits, so the order they
+    are met in does not matter. A stack that is not a (k, m, n) array of
+    finite matrices whose Grams cannot overflow, or whose first norm is not
+    positive, is measured whole, in index order, so its exceptions and the
+    sign of a zero result are those of spectral_norms.
+    """
+    try:
+        stack = as_stack(mats)
+    except ValueError:  # not one (k, m, n) array: spectral_norms says why
+        return max(spectral_norms(mats))
+    bounds = _frobenius(stack) * (1.0 + GRAM_MARGIN)
+    if len(stack) and (bounds < _GRAM_SAFE).all():
+        first = int(np.argmax(bounds))
+        top = spectral_norms(stack[first : first + 1])[0]
+        if top > 0.0:
+            rest = np.flatnonzero(bounds >= top)
+            rest = rest[rest != first]
+            step = stack_capacity(stack.shape[1:])
+            return max([top, *(max(spectral_norms(stack[rest[i : i + step]]))
+                               for i in range(0, len(rest), step))])
+    return max(spectral_norms(stack))
+
+
 # Below this sum of squares, or at inf or nan, _frobenius scales a matrix by
 # its largest entry first; at or above it, the squares that underflow change
 # the sum by at most 2 n^2 2^-1022, a relative 2^-421 n^2.

@@ -133,9 +133,13 @@ class SqrtRingPolynomial:
         return IntPolynomial._from_ints(_exact_half(nums[0::2]))
 
 
-def _binom_power(c: int, k: int) -> list[int]:
-    # Exact coefficients of (s + c)**k, index = power of s.
-    return [math.comb(k, j) * c ** (k - j) for j in range(k + 1)]
+def _binom_rows(k: int) -> tuple[list[int], list[int]]:
+    """Exact coefficients of (s + 1)**k and (s - 1)**k, index = power of s:
+    the second row is the first with the sign of every power s**j flipped
+    where k - j is odd."""
+    plus = [math.comb(k, j) for j in range(k + 1)]
+    minus = [c if (k - j) % 2 == 0 else -c for j, c in enumerate(plus)]
+    return plus, minus
 
 
 def poly_PQ_recursive(n: int) -> tuple[IntPolynomial, IntPolynomial]:
@@ -185,8 +189,7 @@ def poly_PQ_closed(n: int) -> tuple[IntPolynomial, IntPolynomial]:
     if n < 1:
         raise ValueError(f"family is defined for n >= 1, got {n}")
     m = n - 1
-    plus = _binom_power(1, m)
-    minus = _binom_power(-1, m)
+    plus, minus = _binom_rows(m)
     p_num = [0] * (m + 2) + [a + b for a, b in zip(plus, minus)]
     q_num = [0] * (m + 1) + [a - b for a, b in zip(plus, minus)]
     p = SqrtRingPolynomial(tuple(p_num)).to_int_polynomial()
@@ -221,8 +224,7 @@ def poly_F_closed(n: int) -> IntPolynomial:
     """
     if n < 0:
         raise ValueError(f"family is defined for n >= 0, got {n}")
-    plus = _binom_power(1, n + 1)
-    minus = _binom_power(-1, n + 1)
+    plus, minus = _binom_rows(n + 1)
     num = [0] * n + [a - b for a, b in zip(plus, minus)]
     return SqrtRingPolynomial(tuple(num)).to_int_polynomial()
 

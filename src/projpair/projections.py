@@ -17,6 +17,7 @@ from .linalg import (
     as_matrix,
     as_stack,
     hermitian_eigens,
+    largest_norm,
     spectral_norm,
     spectral_norms,
     stack_slices,
@@ -474,8 +475,9 @@ class UniversalPairApprox:
 
     Norm queries run blockwise (the norm of a direct sum is the max over
     blocks), so large grids never materialize a dense matrix. The first query
-    forms the product stacks and measures all three norms; later queries read
-    them.
+    forms the product stacks and measures all three norms, each by
+    largest_norm, which eigensolves only the cells whose Frobenius bound can
+    reach the largest; later queries read them.
     """
 
     angles: tuple[float, ...]
@@ -486,7 +488,7 @@ class UniversalPairApprox:
         """||pq||, ||pq - qp|| and ||pq + qp||, each measured once."""
         f, g = _angle_cells(self.angles)
         pq, qp = np.matmul(f, g), np.matmul(g, f)
-        return max(spectral_norms(pq)), max(spectral_norms(pq - qp)), max(spectral_norms(pq + qp))
+        return largest_norm(pq), largest_norm(pq - qp), largest_norm(pq + qp)
 
     def norm_product(self) -> float:
         return self._norms[0]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projpair import linalg
 from projpair.linalg import (
     GRAM_MARGIN,
     NonHermitianError,
@@ -15,11 +16,12 @@ from projpair.linalg import (
     gram_norms,
     grams,
     hermitian_eigen,
+    largest_norm,
     mat_poly_eval,
     spectral_norm,
     spectral_norms,
 )
-from projpair.projections import reference_2x2_pair
+from projpair.projections import _angle_cells, reference_2x2_pair, universal_pair_approx
 
 # Accuracy the eigensolver is held to (residuals, orthonormality).
 EIG_TOL = 1e-9
@@ -247,6 +249,142 @@ def test_gram_bounds_certify_nothing_for_non_finite_or_subnormal_grams():
         with np.errstate(over="ignore", invalid="ignore"):
             overflowed = grams(np.full((1, 2, 2), 1e200, dtype=complex))
         assert bound(overflowed).tolist() == [math.inf]
+
+
+# --- largest_norm ---------------------------------------------------------------
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """Every matrix largest_norm hands to spectral_norms, in order."""
+    mats = []
+    real = linalg.spectral_norms
+
+    def recording(stack):
+        mats.extend(np.array(stack, copy=True))
+        return real(stack)
+
+    monkeypatch.setattr(linalg, "spectral_norms", recording)
+    return mats
+
+
+def measured_indices(measured, stack) -> list[int]:
+    """The position in stack of each measured matrix, whose entries must
+    match exactly one of stack's."""
+    indices = []
+    for m in measured:
+        (hits,) = np.nonzero([np.array_equal(m, x) for x in stack])
+        assert len(hits) == 1
+        indices.append(int(hits[0]))
+    return indices
+
+
+def outcome(fn, stack):
+    """fn(stack) as the hex of its value, or the type and text of what it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(stack).hex()
+    except Exception as exc:  # noqa: BLE001  (the exception itself is compared)
+        return type(exc), str(exc)
+
+
+def full_max(stack) -> float:
+    return max(spectral_norms(stack))
+
+
+@pytest.mark.parametrize("grid", [1, 2, 3, 4, 7, 8, 999, 1000, 4096, 10**5])
+def test_largest_norm_matches_the_full_maximum_on_the_universal_stacks(grid):
+    f, g = _angle_cells(universal_pair_approx(grid).angles)
+    pq, qp = np.matmul(f, g), np.matmul(g, f)
+    for stack in (pq, pq - qp, pq + qp):
+        assert largest_norm(stack).hex() == full_max(stack).hex()
+
+
+def near_tie_stacks():
+    """Seeded stacks, some spanning several STACK_BYTES stacks, with planted
+    near-ties at random positions: a top matrix and copies of it scaled by
+    1 - d for d of a few rounding steps, and a rank-1 matrix of the top's
+    norm, whose bound is its norm times 1 + GRAM_MARGIN, scaled by 1 - d for
+    d from -1 rounding step to past the margin."""
+    rng = np.random.default_rng(29)
+    for k, m, n in ((300, 2, 2), (3000, 2, 2), (200, 3, 5), (150, 8, 8), (12, 64, 64)):
+        stack = random_complex(rng, (k, m, n)) * 0.1
+        top = random_complex(rng, (m, n))
+        rank_one = np.outer(random_complex(rng, m), random_complex(rng, n))
+        rank_one *= spectral_norm(top) / spectral_norm(rank_one)
+        planted = [top, *(top * (1 - d) for d in (2**-53, 1e-15, 1e-12))]
+        planted += [rank_one * (1 - d) for d in (-(2**-52), 0, 2**-52, 0.005, 0.0099, 0.0101, 0.02)]
+        positions = rng.choice(k, size=len(planted), replace=False)
+        stack[positions] = planted
+        yield stack
+
+
+@pytest.mark.parametrize("stack", list(near_tie_stacks()), ids=lambda s: "x".join(map(str, s.shape)))
+def test_largest_norm_matches_the_full_maximum_on_near_ties_measuring_each_once(stack, measured):
+    value = largest_norm(stack)
+    indices = measured_indices(measured, stack)
+    assert value.hex() == full_max(stack).hex()
+    assert len(set(indices)) == len(indices) < len(stack)
+
+
+def zero_norm_stacks():
+    """Stacks whose norms are all zero: filled with 0.0, -0.0 or -0.0 - 0.0j,
+    or with entries so small that every Gram underflows to zero although the
+    Frobenius bounds, the largest not the first, are positive."""
+    stacks = {repr(fill): np.full((5, 3, 2), fill, dtype=complex)
+              for fill in (0.0, -0.0, complex(-0.0, -0.0))}
+    tiny = random_complex(np.random.default_rng(5), (5, 3, 2)) * 1e-170
+    tiny[3] *= 4
+    stacks["underflowing Grams"] = tiny
+    return stacks
+
+
+@pytest.mark.parametrize("name", list(zero_norm_stacks()))
+def test_largest_norm_of_a_zero_norm_stack_measures_it_whole(name, measured):
+    stack = zero_norm_stacks()[name]
+    value = largest_norm(stack)
+    first = 3 if name == "underflowing Grams" else 0
+    # the largest bound's matrix, then the whole stack in index order
+    np.testing.assert_array_equal(np.stack(measured), stack[[first, 0, 1, 2, 3, 4]])
+    assert repr(value) == repr(full_max(stack)) == "0.0"
+
+
+def hostile_stacks():
+    """Stacks spectral_norms rejects, or whose rejection depends on which
+    STACK_BYTES stack (of 1024 2 x 2 matrices) it meets first, or that give
+    a matrix no finite bound (a subnormal largest entry)."""
+    eye = np.eye(2, dtype=complex)
+    stacks = {}
+    for name, entry in (("nan", np.nan), ("inf", np.inf), ("overflow", 1e200),
+                        ("near overflow", 1e160)):
+        stack = np.tile(eye, (3000, 1, 1))
+        stack[1700, 0, 1] = entry
+        stacks[name] = stack
+    stack = np.tile(eye, (3000, 1, 1))
+    stack[1700] = 5e-324
+    stacks["subnormal matrix"] = stack
+    stack = np.tile(eye, (3000, 1, 1))
+    stack[100, 1, 0], stack[2500, 0, 0] = 1e200, np.nan
+    stacks["overflow, then nan"] = stack
+    stack = np.tile(eye, (3000, 1, 1))
+    stack[100, 1, 0], stack[2500, 0, 0] = np.nan, 1e200
+    stacks["nan, then overflow"] = stack
+    # at dim 3 (455 matrices a stack) a Gram of 5e153 entries gives an inf
+    # top, OverflowError, and one of 1e200 entries stops eigvalsh converging
+    stack = np.tile(np.eye(3, dtype=complex), (1000, 1, 1))
+    stack[100], stack[700] = 5e153, 1e200
+    stacks["overflow, then no convergence, at dim 3"] = stack
+    stacks["empty stack"] = np.zeros((0, 2, 2), dtype=complex)
+    stacks["no matrices"] = []
+    stacks["unequal shapes"] = [eye, np.eye(3)]
+    stacks["one matrix, not a stack"] = eye
+    return stacks
+
+
+@pytest.mark.parametrize("name", list(hostile_stacks()))
+def test_largest_norm_raises_what_spectral_norms_raises(name):
+    stack = hostile_stacks()[name]
+    assert outcome(largest_norm, stack) == outcome(full_max, stack)
 
 
 # --- mat_poly_eval --------------------------------------------------------------
