@@ -121,7 +121,7 @@ def spectral_norms(mats) -> list[float]:
     gets one finiteness check, one Gram product and one eigensolve. Size-0
     matrices have norm 0.0.
     """
-    return [norm for part in stack_slices(mats) for norm in gram_norms(grams(mats[part]))]
+    return [norm for part in stack_slices(mats) for norm in stack_norms(*grams(mats[part]))]
 
 
 def stack_capacity(shape: tuple) -> int:
@@ -161,17 +161,20 @@ def _finite_stack(mats) -> np.ndarray:
     return stack
 
 
-def grams(mats) -> np.ndarray:
-    """A*A for each matrix A of one stack: `mats` is a (k, m, n) array or a
-    sequence of equally shaped matrices, whose entries must be finite.
-    spectral_norms measures each stack as gram_norms(grams(stack))."""
+def grams(mats) -> tuple[np.ndarray, np.ndarray]:
+    """One stack as a (k, m, n) array and A*A for each of its matrices A:
+    `mats` is a (k, m, n) array or a sequence of equally shaped matrices,
+    whose entries must be finite. spectral_norms measures each stack as
+    stack_norms(*grams(stack))."""
     stack = _finite_stack(mats)
-    return np.matmul(adjoint(stack), stack)
+    return stack, np.matmul(adjoint(stack), stack)
 
 
 def gram_norms(gram: np.ndarray) -> list[float]:
     """sqrt of the top eigenvalue of each Gram matrix A*A of a stack, that is
-    ||A||: one eigensolve for the stack. Size-0 Grams give 0.0.
+    ||A||: one eigensolve for the stack. Size-0 Grams give 0.0. A top below
+    2^-960 may have lost A's digits to underflow; stack_norms measures such
+    an A again.
 
     A top that is not finite means the Gram of a finite matrix overflowed;
     that raises OverflowError rather than pass on a nan or inf norm."""
@@ -189,6 +192,36 @@ def gram_norms(gram: np.ndarray) -> list[float]:
     return [math.sqrt(top) if top >= 0.0 else 0.0 for top in tops]
 
 
+# Below this norm a Gram's top lies below 2^-960. At or above it, the
+# products of entries of A that underflow, each off by at most 2^-1075, shift
+# the top of an m x n A's Gram by a relative m n 2^-115 at most, far below
+# the eigensolve's rounding.
+_UNDERFLOW_NORM = 2.0**-480
+
+
+def stack_norms(stack: np.ndarray, gram: np.ndarray) -> list[float]:
+    """||A|| for each matrix A of a stack, given their Grams: gram_norms(gram),
+    except that a nonzero A whose norm there lies below _UNDERFLOW_NORM, its
+    Gram perhaps underflowed, is measured again scaled by a power of two to a
+    largest entry near 1, and its norm scaled back. This is the rule of
+    spectral_norms."""
+    norms = gram_norms(gram)
+    if min(norms, default=math.inf) < _UNDERFLOW_NORM:
+        for j, norm in enumerate(norms):
+            if norm < _UNDERFLOW_NORM and stack[j].any():
+                norms[j] = _scaled_norm(stack[j])
+    return norms
+
+
+def _scaled_norm(A: np.ndarray) -> float:
+    """||A|| for a nonzero A: A times 2^-e, for e the exponent of its largest
+    entry, is measured and the norm times 2^e. Scaling by a power of two is
+    exact, so only the eigensolve rounds."""
+    exponent = math.frexp(float(np.abs(A).max()))[1]
+    parts = np.ldexp(np.ascontiguousarray(A).view(np.float64), -exponent)
+    return math.ldexp(gram_norms(grams(parts.view(np.complex128)[np.newaxis])[1])[0], exponent)
+
+
 # Relative slack of the Gram bounds below over the norm gram_norms computes
 # from the same Gram G = A*A. eigvalsh is backward stable: its top eigenvalue
 # is within p(n) eps ||G||_2 of G's, p a modest polynomial (LAPACK Users'
@@ -196,6 +229,10 @@ def gram_norms(gram: np.ndarray) -> list[float]:
 # errors of at most about n^2 eps. Both stay far below 1% for any n a dense
 # matrix can have, and the square and fourth roots shrink them further.
 GRAM_MARGIN = 0.01
+# A Gram whose gram_bounds bound is at least this has a top of at least
+# 2^-960, since ||G||_2 >= ||G||_F / sqrt(n), for any n below 2^38: its
+# gram_norms norm is the one stack_norms gives.
+GRAM_UNDERFLOW_BOUND = 2.0**-470
 
 
 def gram_bounds(gram: np.ndarray) -> np.ndarray:
@@ -271,14 +308,19 @@ def _frobenius(mats: np.ndarray) -> np.ndarray:
     non-finite entry or its largest entry is subnormal."""
     parts = np.ascontiguousarray(mats).reshape(len(mats), math.prod(mats.shape[1:]))
     parts = parts.view(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.einsum("ki,ki->k", parts, parts)
-        size = np.sqrt(squares)
-        for i in np.flatnonzero(~((squares >= _SAFE_SQUARES) & (squares < np.inf))):
-            top = float(np.abs(mats[i]).max(initial=0.0))
-            if top == 0.0:
-                size[i] = 0.0
-            elif not np.finfo(np.float64).tiny <= top < np.inf:  # nan fails both
+    squares = np.einsum("ki,ki->k", parts, parts)  # einsum raises no floating-point warning
+    size = np.sqrt(squares)
+    # nan fails both tests; an all-zero stack, such as the P - P* of
+    # Hermitian matrices P, keeps its sizes 0.0
+    if squares.min(initial=np.inf) >= _SAFE_SQUARES and squares.max(initial=0.0) < np.inf:
+        return size
+    if not parts.any():
+        return size
+    unsafe = ~((squares >= _SAFE_SQUARES) & (squares < np.inf))
+    with np.errstate(over="ignore", invalid="ignore"):  # |z| of a huge entry overflows
+        for i in np.flatnonzero(unsafe & parts.any(axis=1)):  # all-zero matrices keep 0.0
+            top = float(np.abs(mats[i]).max())
+            if not np.finfo(np.float64).tiny <= top < np.inf:  # nan fails both
                 size[i] = np.inf
             else:
                 size[i] = top * np.linalg.norm(mats[i] / top)

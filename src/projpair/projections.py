@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 
 from ._jsontext import json_text
 from .linalg import (
+    _frobenius,
     adjoint,
     as_matrix,
     as_stack,
@@ -163,22 +165,23 @@ def projection_failures(mats, tol: float = PROJ_TOL) -> list[tuple[int, Validati
 def _certified(gaps: np.ndarray, tol: float) -> np.ndarray:
     """Whether each matrix X of a stack has ||X|| <= tol for certain, with no
     eigensolve: since ||X|| <= ||X||_F, when ||X||_F <= tol / 2; the factor 2
-    covers the rounding of the Frobenius sum and of the eigensolve. A norm
-    that overflows, or is nan, certifies nothing, and the exact measurement
-    then raises, or warns, as it would alone."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.norm(gaps, axis=(1, 2)) <= tol / 2
+    covers the rounding of the Frobenius sum and of the eigensolve. _frobenius
+    rescales entries whose squares underflow; a matrix with a non-finite
+    entry certifies nothing, and the exact measurement then raises, or warns,
+    as it would alone."""
+    return _frobenius(gaps) <= tol / 2
 
 
 def _projection_gaps(mats) -> tuple[np.ndarray, np.ndarray]:
     """P^2 - P and P - P* for a stack of square matrices P, each formed in
-    the buffer of P^2 or P*."""
+    the buffer of P^2 or of P*, which is laid out row-major, as _frobenius
+    reads it without a copy."""
     P = np.asarray(mats, dtype=np.complex128)
     if P.ndim != 3 or P.shape[1] != P.shape[2]:
         raise ValueError(f"expected equally shaped square matrices, got a stack of shape {P.shape}")
     square_gap = np.matmul(P, P)
     square_gap -= P
-    adjoint_gap = adjoint(P)
+    adjoint_gap = np.conj(P.swapaxes(1, 2), order="C")
     np.subtract(P, adjoint_gap, out=adjoint_gap)
     return square_gap, adjoint_gap
 
@@ -212,6 +215,100 @@ def group_positions(keys) -> dict:
     return groups
 
 
+# A call with at least this many seeds puts their PCG64 streams at their
+# starts in one vectorized pass (_bulk_states), about 50 us and 2 us a seed;
+# below it numpy's own seeding, about 7 us a seed, is quicker. Break-even
+# measured between 9 and 10 seeds on a 2-vCPU x86 host with numpy 2.4.
+BULK_SEEDS = 10
+# Most seeds one pass takes, so a long call holds the states of one pass
+# (a few hundred bytes a seed), not of all its seeds, at a time.
+BULK_PASS = 4096
+
+# numpy's SeedSequence with its 4-word pool, then PCG64's seeding. The hash
+# constants do not depend on the data: entry i of a table is its start times
+# its multiplier to the i, mod 2^32, so _HASH_A[c] and _HASH_A[c + 1] are the
+# xor and multiply constants of the c-th hashmix.
+_WORD = 0xFFFFFFFF
+
+
+def _hash_constants(start: int, multiplier: int, count: int) -> np.ndarray:
+    table = [start]
+    for _ in range(count):
+        table.append(table[-1] * multiplier & _WORD)
+    return np.array(table, dtype=np.uint32)[:, np.newaxis]
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # mixing the pool: 4 + 4 * 3 hashmixes
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state: 8 words
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _bulk_states(seeds) -> list[dict]:
+    """np.random.PCG64(seed).state for each int seed in [0, 2^64), computed
+    for all the seeds at once: numpy's SeedSequence hash over uint32 arrays,
+    one entry per seed, then PCG64's 128-bit seeding step in Python ints.
+
+    A seed is two 32-bit entropy words, low first; SeedSequence hashes the
+    missing high word of a seed below 2^32, and the pool's two other words,
+    like a zero word, so one path covers every such seed.
+    """
+    entropy = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = entropy & _WORD
+    pool[1] = entropy >> 32
+    pool ^= _HASH_A[0:4]
+    pool *= _HASH_A[1:5]
+    pool ^= pool >> 16
+    # word src, hashed, mixes into each other word in turn; those hashes
+    # read only word src, so the three are formed at once
+    for src, c in enumerate(range(4, 16, 3)):
+        others = [dst for dst in range(4) if dst != src]
+        hashed = pool[src] ^ _HASH_A[c : c + 3]
+        hashed *= _HASH_A[c + 1 : c + 4]
+        hashed ^= hashed >> 16
+        mixed = pool[others] * _MIX_L
+        mixed -= hashed * _MIX_R
+        mixed ^= mixed >> 16
+        pool[others] = mixed
+    words = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[0:8]
+    words *= _HASH_B[1:9]
+    words ^= words >> 16
+    # pairs of 32-bit words, low first, make the state's four 64-bit words
+    halves = np.ascontiguousarray(words.T).astype("<u4").view("<u8").tolist()
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in halves:
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _streams(seeds) -> Iterator[np.random.Generator]:
+    """A Generator at the start of np.random.PCG64(seed)'s stream for each
+    seed, in order, bit for bit.
+
+    A call of BULK_SEEDS or more seeds, each an int in [0, 2^64), restates
+    one PCG64 from _bulk_states, BULK_PASS seeds a pass, for each seed, so it
+    yields one Generator again and again: draw from each before taking the
+    next. Any other call seeds each stream with numpy, which raises its own
+    errors, at the seed that causes them.
+    """
+    if len(seeds) >= BULK_SEEDS and all(type(seed) is int and 0 <= seed < 1 << 64
+                                        for seed in seeds):
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        for start in range(0, len(seeds), BULK_PASS):
+            for state in _bulk_states(seeds[start : start + BULK_PASS]):
+                bit_generator.state = state
+                yield rng
+    else:
+        for seed in seeds:
+            yield np.random.Generator(np.random.PCG64(seed))
+
+
 def random_projection(dim: int, rank: int, seed: int) -> np.ndarray:
     """Random orthogonal projection of the given rank, reproducible from seed.
 
@@ -238,7 +335,11 @@ def random_projections(dim: int, ranks, seeds) -> np.ndarray:
         if not 0 <= rank <= dim:
             raise ValueError(f"rank must lie in [0, {dim}], got {rank}")
     out = np.empty((len(seeds), dim, dim), dtype=np.complex128)
-    for rank, members in group_positions(ranks).items():
+    groups = group_positions(ranks)
+    # the streams of the members drawn below, in the order they are drawn
+    streams = _streams([seeds[i] for rank, members in groups.items() if 0 < rank < dim
+                        for i in members])
+    for rank, members in groups.items():
         if rank == 0:
             out[members] = 0.0
             continue
@@ -249,8 +350,8 @@ def random_projections(dim: int, ranks, seeds) -> np.ndarray:
         # one draw per member, in stream order: u1 and u2 of the real parts,
         # then u1 and u2 of the imaginary parts
         u = np.empty((len(members), 4, (count + 1) // 2))
-        for draw, i in zip(u, members):
-            np.random.Generator(np.random.PCG64(seeds[i])).random(out=draw)
+        for draw in u:
+            next(streams).random(out=draw)
         re, im = _box_muller_normals(u[:, 0::2], u[:, 1::2], count).swapaxes(0, 1)
         q, _ = np.linalg.qr((re + 1j * im).reshape(len(members), dim, rank))
         proj = np.matmul(q, adjoint(q))
@@ -275,8 +376,7 @@ def random_pairs(dim: int, seeds) -> list[ProjectionPair]:
     if dim < 2:
         raise ValueError(f"random pairs need dim >= 2, got {dim}")
     ranks, member_seeds = [], []  # f's, then g's, pair after pair
-    for seed in seeds:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    for rng in _streams(seeds):
         ranks += [int(rng.integers(1, dim)), int(rng.integers(1, dim))]
         member_seeds += [int(rng.integers(0, 2**63)), int(rng.integers(0, 2**63))]
     members = random_projections(dim, ranks, member_seeds)
@@ -387,7 +487,13 @@ class HalmosBlocks:
 
     @cached_property
     def relation_residuals(self) -> dict[str, float]:
-        return {name: spectral_norm(gap) for name, gap in self.relation_gaps.items()}
+        # one spectral_norms call per shape: at r = dim - r all three gaps are r x r
+        names, gaps = zip(*self.relation_gaps.items())
+        norms = [0.0] * len(gaps)
+        for members in group_positions(gap.shape for gap in gaps).values():
+            for i, norm in zip(members, spectral_norms([gaps[i] for i in members])):
+                norms[i] = norm
+        return dict(zip(names, norms))
 
 
 def _relation_gaps(D: np.ndarray, V: np.ndarray, Dp: np.ndarray) -> dict[str, np.ndarray]:

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._jsontext import json_text
 from .linalg import (
+    GRAM_UNDERFLOW_BOUND,
     adjoint,
     as_stack,
     gram_bounds,
@@ -28,6 +29,7 @@ from .linalg import (
     mat_poly_evals,
     spectral_norms,
     stack_capacity,
+    stack_norms,
     stack_slices,
 )
 from .linalg import mat_poly_eval, spectral_norm  # noqa: F401  (unused; the tracer wraps these)
@@ -112,16 +114,18 @@ class _Gaps:
     """The pure gap terms of one stacked check: norms of matrices that vanish
     in exact arithmetic, each adding ||X|| / scale to its pair's residual.
 
-    One loop forms each stack's Grams as spectral_norms does; with no floor,
-    or a Gram whose Frobenius bound is inf, it measures the stack whole. With
-    a floor, the campaign's largest residual so far for the check, a term is
-    measured only if it can raise a residual above min(tol, limit), where
-    limit is the floor or the largest value measured so far, whichever is
-    larger: no such term can set the campaign's maximum or fail a trial that
-    would pass, so the report keeps its bytes, while a trial's residual may
-    fall short of its exact value; a term its bound does not certify is held
-    as a one-Gram view of its stack. Held terms keep their stacks alive until
-    finish(), so a floored check's memory grows with its number of degrees.
+    One loop forms each stack's Grams as spectral_norms does. It measures the
+    stack whole, by spectral_norms' rule, with no floor, for a Gram whose
+    Frobenius bound is inf, or for a nonzero term whose bound lies below
+    GRAM_UNDERFLOW_BOUND. With a floor, the campaign's largest residual so
+    far for the check, a term is measured only if it can raise a residual
+    above min(tol, limit), where limit is the floor or the largest value
+    measured so far, whichever is larger: no such term can set the campaign's
+    maximum or fail a trial that would pass, so the report keeps its bytes,
+    while a trial's residual may fall short of its exact value; a term its
+    bound does not certify is held as a one-Gram view of its stack. Held
+    terms keep their stacks alive until finish(), so a floored check's memory
+    grows with its number of degrees.
     finish() takes the held terms in descending order of their bounds: it
     measures the first, then each later one whose tighter Gram-moment bound
     the limit reached by then does not cover.
@@ -134,10 +138,14 @@ class _Gaps:
     def add(self, mats, owners, scales) -> None:
         """Terms ||mats[j]|| / scales[j] of pairs owners[j]."""
         for part in stack_slices(mats):
-            gram = grams(mats[part])
+            stack, gram = grams(mats[part])
             bounds = [math.inf] if self.floor is None else gram_bounds(gram).tolist()
-            if math.inf in bounds:  # measured whole, raising, as spectral_norms would
-                for owner, scale, norm in zip(owners[part], scales[part], gram_norms(gram)):
+            # measured whole, raising, as spectral_norms would; so is a stack
+            # with a nonzero term whose Gram, and so its bound, may have
+            # underflowed: stack_norms measures that term again, scaled
+            if math.inf in bounds or (min(bounds) < GRAM_UNDERFLOW_BOUND
+                                      and stack[np.less(bounds, GRAM_UNDERFLOW_BOUND)].any()):
+                for owner, scale, norm in zip(owners[part], scales[part], stack_norms(stack, gram)):
                     self._record(owner, norm / scale)
                 continue
             cut = min(self.tol, max(self.floor, *self.residuals))

@@ -15,6 +15,7 @@ from projpair.linalg import (
     gram_moment_bounds,
     gram_norms,
     grams,
+    stack_norms,
     hermitian_eigen,
     largest_norm,
     mat_poly_eval,
@@ -154,6 +155,21 @@ def test_spectral_norm_zero():
     assert spectral_norm(np.zeros((4, 4))) == 0.0
 
 
+def test_spectral_norm_of_matrices_whose_grams_underflow():
+    # entries below about 1e-154 square to subnormals or to zero, which used
+    # to lose the Gram's top: such a matrix is measured scaled by a power of
+    # two, a zero matrix still gives 0.0
+    assert spectral_norm(1e-170 * np.eye(4)) == 1e-170
+    assert spectral_norm(np.array([[5e-324]])) == 5e-324
+    A = random_complex(np.random.default_rng(23), (3, 5))
+    for scale in (1e-150, 1e-160, 1e-170, 1e-250, 1e-300):
+        assert spectral_norm(A * scale) == pytest.approx(spectral_norm(A) * scale, rel=1e-13, abs=0)
+    stack = [A, A * 1e-170, np.zeros((3, 5)), 1e-300 * np.ones((3, 5))]
+    norms = spectral_norms(stack)
+    assert norms == [spectral_norm(X) for X in stack]
+    assert norms[2] == 0.0 and norms[3] == pytest.approx(math.sqrt(15) * 1e-300, rel=1e-13, abs=0)
+
+
 def test_spectral_norm_hand_value():
     # A adjoint(A) = [[2,0],[0,0]] by hand, so the norm is sqrt(2)
     a = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -221,8 +237,8 @@ def bound_cases():
 def test_gram_bounds_cover_spectral_norms(case):
     mats = bound_cases()[case]
     norms = np.array(spectral_norms(mats))
-    gram = grams(mats)
-    assert gram_norms(gram) == list(norms)
+    stack, gram = grams(mats)
+    assert stack_norms(stack, gram) == list(norms)
     frobenius, moment = gram_bounds(gram), gram_moment_bounds(gram)
     assert np.all(moment >= norms) and np.all(frobenius >= norms)
     assert np.all(moment <= frobenius * (1 + 1e-12))
@@ -247,7 +263,7 @@ def test_gram_bounds_certify_nothing_for_non_finite_or_subnormal_grams():
             assert bound(stack).tolist() == alone + [math.inf, 0.0]
         assert bound(np.zeros((2, 0, 0), dtype=complex)).tolist() == [0.0, 0.0]
         with np.errstate(over="ignore", invalid="ignore"):
-            overflowed = grams(np.full((1, 2, 2), 1e200, dtype=complex))
+            _, overflowed = grams(np.full((1, 2, 2), 1e200, dtype=complex))
         assert bound(overflowed).tolist() == [math.inf]
 
 
@@ -328,25 +344,30 @@ def test_largest_norm_matches_the_full_maximum_on_near_ties_measuring_each_once(
 
 
 def zero_norm_stacks():
-    """Stacks whose norms are all zero: filled with 0.0, -0.0 or -0.0 - 0.0j,
-    or with entries so small that every Gram underflows to zero although the
-    Frobenius bounds, the largest not the first, are positive."""
-    stacks = {repr(fill): np.full((5, 3, 2), fill, dtype=complex)
-              for fill in (0.0, -0.0, complex(-0.0, -0.0))}
-    tiny = random_complex(np.random.default_rng(5), (5, 3, 2)) * 1e-170
-    tiny[3] *= 4
-    stacks["underflowing Grams"] = tiny
-    return stacks
+    """Stacks whose norms are all zero: filled with 0.0, -0.0 or -0.0 - 0.0j."""
+    return {repr(fill): np.full((5, 3, 2), fill, dtype=complex)
+            for fill in (0.0, -0.0, complex(-0.0, -0.0))}
 
 
 @pytest.mark.parametrize("name", list(zero_norm_stacks()))
 def test_largest_norm_of_a_zero_norm_stack_measures_it_whole(name, measured):
     stack = zero_norm_stacks()[name]
     value = largest_norm(stack)
-    first = 3 if name == "underflowing Grams" else 0
-    # the largest bound's matrix, then the whole stack in index order
-    np.testing.assert_array_equal(np.stack(measured), stack[[first, 0, 1, 2, 3, 4]])
+    # the first matrix, then the whole stack in index order
+    np.testing.assert_array_equal(np.stack(measured), stack[[0, 0, 1, 2, 3, 4]])
     assert repr(value) == repr(full_max(stack)) == "0.0"
+
+
+def test_largest_norm_of_underflowing_grams_matches_the_full_maximum(measured):
+    # entries so small that every Gram underflows to zero: each norm is
+    # measured scaled by a power of two, so it is positive, and the largest
+    # bound's matrix, not the first, is measured first
+    tiny = random_complex(np.random.default_rng(5), (5, 3, 2)) * 1e-170
+    tiny[3] *= 4
+    value = largest_norm(tiny)
+    assert measured_indices(measured, tiny)[0] == 3
+    assert value.hex() == full_max(tiny).hex()
+    assert value == pytest.approx(spectral_norm(tiny[3] * 1e170) * 1e-170, rel=1e-14, abs=0)
 
 
 def hostile_stacks():

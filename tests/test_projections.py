@@ -106,6 +106,17 @@ def test_projection_failures_raises_validation_errors():
     assert projection_failures([]) == []
 
 
+def test_validators_fail_a_projection_too_small_for_its_gram():
+    # P = 1e-170 I_4 is no projection: P^2 - P = -1e-170 I_4, whose Gram and
+    # squared entries underflow to zero, so neither the norm nor the
+    # Frobenius certificate may read them as 0
+    P = 1e-170 * np.eye(4)
+    report = validate_projection(P, tol=1e-300)
+    assert (report.idempotency_residual, report.hermiticity_residual) == (1e-170, 0.0)
+    assert not report.ok
+    assert projection_failures([np.eye(4), P], tol=1e-300) == [(1, report)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.sampled_from([2, 3, 5, 8]),

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import projpair.linalg as linalg
+import projpair.projections as projections
 from projpair.linalg import (
     STACK_BYTES,
     NonHermitianError,
@@ -37,6 +38,7 @@ from projpair.linalg import (
 )
 from projpair.polynomials import poly_eval_real, poly_F, poly_PQ_recursive
 from projpair.projections import (
+    BULK_SEEDS,
     AngleSpec,
     DecompositionError,
     ProjectionPair,
@@ -430,6 +432,30 @@ def test_decomposition_error_matches_measuring_every_gap(scale, shift):
         assert 0.0 < residuals["kernel_block"] < tol / 100
 
 
+def test_relation_residuals_measure_each_shape_of_gap_once(eigvalsh_calls):
+    # the range, mixed and kernel gaps are r x r, r x (dim - r) and
+    # (dim - r) x (dim - r): at dim = 2r they share one eigensolve, else the
+    # shapes get one each, and the norms keep their bits and their order
+    search_pair, _ = find_commutator_identity_counterexample(4, "random", 100, 1)
+    for pair, grams in ((angle_pair(0.3, 0.9), [(3, 2, 2)]),
+                        (search_pair, [(3, 2, 2)]),
+                        (angle_pair(0.3, 0.9, extra_g=1), [(1, 2, 2), (1, 3, 3), (1, 3, 3)])):
+        blocks = halmos_decompose(pair)
+        eigvalsh_calls.clear()
+        residuals = blocks.relation_residuals
+        assert eigvalsh_calls == grams
+        _, _, _, _, expected, _ = serial_halmos_decompose(pair)
+        assert list(residuals) == ["range_block", "mixed_block", "kernel_block"]
+        assert {k: bits(v) for k, v in residuals.items()} == {
+            k: bits(v) for k, v in expected.items()}
+    # the search's pair, as decompose measures it: ||fg||, ||D|| with the
+    # uncertain range gaps (here none), and the three relation residuals
+    pair = ProjectionPair(search_pair.f, search_pair.g, 4, Provenance("file"))
+    eigvalsh_calls.clear()
+    halmos_decompose(pair).relation_residuals
+    assert len(eigvalsh_calls) == 3
+
+
 # --- linalg stacks -----------------------------------------------------------------
 
 
@@ -674,6 +700,113 @@ def test_stacked_construction_rejects_bad_arguments():
         validate_projections(np.ones((2, 3, 4)))
     assert random_pairs(4, []) == []
     assert validate_projections([]) == []
+
+
+# the ends of the ranges one and two 32-bit words of entropy cover
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+
+@pytest.fixture
+def bulk_passes(monkeypatch):
+    """The number of seeds of each bulk seeding pass, in order."""
+    passes = []
+    real = projections._bulk_states
+
+    def recording(seeds):
+        passes.append(len(seeds))
+        return real(seeds)
+
+    monkeypatch.setattr(projections, "_bulk_states", recording)
+    return passes
+
+
+@pytest.mark.parametrize("count", [2, BULK_SEEDS - 1, BULK_SEEDS, 3 * BULK_SEEDS + 6])
+def test_construction_on_both_sides_of_bulk_seeding_matches_per_seed_loop(count, bulk_passes):
+    # the seeds cut into calls of `count` seeds, the last perhaps shorter:
+    # calls below BULK_SEEDS seed each stream with numpy, the others in one
+    # bulk pass, and every seed gets the stream numpy gives it either way
+    seeds = [*EDGE_SEEDS, *range(500, 500 + 3 * BULK_SEEDS)]
+    dim = 5
+    calls = [seeds[i : i + count] for i in range(0, len(seeds), count)]
+    for call in calls:
+        ranks = [1 + seed % (dim - 1) for seed in call]
+        expected = [serial_random_projection(dim, rank, seed) for rank, seed in zip(ranks, call)]
+        built = random_projections(dim, ranks, call)
+        assert [P.tobytes() for P in built] == [P.tobytes() for P in expected], call
+        for pair, seed in zip(random_pairs(dim, call), call, strict=True):
+            f, g, provenance = serial_random_pair(dim, seed)
+            assert (pair.f.tobytes(), pair.g.tobytes()) == (f.tobytes(), g.tobytes()), seed
+            assert pair.provenance == provenance
+    # random_projections: one pass per bulk-sized call; random_pairs: one for
+    # the pairs' seeds of such a call and one for their members' seeds of any
+    # call of BULK_SEEDS / 2 pairs or more
+    expected = []
+    for call in calls:
+        expected += [len(call)] * (len(call) >= BULK_SEEDS)
+        expected += [len(call)] * (len(call) >= BULK_SEEDS)
+        expected += [2 * len(call)] * (2 * len(call) >= BULK_SEEDS)
+    assert bulk_passes == expected
+
+
+def test_long_calls_seed_bulk_pass_by_bulk_pass(bulk_passes, monkeypatch):
+    monkeypatch.setattr(projections, "BULK_PASS", 7)
+    seeds = [*EDGE_SEEDS, *range(500, 530)]
+    built = random_projections(5, [2] * len(seeds), seeds)
+    assert [P.tobytes() for P in built] == [serial_random_projection(5, 2, seed).tobytes()
+                                           for seed in seeds]
+    assert bulk_passes == [7, 7, 7, 7, 7, 1]
+
+
+def test_bulk_states_match_numpy_seeding():
+    # numpy's SeedSequence and PCG64 seeding, restated: this fails if numpy
+    # ever changes either
+    rng = np.random.default_rng(19)
+    seeds = [*EDGE_SEEDS, *range(300), *rng.integers(0, 2**32, size=500).tolist(),
+             *rng.integers(0, 2**64, size=2500, dtype=np.uint64).tolist()]
+    assert projections._bulk_states(seeds) == [np.random.PCG64(seed).state for seed in seeds]
+
+
+def numpy_seeding_error(seeds):
+    """The type and text of what seeding numpy's PCG64 with each seed in turn
+    first raises, or None."""
+    for seed in seeds:
+        try:
+            np.random.PCG64(seed)
+        except Exception as exc:  # noqa: BLE001  (the exception itself is compared)
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, np.int64(7), np.uint64(2**64 - 1), 1.5,
+                                  True], ids=repr)
+def test_seeds_outside_the_bulk_pass_keep_numpys_streams_and_errors(seed):
+    # alone, and among enough valid seeds for a bulk pass, which such a seed
+    # turns into numpy's seeding of every stream: numpy's error, raised at
+    # the first seed that causes it, or numpy's streams
+    dim, rank = 4, 2
+    for seeds in ([seed], [*range(BULK_SEEDS), seed, 3]):
+        error = numpy_seeding_error(seeds)
+        builds = {"random_projections": lambda: random_projections(dim, [rank] * len(seeds), seeds),
+                  "random_pairs": lambda: random_pairs(dim, seeds)}
+        if len(seeds) == 1:
+            builds["random_projection"] = lambda: random_projection(dim, rank, seed)[np.newaxis]
+        for name, build in builds.items():
+            if error:
+                with pytest.raises(error[0]) as excinfo:
+                    build()
+                assert str(excinfo.value) == error[1], name
+            elif name == "random_pairs":
+                for pair, s in zip(build(), seeds, strict=True):
+                    f, g, _ = serial_random_pair(dim, s)
+                    assert (pair.f.tobytes(), pair.g.tobytes()) == (f.tobytes(), g.tobytes())
+            else:
+                assert [P.tobytes() for P in build()] == [
+                    serial_random_projection(dim, rank, s).tobytes() for s in seeds], name
+    # rank 0 and rank dim draw nothing, so their seeds are never read
+    ranks = [0, dim, *[rank] * BULK_SEEDS]
+    built = random_projections(dim, ranks, [seed, seed, *range(BULK_SEEDS)])
+    assert [P.tobytes() for P in built] == [serial_random_projection(dim, r, s).tobytes()
+                                            for r, s in zip(ranks, [0, 0, *range(BULK_SEEDS)])]
 
 
 # --- counterexample search and campaign chunks -----------------------------------------

@@ -564,6 +564,24 @@ def test_gaps_measure_only_terms_the_limit_does_not_cover(eigvalsh_calls, monkey
         assert moments == bounded, floor
 
 
+def test_gaps_measure_tiny_terms_by_the_scaled_norm_rule():
+    # terms whose Grams underflow to zero (1e-170 I_3) or whose Gram tops lie
+    # below 2^-960 (1e-152 X): with or without a floor their stacks are
+    # measured whole, by spectral_norm's rule, which scales them by a power
+    # of two; a floor used to read the zero Gram's bound 0.0 as certifying
+    # the term and leave its residual at 0.0
+    X = np.random.default_rng(31).standard_normal((3, 3)) + 0j
+    for term in (1e-170 * np.eye(3, dtype=complex), 1e-152 * X):
+        for floor in (None, 0.0):
+            residuals = [0.0]
+            gaps = verify._Gaps(residuals, 1e-8, floor)
+            gaps.add([term], [0], [1.0])
+            gaps.finish()
+            assert residuals == [spectral_norm(term)], floor
+    assert residuals[0] == pytest.approx(spectral_norm(X) * 1e-152, rel=1e-13, abs=0)
+    assert spectral_norm(1e-170 * np.eye(3)) == 1e-170
+
+
 def test_theorem_campaign_solves_only_its_norms(eigvalsh_calls):
     # ||fg|| and ||fg + gf|| for each dim-64 pair, one pair per chunk; the
     # Frobenius bound certifies every member, where measuring them exactly
