@@ -51,8 +51,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 POLY_MAX_N = {"P": 200, "Q": 200, "F": 200, "A": 100, "B": 100}
-# The approximant's arrays grow with the grid: 10**6 already takes ~1.5 s and
-# ~395 MiB peak RSS in a fresh process (2-vCPU x86), and 10**8 exhausts the
+# The approximant's arrays grow with the grid: 10**6 takes ~0.3 s and
+# ~165 MiB peak RSS in a fresh process (2-vCPU x86), and 10**8 exhausts the
 # memory of an 8 GiB host.
 UNIVERSAL_MAX_GRID = 10**6
 # bounds holds ~1.5 KB per row: 10**6 rows peak near 1.5 GB, 10**7 need ~15 GB.

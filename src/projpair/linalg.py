@@ -260,41 +260,71 @@ def gram_moment_bounds(gram: np.ndarray) -> np.ndarray:
     return np.sqrt(size) * roots * (1.0 + GRAM_MARGIN)
 
 
-# Below this Frobenius norm no entry or partial sum of a Gram A*A overflows,
-# each being at most ||A||_F^2 in size, so spectral_norms raises nothing for a
-# stack of finite matrices whose bounds all lie below it.
+# Below this F^2, the squared Frobenius norm of a 2 x 2 matrix, F^4 may lie
+# below 2^-960, where the products cell_bounds takes lose digits to underflow;
+# at or above it, the squares and products that underflow, each off by at
+# most 2^-1074, move F^2 and F^4 - 4 det^2 by at most 2^-110 of F^2 and F^4.
+_CELL_SQUARES = 2.0**-480
+
+
+def cell_bounds(a, b, c, d) -> np.ndarray:
+    """(1 + GRAM_MARGIN) ||A|| for each real 2 x 2 matrix A = [[a, b], [c, d]]
+    of a stack, given as 1-D arrays of its entries (0.0 for an entry that is
+    zero throughout), from the closed form of its largest singular value:
+    ||A||^2 = (F^2 + sqrt(F^4 - 4 det^2)) / 2, with F = ||A||_F.
+
+    Rounding moves F^4 - 4 det^2 by a few eps F^4, so where the two singular
+    values are close the root moves ||A||^2 by a relative sqrt(eps) or so,
+    and elsewhere by a few eps: far below the margin, so each bound is at
+    least the norm spectral_norms computes for its A. Unlike gram_bounds'
+    ||A||_F this is tight when the singular values are equal, as for
+    [[0, x], [-x, 0]]. A matrix whose F^2 lies below _CELL_SQUARES, an
+    all-zero one among them, or whose bound is not finite certifies nothing
+    and gives inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = a * a + b * b + c * c + d * d
+        det = a * d - b * c
+        # the difference is 0.0 at equal singular values, or a rounding below it
+        spread = np.sqrt(np.maximum(squares * squares - 4.0 * det * det, 0.0))
+        bounds = np.sqrt((squares + spread) / 2.0) * (1.0 + GRAM_MARGIN)
+    return np.where((squares >= _CELL_SQUARES) & (bounds < np.inf), bounds, np.inf)
+
+
+# Below this bound on the norm of an m x n matrix A, no entry or partial sum
+# of its Gram A*A overflows, each being at most ||A||_F^2 <= min(m, n) ||A||^2
+# in size, for any min(m, n) below 2^22; so spectral_norms raises nothing for
+# a stack of finite matrices whose bounds all lie below it.
 _GRAM_SAFE = 2.0**500
 
 
-def largest_norm(mats) -> float:
-    """max(spectral_norms(mats)), bit for bit and with the same exceptions,
-    from an eigensolve of only the matrices that can reach it.
+def largest_norm(bounds: np.ndarray, build) -> float:
+    """max(spectral_norms(build(np.arange(len(bounds))))), bit for bit and
+    with the same exceptions, from an eigensolve of only the matrices that
+    can reach it, and building only those.
 
-    By the margin argument of gram_bounds, (1 + GRAM_MARGIN) ||X||_F is at
-    least the norm spectral_norms computes for X. So the first matrix with the
-    largest bound is measured, and then every other matrix whose bound is at
-    least that norm, a stack of at most STACK_BYTES at a time; the rest cannot
-    be the maximum. Equal positive norms have equal bits, so the order they
-    are met in does not matter. A stack that is not a (k, m, n) array of
-    finite matrices whose Grams cannot overflow, or whose first norm is not
-    positive, is measured whole, in index order, so its exceptions and the
-    sign of a zero result are those of spectral_norms.
+    bounds[i] is at least the norm spectral_norms computes for matrix i, as
+    gram_bounds, cell_bounds and (1 + GRAM_MARGIN) ||X||_F are, or is inf;
+    build(indices) returns the (j, m, n) stack of the matrices at an array
+    of indices, in that order. The first matrix with the largest bound is
+    measured, and then every other matrix whose bound is at least that norm,
+    a stack of at most STACK_BYTES at a time; the rest cannot be the maximum.
+    Equal positive norms have equal bits, so the order they are met in does
+    not matter. If a bound is not finite or reaches _GRAM_SAFE, or the first
+    norm is not positive, every matrix is built and measured, in index
+    order, so the exceptions and the sign of a zero result are those of
+    spectral_norms.
     """
-    try:
-        stack = as_stack(mats)
-    except ValueError:  # not one (k, m, n) array: spectral_norms says why
-        return max(spectral_norms(mats))
-    bounds = _frobenius(stack) * (1.0 + GRAM_MARGIN)
-    if len(stack) and (bounds < _GRAM_SAFE).all():
-        first = int(np.argmax(bounds))
-        top = spectral_norms(stack[first : first + 1])[0]
+    if len(bounds) and (bounds < _GRAM_SAFE).all():
+        first = np.argmax(bounds)
+        cell = build(np.array([first]))
+        top = spectral_norms(cell)[0]
         if top > 0.0:
             rest = np.flatnonzero(bounds >= top)
             rest = rest[rest != first]
-            step = stack_capacity(stack.shape[1:])
-            return max([top, *(max(spectral_norms(stack[rest[i : i + step]]))
+            step = stack_capacity(cell.shape[1:])
+            return max([top, *(max(spectral_norms(build(rest[i : i + step])))
                                for i in range(0, len(rest), step))])
-    return max(spectral_norms(stack))
+    return max(spectral_norms(build(np.arange(len(bounds)))))
 
 
 # Below this sum of squares, or at inf or nan, _frobenius scales a matrix by

@@ -18,6 +18,7 @@ from .linalg import (
     adjoint,
     as_matrix,
     as_stack,
+    cell_bounds,
     hermitian_eigens,
     largest_norm,
     spectral_norm,
@@ -574,6 +575,22 @@ def halmos_decompositions(pairs, tol: float = 1e-9) -> list[HalmosBlocks]:
     return blocks
 
 
+def _largest_cell_norm(a, b, c, d) -> float:
+    """The largest norm spectral_norms gives the real 2x2 cells [[a, b], [c, d]],
+    their entries 1-D arrays or 0.0 throughout, by largest_norm on their
+    cell_bounds: only the cells that can reach it are built, as complex
+    stacks with +0.0 imaginary parts."""
+
+    def build(indices: np.ndarray) -> np.ndarray:
+        cells = np.zeros((len(indices), 2, 2), dtype=np.complex128)
+        for (row, col), entry in zip(np.ndindex(2, 2), (a, b, c, d)):
+            if np.ndim(entry):
+                cells[:, row, col] = entry[indices]
+        return cells
+
+    return largest_norm(cell_bounds(a, b, c, d), build)
+
+
 @dataclass(frozen=True)
 class UniversalPairApprox:
     """Direct sum of 2x2 principal-angle cells approximating the extremal pair
@@ -581,8 +598,8 @@ class UniversalPairApprox:
 
     Norm queries run blockwise (the norm of a direct sum is the max over
     blocks), so large grids never materialize a dense matrix. The first query
-    forms the product stacks and measures all three norms, each by
-    largest_norm, which eigensolves only the cells whose Frobenius bound can
+    measures all three norms, each by largest_norm on the cells' entries,
+    which builds and eigensolves only the cells whose closed-form bound can
     reach the largest; later queries read them.
     """
 
@@ -591,10 +608,18 @@ class UniversalPairApprox:
 
     @cached_property
     def _norms(self) -> tuple[float, float, float]:
-        """||pq||, ||pq - qp|| and ||pq + qp||, each measured once."""
-        f, g = _angle_cells(self.angles)
-        pq, qp = np.matmul(f, g), np.matmul(g, f)
-        return largest_norm(pq), largest_norm(pq - qp), largest_norm(pq + qp)
+        """||pq||, ||pq - qp|| and ||pq + qp||, each measured once.
+
+        Cell i of p is diag(1, 0) and cell i of q has entries c^2, cs, cs, s^2
+        (c, s the cosine and sine of angle i), all >= 0, so the products'
+        cells [[c^2, cs], [0, 0]] and [[c^2, 0], [cs, 0]], and their
+        difference and sum, have the bits the matrix products give."""
+        t = np.asarray(self.angles, dtype=float)
+        c, s = np.cos(t), np.sin(t)
+        cc, cs = c * c, c * s
+        return (_largest_cell_norm(cc, cs, 0.0, 0.0),
+                _largest_cell_norm(0.0, cs, -cs, 0.0),
+                _largest_cell_norm(cc + cc, cs, cs, 0.0))
 
     def norm_product(self) -> float:
         return self._norms[0]
@@ -633,12 +658,13 @@ def universal_pair_approx(grid_size: int) -> UniversalPairApprox:
     if grid_size < 1:
         raise ValueError(f"grid size must be >= 1, got {grid_size}")
     k = grid_size
-    angles = [(i / (k + 1)) * (math.pi / 2) for i in range(1, k + 1)]
+    # one correctly rounded division and product each, as (i / (k + 1)) * (pi / 2)
+    angles = (np.arange(1, k + 1) / (k + 1)) * (math.pi / 2)
     quarter = math.pi / 4
-    if quarter not in angles:
-        angles.append(quarter)
-        angles.sort()
-    return UniversalPairApprox(tuple(angles), k)
+    at = np.searchsorted(angles, quarter)
+    if at == k or angles[at] != quarter:
+        angles = np.insert(angles, at, quarter)
+    return UniversalPairApprox(tuple(angles.tolist()), k)
 
 
 # --- pair file format -------------------------------------------------------

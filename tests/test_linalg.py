@@ -9,8 +9,11 @@ from projpair import linalg
 from projpair.linalg import (
     GRAM_MARGIN,
     NonHermitianError,
+    _frobenius,
     adjoint,
     as_matrix,
+    as_stack,
+    cell_bounds,
     gram_bounds,
     gram_moment_bounds,
     gram_norms,
@@ -267,6 +270,58 @@ def test_gram_bounds_certify_nothing_for_non_finite_or_subnormal_grams():
         assert bound(overflowed).tolist() == [math.inf]
 
 
+# --- closed-form cell bounds --------------------------------------------------------
+
+
+def cell_cases():
+    """(k, 4) arrays of the entries a, b, c, d of real 2 x 2 cells
+    [[a, b], [c, d]]: equal singular values (x times a rotation, and the
+    commutator cells [[0, x], [-x, 0]]), rank 1, the Hermitian
+    [[2a, b], [b, 0]] of the anticommutator cells, and random entries."""
+    rng = np.random.default_rng(31)
+    x, t = rng.uniform(0.1, 2.0, 200), rng.uniform(0.0, 2 * np.pi, 200)
+    c, s, zero = np.cos(t), np.sin(t), np.zeros(200)
+    a, b = rng.uniform(0.0, 1.0, (2, 200))
+    return {"equal singular values": np.stack([x * c, -x * s, x * s, x * c], axis=-1),
+            "commutator": np.stack([zero, x, -x, zero], axis=-1),
+            "rank 1": np.einsum("ki,kj->kij", *rng.standard_normal((2, 200, 2))).reshape(200, 4),
+            "hermitian": np.stack([2 * a, b, b, zero], axis=-1),
+            "random": rng.standard_normal((200, 4))}
+
+
+def as_cells(entries) -> np.ndarray:
+    """The complex (k, 2, 2) stack of the cells whose entries are the rows of entries."""
+    return np.asarray(entries, dtype=float).reshape(len(entries), 2, 2).astype(np.complex128)
+
+
+@pytest.mark.parametrize("case", list(cell_cases()))
+def test_cell_bounds_cover_spectral_norms_within_the_margin(case):
+    entries = cell_cases()[case]
+    norms = np.array(spectral_norms(as_cells(entries)))
+    bounds = cell_bounds(*entries.T)
+    # the bound is the norm plus the margin, to about sqrt(eps) where the
+    # two singular values are close: never the sqrt(2) of ||X||_F
+    assert np.all(bounds >= norms)
+    assert np.all(bounds <= norms * (1 + GRAM_MARGIN) * (1 + 1e-7))
+
+
+@pytest.mark.parametrize("exponent", range(-150, 151, 10))
+def test_cell_bounds_certify_nothing_where_the_fourth_power_underflows_or_overflows(exponent):
+    # F^4 of entries near 1e-80 or below may underflow, and of entries near
+    # 1e80 or above overflows: those bounds are inf, and largest_norm
+    # measures every cell
+    entries = np.random.default_rng(exponent + 150).standard_normal((50, 4)) * 10.0**exponent
+    cells = as_cells(entries)
+    norms = np.array(spectral_norms(cells))
+    bounds = cell_bounds(*entries.T)
+    if -70 <= exponent <= 70:
+        assert np.all(bounds >= norms)
+        assert np.all(bounds <= norms * (1 + GRAM_MARGIN) * (1 + 1e-7))
+    else:
+        assert bounds.tolist() == [math.inf] * len(bounds)
+    assert largest_norm(bounds, cells.__getitem__).hex() == full_max(cells).hex()
+
+
 # --- largest_norm ---------------------------------------------------------------
 
 
@@ -308,12 +363,26 @@ def full_max(stack) -> float:
     return max(spectral_norms(stack))
 
 
-@pytest.mark.parametrize("grid", [1, 2, 3, 4, 7, 8, 999, 1000, 4096, 10**5])
-def test_largest_norm_matches_the_full_maximum_on_the_universal_stacks(grid):
+def largest(mats) -> float:
+    """largest_norm of the matrices of mats, a (k, m, n) array or a sequence of
+    equally shaped matrices, by their bounds (1 + GRAM_MARGIN) ||X||_F, built
+    by indexing their stack; no matrices make an empty stack."""
+    stack = as_stack(mats) if len(mats) else np.zeros((0, 2, 2), dtype=complex)
+    return largest_norm(_frobenius(stack) * (1.0 + GRAM_MARGIN), stack.__getitem__)
+
+
+def product_stacks(grid):
+    """The pq, pq - qp and pq + qp cell stacks of the grid approximant, by
+    matrix products of its angle cells."""
     f, g = _angle_cells(universal_pair_approx(grid).angles)
     pq, qp = np.matmul(f, g), np.matmul(g, f)
-    for stack in (pq, pq - qp, pq + qp):
-        assert largest_norm(stack).hex() == full_max(stack).hex()
+    return pq, pq - qp, pq + qp
+
+
+@pytest.mark.parametrize("grid", [1, 2, 3, 4, 7, 8, 999, 1000, 4096, 10**5])
+def test_largest_norm_matches_the_full_maximum_on_the_universal_stacks(grid):
+    norms = universal_pair_approx(grid)._norms
+    assert [x.hex() for x in norms] == [full_max(stack).hex() for stack in product_stacks(grid)]
 
 
 def near_tie_stacks():
@@ -337,10 +406,34 @@ def near_tie_stacks():
 
 @pytest.mark.parametrize("stack", list(near_tie_stacks()), ids=lambda s: "x".join(map(str, s.shape)))
 def test_largest_norm_matches_the_full_maximum_on_near_ties_measuring_each_once(stack, measured):
-    value = largest_norm(stack)
+    value = largest(stack)
     indices = measured_indices(measured, stack)
     assert value.hex() == full_max(stack).hex()
     assert len(set(indices)) == len(indices) < len(stack)
+
+
+@pytest.mark.parametrize("product", range(3), ids=["pq", "pq - qp", "pq + qp"])
+def test_largest_norm_by_cell_bounds_matches_the_full_maximum_on_near_ties(product, measured):
+    # the grid 10^5 cells, thousands of whose bounds reach the largest norm,
+    # across several STACK_BYTES stacks, with the largest cell's copies scaled
+    # by 1 - d, d from -1 rounding step to past the margin, planted among them
+    cells = product_stacks(10**5)[product]
+    top = cells[np.argmax(spectral_norms(cells))]
+    rng = np.random.default_rng(product)
+    scales = [1 - d for d in (-(2**-52), 2**-52, 1e-15, 1e-12, 0.005, 0.0099, 0.0101, 0.02)]
+    cells[rng.choice(len(cells), size=len(scales), replace=False)] = [top * x for x in scales]
+    entries = cells.real.reshape(len(cells), 4)
+    built = []  # commutator cells at angles t and pi/2 - t can share their bits
+
+    def build(indices):
+        built.extend(indices.tolist())
+        return cells[indices]
+
+    value = largest_norm(cell_bounds(*entries.T), build)
+    assert value.hex() == full_max(cells).hex()
+    np.testing.assert_array_equal(np.stack(measured), cells[built])
+    assert len(set(built)) == len(built) < len(cells) / 5
+    assert len(built) > linalg.stack_capacity((2, 2))
 
 
 def zero_norm_stacks():
@@ -352,7 +445,7 @@ def zero_norm_stacks():
 @pytest.mark.parametrize("name", list(zero_norm_stacks()))
 def test_largest_norm_of_a_zero_norm_stack_measures_it_whole(name, measured):
     stack = zero_norm_stacks()[name]
-    value = largest_norm(stack)
+    value = largest(stack)
     # the first matrix, then the whole stack in index order
     np.testing.assert_array_equal(np.stack(measured), stack[[0, 0, 1, 2, 3, 4]])
     assert repr(value) == repr(full_max(stack)) == "0.0"
@@ -364,7 +457,7 @@ def test_largest_norm_of_underflowing_grams_matches_the_full_maximum(measured):
     # bound's matrix, not the first, is measured first
     tiny = random_complex(np.random.default_rng(5), (5, 3, 2)) * 1e-170
     tiny[3] *= 4
-    value = largest_norm(tiny)
+    value = largest(tiny)
     assert measured_indices(measured, tiny)[0] == 3
     assert value.hex() == full_max(tiny).hex()
     assert value == pytest.approx(spectral_norm(tiny[3] * 1e170) * 1e-170, rel=1e-14, abs=0)
@@ -405,7 +498,7 @@ def hostile_stacks():
 @pytest.mark.parametrize("name", list(hostile_stacks()))
 def test_largest_norm_raises_what_spectral_norms_raises(name):
     stack = hostile_stacks()[name]
-    assert outcome(largest_norm, stack) == outcome(full_max, stack)
+    assert outcome(largest, stack) == outcome(full_max, stack)
 
 
 # --- mat_poly_eval --------------------------------------------------------------

@@ -401,6 +401,17 @@ def test_universal_grid_inserts_quarter_pi():
     assert len(approx_odd.angles) == 3
 
 
+def test_universal_grid_matches_the_python_formula_bit_for_bit():
+    # the numpy pass divides and multiplies once per angle, as this loop does
+    for k in [*range(1, 1100), 4096, 10**5, 10**6 - 1, 10**6]:
+        expected = [(i / (k + 1)) * (math.pi / 2) for i in range(1, k + 1)]
+        if math.pi / 4 not in expected:
+            expected = sorted([*expected, math.pi / 4])
+        angles = universal_pair_approx(k).angles
+        assert type(angles) is tuple and all(type(t) is float for t in angles)
+        assert angles == tuple(expected)
+
+
 def test_universal_blockwise_matches_dense():
     approx = universal_pair_approx(4)
     pair = approx.materialize()

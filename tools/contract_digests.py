@@ -1,7 +1,7 @@
 """Print the sha256 of every output in projpair's byte contract.
 
 The contract is twelve campaign reports (`run_trials(config).to_json()`),
-eighteen CLI stdouts, the four pair files those runs write, and six failing
+nineteen CLI stdouts, the four pair files those runs write, and six failing
 CLI runs, each hashed as its exit code and its stderr. A refactor keeps it
 when this script prints the same lines before and after the change on the
 same machine:
@@ -83,6 +83,8 @@ COMMANDS = (
     # the smallest grid, and an even one, each with pi/4 inserted
     "universal --grid-size 2",
     "universal --grid-size 1000",
+    # ~9k candidate cells, built and measured across several stacks
+    "universal --grid-size 100000",
     "counterexample --dim 4 --mode random --budget 300 --seed 7 --out pair.json",
     "decompose --input pair.json",
     "counterexample --dim 6 --out det.json",
