@@ -32,6 +32,7 @@ from .projections import (
     HalmosBlocks,
     ProjectionPair,
     Provenance,
+    Spectrum,
     UniversalPairApprox,
     halmos_decompose,
     load_pair_json,
@@ -74,6 +75,7 @@ __all__ = [
     "ProjectionPair",
     "Provenance",
     "SelfCheckError",
+    "Spectrum",
     "SqrtRingPolynomial",
     "TrialConfig",
     "TrialReport",

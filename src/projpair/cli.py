@@ -52,11 +52,15 @@ EXIT_IO = 3
 
 POLY_MAX_N = {"P": 200, "Q": 200, "F": 200, "A": 100, "B": 100}
 # The approximant's arrays grow with the grid: 10**6 takes ~0.3 s and
-# ~165 MiB peak RSS in a fresh process (2-vCPU x86), and 10**8 exhausts the
+# ~155 MiB peak RSS in a fresh process (2-vCPU x86), and 10**8 exhausts the
 # memory of an 8 GiB host.
 UNIVERSAL_MAX_GRID = 10**6
 # bounds holds ~1.5 KB per row: 10**6 rows peak near 1.5 GB, 10**7 need ~15 GB.
 BOUNDS_MAX_N = 10**6
+# Largest --dims entry and --dim: a pair's members take 32 dim^2 bytes, so 12000 would
+# pass numpy's allocation check, then exhaust an 8 GiB host. A fresh process of verify
+# --dims 1024 --trials 1 --checks theorem: ~1.0 s (1.5 s at 1 BLAS thread), ~190 MiB peak RSS.
+MAX_DIM = 1024
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -85,6 +89,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ValueError(f"--dims must be a comma list of integers, got {text!r}")
     if not dims:
         raise ValueError("--dims must name at least one dimension")
+    if max(dims) > MAX_DIM:
+        raise ValueError(f"--dims entries must be at most {MAX_DIM}, got {max(dims)}")
     return dims
 
 
@@ -203,6 +209,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
+    if args.dim > MAX_DIM:
+        raise ValueError(f"--dim must be at most {MAX_DIM}, got {args.dim}")
     pair, violation = find_commutator_identity_counterexample(
         args.dim, mode=args.mode, budget=args.budget, seed=args.seed
     )

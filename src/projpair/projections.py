@@ -406,53 +406,70 @@ class AngleSpec:
         if not self.angles and self.extra_f_dims + self.extra_g_dims == 0:
             raise ValueError("empty angle list requires positive extra dimensions")
 
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A pair in the two-subspace picture (Halmos 1969): 2x2 cells, one per
+    principal angle theta, where f projects onto the first coordinate and g
+    onto (cos theta, sin theta), then only_f coordinates where f alone acts
+    and only_g where g alone acts. cos and sin hold one entry per cell."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+    only_f: int = 0
+    only_g: int = 0
+
+    @classmethod
+    def from_angles(cls, angles, only_f: int = 0, only_g: int = 0) -> Spectrum:
+        t = np.asarray(angles, dtype=float)
+        return cls(np.cos(t), np.sin(t), only_f, only_g)
+
     @property
     def dim(self) -> int:
-        return 2 * len(self.angles) + self.extra_f_dims + self.extra_g_dims
+        return 2 * len(self.cos) + self.only_f + self.only_g
 
+    def realize(self, provenance: Provenance) -> ProjectionPair:
+        """The dense pair, cell i on coordinates 2i and 2i + 1 with g's entries
+        c^2, cs, cs and s^2 (c, s its cosine and sine), then the 1x1 blocks."""
+        c, s = self.cos, self.sin
+        f, g = np.zeros((2, self.dim, self.dim), dtype=np.complex128)
+        first = np.arange(0, 2 * len(c), 2)  # each cell's first coordinate
+        f[first, first] = 1.0
+        for row, col, entry in ((0, 0, c * c), (0, 1, c * s), (1, 0, c * s), (1, 1, s * s)):
+            g[first + row, first + col] = entry
+        extra = np.arange(2 * len(c), self.dim)
+        f[extra[: self.only_f], extra[: self.only_f]] = 1.0
+        g[extra[self.only_f :], extra[self.only_f :]] = 1.0
+        return ProjectionPair(f, g, self.dim, provenance)
 
-def _angle_cells(angles) -> tuple[np.ndarray, np.ndarray]:
-    """(k, 2, 2) stacks of the angle cells: cell i of f projects onto the first
-    coordinate, cell i of g onto (cos theta_i, sin theta_i)."""
-    t = np.asarray(angles, dtype=float)
-    c, s = np.cos(t), np.sin(t)
-    f = np.zeros((len(t), 2, 2), dtype=np.complex128)
-    f[:, 0, 0] = 1.0
-    g = np.empty((len(t), 2, 2), dtype=np.complex128)
-    g[:, 0, 0] = c * c
-    g[:, 0, 1] = c * s
-    g[:, 1, 0] = c * s
-    g[:, 1, 1] = s * s
-    return f, g
+    def norm(self, word: str) -> float:
+        """||fg||, ||fg - gf|| or ||fg + gf|| of the realized pair for the word
+        "fg", "comm" or "anti": the largest norm of its cells [[c^2, cs], [0, 0]],
+        [[0, cs], [-cs, 0]] or [[2c^2, cs], [cs, 0]], or 0.0 with no cells. At
+        angles in [0, pi/2] these have the bits the dense products give.
+        largest_norm builds and eigensolves only the cells that can reach it."""
+        cc, cs = self.cos * self.cos, self.cos * self.sin
+        entries = {"fg": (cc, cs, 0.0, 0.0), "comm": (0.0, cs, -cs, 0.0),
+                   "anti": (cc + cc, cs, cs, 0.0)}[word]
+        if not len(cs):
+            return 0.0
+
+        def build(indices: np.ndarray) -> np.ndarray:
+            cells = np.zeros((len(indices), 2, 2), dtype=np.complex128)
+            for (row, col), entry in zip(np.ndindex(2, 2), entries):
+                if np.ndim(entry):
+                    cells[:, row, col] = entry[indices]
+            return cells
+
+        return largest_norm(cell_bounds(*entries), build)
 
 
 def pair_from_angles(spec: AngleSpec) -> ProjectionPair:
-    """Canonical pair realizing the given principal angles.
-
-    Each angle theta contributes a 2x2 diagonal cell where f projects onto the
-    first coordinate and g onto (cos theta, sin theta); ||fg|| over the direct
-    sum is max cos theta. Extra dimensions add coordinates where only f (or
-    only g) acts.
-    """
-    dim = spec.dim
-    f = np.zeros((dim, dim), dtype=np.complex128)
-    g = np.zeros((dim, dim), dtype=np.complex128)
-    for i, (cf, cg) in enumerate(zip(*_angle_cells(spec.angles))):
-        f[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = cf
-        g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = cg
-    extra = np.arange(2 * len(spec.angles), dim)
-    only_f, only_g = extra[: spec.extra_f_dims], extra[spec.extra_f_dims :]
-    f[only_f, only_f] = 1.0
-    g[only_g, only_g] = 1.0
-    prov = Provenance(
-        "angles",
-        {
-            "angles": list(spec.angles),
-            "extra_f_dims": spec.extra_f_dims,
-            "extra_g_dims": spec.extra_g_dims,
-        },
-    )
-    return ProjectionPair(f, g, dim, prov)
+    """The Spectrum of spec's angles and extra dimensions, realized: a pair
+    whose ||fg|| is max cos theta."""
+    prov = Provenance("angles", {"angles": list(spec.angles), "extra_f_dims": spec.extra_f_dims,
+                                 "extra_g_dims": spec.extra_g_dims})
+    return Spectrum.from_angles(spec.angles, spec.extra_f_dims, spec.extra_g_dims).realize(prov)
 
 
 def reference_2x2_pair() -> ProjectionPair:
@@ -575,51 +592,27 @@ def halmos_decompositions(pairs, tol: float = 1e-9) -> list[HalmosBlocks]:
     return blocks
 
 
-def _largest_cell_norm(a, b, c, d) -> float:
-    """The largest norm spectral_norms gives the real 2x2 cells [[a, b], [c, d]],
-    their entries 1-D arrays or 0.0 throughout, by largest_norm on their
-    cell_bounds: only the cells that can reach it are built, as complex
-    stacks with +0.0 imaginary parts."""
-
-    def build(indices: np.ndarray) -> np.ndarray:
-        cells = np.zeros((len(indices), 2, 2), dtype=np.complex128)
-        for (row, col), entry in zip(np.ndindex(2, 2), (a, b, c, d)):
-            if np.ndim(entry):
-                cells[:, row, col] = entry[indices]
-        return cells
-
-    return largest_norm(cell_bounds(a, b, c, d), build)
-
-
 @dataclass(frozen=True)
 class UniversalPairApprox:
     """Direct sum of 2x2 principal-angle cells approximating the extremal pair
     whose product norm is 1 while its commutator norm stays 1/2.
 
-    Norm queries run blockwise (the norm of a direct sum is the max over
-    blocks), so large grids never materialize a dense matrix. The first query
-    measures all three norms, each by largest_norm on the cells' entries,
-    which builds and eigensolves only the cells whose closed-form bound can
-    reach the largest; later queries read them.
+    Norm queries run blockwise by Spectrum.norm, so large grids never
+    materialize a dense matrix. The first query measures all three norms and
+    later queries read them.
     """
 
     angles: tuple[float, ...]
     grid_size: int
 
     @cached_property
-    def _norms(self) -> tuple[float, float, float]:
-        """||pq||, ||pq - qp|| and ||pq + qp||, each measured once.
+    def spectrum(self) -> Spectrum:
+        return Spectrum.from_angles(self.angles)
 
-        Cell i of p is diag(1, 0) and cell i of q has entries c^2, cs, cs, s^2
-        (c, s the cosine and sine of angle i), all >= 0, so the products'
-        cells [[c^2, cs], [0, 0]] and [[c^2, 0], [cs, 0]], and their
-        difference and sum, have the bits the matrix products give."""
-        t = np.asarray(self.angles, dtype=float)
-        c, s = np.cos(t), np.sin(t)
-        cc, cs = c * c, c * s
-        return (_largest_cell_norm(cc, cs, 0.0, 0.0),
-                _largest_cell_norm(0.0, cs, -cs, 0.0),
-                _largest_cell_norm(cc + cc, cs, cs, 0.0))
+    @cached_property
+    def _norms(self) -> tuple[float, float, float]:
+        """||pq||, ||pq - qp|| and ||pq + qp||, each measured once."""
+        return tuple(self.spectrum.norm(word) for word in ("fg", "comm", "anti"))
 
     def norm_product(self) -> float:
         return self._norms[0]
@@ -641,12 +634,8 @@ class UniversalPairApprox:
 
     def materialize(self) -> ProjectionPair:
         """Dense realization; intended for modest grids (cross-checks, export)."""
-        spec = AngleSpec(self.angles)
-        pair = pair_from_angles(spec)
-        prov = Provenance(
-            "universal_grid", {"grid_size": self.grid_size, "cells": len(self.angles)}
-        )
-        return ProjectionPair(pair.f, pair.g, pair.dim, prov)
+        return self.spectrum.realize(Provenance(
+            "universal_grid", {"grid_size": self.grid_size, "cells": len(self.angles)}))
 
 
 def universal_pair_approx(grid_size: int) -> UniversalPairApprox:

@@ -10,12 +10,8 @@ import pytest
 
 from projpair import cli, linalg, projections
 from projpair.cli import main
-from projpair.projections import (
-    _angle_cells,
-    reference_2x2_pair,
-    save_pair_json,
-    universal_pair_approx,
-)
+from projpair.projections import reference_2x2_pair, save_pair_json, universal_pair_approx
+from reference_cells import angle_cells
 
 
 def run(capsys, *argv):
@@ -349,7 +345,7 @@ def test_counterexample_dim2_rejected(capsys):
 
 def test_counterexample_unallocatable_dim_is_usage_error(capsys, tmp_path):
     # 2 x 16777216^2 complex entries are 8 PiB, beyond any x86-64 address
-    # space, so numpy refuses the request before it allocates anything
+    # space; the MAX_DIM cap rejects the dim before numpy is asked for them
     out_file = tmp_path / "huge.json"
     code, out, err = run(capsys, "counterexample", "--dim", "16777216", "--mode", "random",
                          "--budget", "1", "--out", str(out_file))
@@ -410,7 +406,7 @@ def test_universal_measures_each_cell_at_most_once(capsys, monkeypatch):
         measured.clear()
         code, _, _ = run(capsys, "universal", "--grid-size", str(grid))
         assert code == 0
-        f, g = _angle_cells(universal_pair_approx(grid).angles)
+        f, g = angle_cells(universal_pair_approx(grid).angles)
         pq, qp = np.matmul(f, g), np.matmul(g, f)
         cells = Counter(cell.tobytes() for cell in (*pq, *(pq - qp), *(pq + qp)))
         assert cells.total() == 3 * len(pq)
@@ -435,6 +431,24 @@ def test_universal_rejects_oversized_grid_before_building_it(capsys, monkeypatch
         assert code == 2
         assert out == ""
         assert f"--grid-size must lie in [2, {cli.UNIVERSAL_MAX_GRID}], got {size}" in err
+
+
+def test_dims_above_the_cap_are_rejected_before_anything_is_built(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built pairs past the dimension cap")
+
+    monkeypatch.setattr(cli, "run_trials", refuse)
+    monkeypatch.setattr(cli, "find_commutator_identity_counterexample", refuse)
+    over = cli.MAX_DIM + 1
+    for argv, option in ((("verify", "--dims", f"2,{over}", "--trials", "1"), "--dims entries"),
+                         (("counterexample", "--dim", str(over), "--out", str(tmp_path / "p.json")),
+                          "--dim")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {option} must be at most {cli.MAX_DIM}, got {over}\n"
+    assert not (tmp_path / "p.json").exists()
+    assert cli._parse_dims(f"2,{cli.MAX_DIM}") == (2, cli.MAX_DIM)
 
 
 # --- parser level -----------------------------------------------------------------------

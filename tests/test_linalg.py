@@ -25,7 +25,8 @@ from projpair.linalg import (
     spectral_norm,
     spectral_norms,
 )
-from projpair.projections import _angle_cells, reference_2x2_pair, universal_pair_approx
+from projpair.projections import reference_2x2_pair, universal_pair_approx
+from reference_cells import angle_cells
 
 # Accuracy the eigensolver is held to (residuals, orthonormality).
 EIG_TOL = 1e-9
@@ -374,7 +375,7 @@ def largest(mats) -> float:
 def product_stacks(grid):
     """The pq, pq - qp and pq + qp cell stacks of the grid approximant, by
     matrix products of its angle cells."""
-    f, g = _angle_cells(universal_pair_approx(grid).angles)
+    f, g = angle_cells(universal_pair_approx(grid).angles)
     pq, qp = np.matmul(f, g), np.matmul(g, f)
     return pq, pq - qp, pq + qp
 
