@@ -60,6 +60,9 @@ BOUNDS_MAX_N = 10**6
 # Largest --dims entry and --dim: a pair's members take 32 dim^2 bytes, so 12000 would
 # pass numpy's allocation check, then exhaust an 8 GiB host. A fresh process of verify
 # --dims 1024 --trials 1 --checks theorem: ~1.0 s (1.5 s at 1 BLAS thread), ~190 MiB peak RSS.
+# All checks at --dims 512 --trials 1: ~1.9 s, ~131 MiB at BLAS's default 2 threads (2 vCPU);
+# at 1 BLAS thread, where power_expansion runs on a second thread, ~1.8 s, ~172 MiB (was
+# ~3.1 s, ~128 MiB serially). At 256: ~0.4 s, ~62 MiB; ~0.37 s, ~74 MiB (was ~0.51 s, ~61 MiB).
 MAX_DIM = 1024
 
 

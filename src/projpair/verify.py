@@ -9,7 +9,10 @@ into a reproducible aggregate whose JSON form is byte-stable.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import accumulate, islice, repeat
@@ -20,6 +23,7 @@ import numpy as np
 from ._jsontext import json_text
 from .linalg import (
     GRAM_UNDERFLOW_BOUND,
+    STACK_BYTES,
     adjoint,
     as_stack,
     gram_bounds,
@@ -623,22 +627,99 @@ class AggregateReport:
         return json_text(self.to_payload())
 
 
+def _one_blas_thread(environ) -> bool:
+    """Whether numpy's OpenBLAS runs each call on one thread, read from
+    `environ` as OpenBLAS reads it when it loads: the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a
+    positive integer, else one thread per CPU, taken here as more than one."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
+# Read once: BLAS read the same environment when numpy, imported above, loaded it.
+_ONE_BLAS_THREAD = _one_blas_thread(os.environ)
+
+
 def _check_trials(config: TrialConfig, dim: int, seeds: list[int],
                   floors: dict[str, float] | None = None) -> list[dict[str, TrialReport]]:
     """Each seed's reports by check name. The seeds' pairs are built with
     one random_pairs call, every member is validated in one
     projection_failures call, and each check runs on all the pairs at once,
     with its floor from `floors` (exact residuals when None); the first
-    member that fails validation raises ArithmeticError."""
+    member that fails validation raises ArithmeticError.
+
+    When one dim x dim matrix fills a stack (dim >= 64) and BLAS runs on
+    one thread, power_expansion runs beside the other checks (_run_beside),
+    so the chunk holds its stacks and those of one other check at once;
+    otherwise the checks run one after another. Either way, when checks raise, the chunk raises the
+    error of the first failing one in config.checks order."""
     pairs = random_pairs(dim, seeds)
     failures = projection_failures([p.f for p in pairs] + [p.g for p in pairs])
     if failures:
         position, report = failures[0]
         name = "fg"[position // len(pairs)]
         raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
-    by_check = {name: CHECKS[name](pairs, config, None if floors is None else floors[name])
-                for name in config.checks}
+
+    def run(name: str) -> list[TrialReport]:
+        return CHECKS[name](pairs, config, None if floors is None else floors[name])
+
+    # One complex dim x dim matrix fills a stack's budget: dim >= 64. Below
+    # that, even where a stack holds one matrix (dim 46-63), the worker's
+    # smaller products gain less than sharing the GIL costs. With BLAS's own
+    # threads on top, the two callers oversubscribe the cores and run slower
+    # than one.
+    if (_ONE_BLAS_THREAD and 16 * dim * dim >= STACK_BYTES
+            and "power_expansion" in config.checks and len(config.checks) > 1):
+        by_check = _run_beside(pairs, config.checks, run)
+    else:
+        by_check = {name: run(name) for name in config.checks}
     return [dict(zip(by_check, trial)) for trial in zip(*by_check.values())]
+
+
+def _run_beside(pairs: list[ProjectionPair], checks: tuple[str, ...],
+                run) -> dict[str, list[TrialReport]]:
+    """run(name) for every name in checks, by name in checks order, with
+    power_expansion on one worker thread and the others, in order, on this
+    one. power_expansion is almost all Horner products, which release the
+    GIL, while the others lean on eigensolves, which hold it; with BLAS on
+    one thread a product has the same bits on either thread, so the reports
+    are the serial ones.
+
+    The worker runs in a copy of this thread's context, so it sees the
+    caller's np.errstate (numpy 2 keeps it in a context variable), and
+    reads only products and norms of the pairs formed here before it
+    starts, so no cached product is computed on both threads. This thread stops at its first failing
+    check and always joins the worker, then raises the error of whichever
+    failing check comes first in checks order, as the serial loop would.
+    The worker is a daemon, so an interrupt does not wait for it."""
+    for pair in pairs:
+        pair.fgf, pair.norm_anti  # with fg, gf and anti, all power_expansion reads
+    results, errors = {}, {}
+
+    def attempt(name: str) -> None:
+        try:
+            results[name] = run(name)
+        except Exception as exc:  # raised below, once the worker has been joined
+            errors[name] = exc
+
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(attempt, "power_expansion"), daemon=True)
+    worker.start()
+    for name in checks:
+        if name != "power_expansion":
+            attempt(name)
+            if name in errors:
+                break
+    worker.join()
+    if errors:
+        raise errors[min(errors, key=checks.index)]
+    return {name: results[name] for name in checks}
 
 
 def _run_one_trial(config: TrialConfig, dim: int, seed: int,
@@ -656,9 +737,13 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     pairs, and each check runs on a chunk's pairs at once; a chunk's pairs
     are freed once its checks have run, so however many trials a campaign
     runs it holds one chunk's pairs with the products their checks cache,
-    and the stacks of one check. Under the floors below, a check also holds
-    the Grams of its gap terms that can matter until its last degree, so its
-    memory grows with m_max and n_max (_Gaps).
+    and the stacks of one check; at dim >= 64, where a chunk is one pair,
+    and with BLAS on one thread, power_expansion runs on a worker thread
+    beside the other checks, so a chunk holds two checks' stacks at once
+    (_check_trials). Under the
+    floors below, a check also holds the Grams of its gap terms that can
+    matter until its last degree, so its memory grows with m_max and n_max
+    (_Gaps).
 
     Only each check's largest residual and its failing trials are reported,
     so each check gets its summary's max_residual so far as a floor and

@@ -1,8 +1,10 @@
 import importlib.util
 import json
 import math
+import threading
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -725,6 +727,108 @@ def test_run_trials_drops_each_chunks_pairs_once_its_checks_have_run(monkeypatch
     report = run_trials(TrialConfig(dims=(16,), trials=20, checks=("theorem",)))
     assert report.verdict == "pass"
     assert alive == [[True] * 16, [False] * 16 + [True] * 4]
+
+
+def spy_power_expansion(monkeypatch, record):
+    """Make CHECKS["power_expansion"] append record() to the returned list
+    each time it runs, then run the real check."""
+    real = verify.CHECKS["power_expansion"]
+    seen = []
+
+    def spy(pairs, cfg, floor):
+        seen.append(record())
+        return real(pairs, cfg, floor)
+
+    monkeypatch.setitem(verify.CHECKS, "power_expansion", spy)
+    return seen
+
+
+@pytest.mark.parametrize("environ, one_thread", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": " 1 "}, True),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+    ({"MKL_NUM_THREADS": "1"}, False),
+    ({}, False),
+])
+def test_one_blas_thread_reads_the_variables_as_openblas_does(environ, one_thread):
+    assert verify._one_blas_thread(environ) == one_thread
+
+
+@pytest.mark.parametrize("dims, checks, one_blas_thread, off_thread", [
+    ((64,), verify.ALL_CHECKS, True, True),
+    ((48,), verify.ALL_CHECKS, True, False),  # a stack holds one 48 x 48 matrix, but is not full
+    ((64,), ("power_expansion",), True, False),
+    ((64,), verify.ALL_CHECKS, False, False),
+])
+def test_power_expansion_runs_beside_the_other_checks_at_dim_64(dims, checks, one_blas_thread,
+                                                                off_thread, monkeypatch):
+    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", one_blas_thread)
+    idents = spy_power_expansion(monkeypatch, threading.get_ident)
+    report = run_trials(TrialConfig(dims=dims, trials=1, checks=checks))
+    assert report.verdict == "pass"
+    assert len(idents) == 1
+    assert (idents[0] != threading.get_ident()) == off_thread
+
+
+def test_power_expansion_worker_keeps_the_callers_errstate(monkeypatch):
+    # a new thread starts with an empty context, where numpy's errstate is
+    # the default over="warn"
+    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", True)
+    seen = spy_power_expansion(monkeypatch, lambda: (np.geterr()["over"], threading.get_ident()))
+    with np.errstate(over="raise"):
+        report = run_trials(TrialConfig(dims=(64,), trials=1))
+    assert report.verdict == "pass"
+    assert len(seen) == 1
+    over, ident = seen[0]
+    assert ident != threading.get_ident()
+    assert over == "raise"
+
+
+@pytest.mark.parametrize("checks, power_works, message", [
+    (verify.ALL_CHECKS, True, "ValueError: synthetic theorem failure"),
+    (verify.ALL_CHECKS[::-1], True, "ArithmeticError: synthetic power_expansion failure"),
+    # the worker fails while nw_block runs here; theorem still runs, and fails first
+    (("nw_block", "theorem", "power_expansion"), False, "ValueError: synthetic theorem failure"),
+])
+def test_split_chunk_raises_the_first_failing_checks_error(checks, power_works, message,
+                                                           monkeypatch):
+    # theorem fails on this thread, power_expansion on the worker, after its
+    # real work or at once; the error recorded is the one of the failing
+    # check that comes first in checks order, as in the serial loop, and
+    # the worker is joined before the trial records it
+    real_power = verify.CHECKS["power_expansion"]
+
+    def failing_theorem(pairs, cfg, floor):
+        raise ValueError("synthetic theorem failure")
+
+    def failing_power(pairs, cfg, floor):
+        if power_works:
+            real_power(pairs, cfg, floor)
+        raise ArithmeticError("synthetic power_expansion failure")
+
+    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", True)
+    monkeypatch.setitem(verify.CHECKS, "theorem", failing_theorem)
+    monkeypatch.setitem(verify.CHECKS, "power_expansion", failing_power)
+    threads = threading.active_count()
+    report = run_trials(TrialConfig(dims=(64,), trials=2, checks=checks))
+    assert threading.active_count() == threads
+    assert report.errors == [{"trial": i, "dim": 64, "message": message} for i in range(2)]
+    assert all(s.trials == 0 for s in report.per_check)
+
+
+@pytest.mark.parametrize("tol", [verify.DEFAULT_TOL, 1e-15])
+def test_split_checks_report_as_single_check_campaigns(tol, monkeypatch):
+    # each check's summary depends on that check alone, and a campaign of
+    # one check runs it on the calling thread; at 1e-15 trials fail, so the
+    # failing indices are compared too
+    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", True)
+    config = TrialConfig(dims=(64, 96), trials=2, base_seed=7, tol=tol)
+    report = run_trials(config)
+    assert not report.errors
+    for summary in report.per_check:
+        assert summary == run_trials(replace(config, checks=(summary.name,))).per_check[0]
+    assert (tol == 1e-15) == any(s.failures for s in report.per_check)
 
 
 def test_run_trials_rejects_unknown_check():
