@@ -14,8 +14,9 @@ import numpy as np
 HERM_TOL = 1e-10
 # Most bytes of matrices that one stack holds, for one eigensolve or Horner
 # pass; stack_slices splits longer sequences. Stacking pays at small dims,
-# where call overhead dominates; at dim >= 64 one complex matrix fills the
-# budget, so large matrices go one at a time, as unstacked calls do.
+# where call overhead dominates; from dim 46 a stack holds one complex
+# matrix, and at dim >= 64 one fills the budget, so large matrices go one at
+# a time, as unstacked calls do.
 STACK_BYTES = 1 << 16
 
 

@@ -657,8 +657,9 @@ def _check_trials(config: TrialConfig, dim: int, seeds: list[int],
     When one dim x dim matrix fills a stack (dim >= 64) and BLAS runs on
     one thread, power_expansion runs beside the other checks (_run_beside),
     so the chunk holds its stacks and those of one other check at once;
-    otherwise the checks run one after another. Either way, when checks raise, the chunk raises the
-    error of the first failing one in config.checks order."""
+    otherwise the checks run one after another. Either way, when checks
+    raise, the chunk raises the error of the first failing one in
+    config.checks order."""
     pairs = random_pairs(dim, seeds)
     failures = projection_failures([p.f for p in pairs] + [p.g for p in pairs])
     if failures:
@@ -692,12 +693,13 @@ def _run_beside(pairs: list[ProjectionPair], checks: tuple[str, ...],
     are the serial ones.
 
     The worker runs in a copy of this thread's context, so it sees the
-    caller's np.errstate (numpy 2 keeps it in a context variable), and
-    reads only products and norms of the pairs formed here before it
-    starts, so no cached product is computed on both threads. This thread stops at its first failing
-    check and always joins the worker, then raises the error of whichever
-    failing check comes first in checks order, as the serial loop would.
-    The worker is a daemon, so an interrupt does not wait for it."""
+    caller's np.errstate (numpy 2 keeps it in a context variable). It reads
+    only products and norms of the pairs formed here before it starts, so
+    no cached product is computed on both threads. This thread stops at its
+    first failing check and always joins the worker, then raises the error
+    of whichever failing check comes first in checks order, as the serial
+    loop would. The worker is a daemon, so an interrupt does not wait for
+    it."""
     for pair in pairs:
         pair.fgf, pair.norm_anti  # with fg, gf and anti, all power_expansion reads
     results, errors = {}, {}
@@ -740,10 +742,9 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     and the stacks of one check; at dim >= 64, where a chunk is one pair,
     and with BLAS on one thread, power_expansion runs on a worker thread
     beside the other checks, so a chunk holds two checks' stacks at once
-    (_check_trials). Under the
-    floors below, a check also holds the Grams of its gap terms that can
-    matter until its last degree, so its memory grows with m_max and n_max
-    (_Gaps).
+    (_check_trials). Under the floors below, a check also holds the Grams
+    of its gap terms that can matter until its last degree, so its memory
+    grows with m_max and n_max (_Gaps).
 
     Only each check's largest residual and its failing trials are reported,
     so each check gets its summary's max_residual so far as a floor and

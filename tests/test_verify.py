@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import sys
 import threading
 import weakref
 from collections import Counter
@@ -815,6 +816,26 @@ def test_split_chunk_raises_the_first_failing_checks_error(checks, power_works, 
     assert threading.active_count() == threads
     assert report.errors == [{"trial": i, "dim": 64, "message": message} for i in range(2)]
     assert all(s.trials == 0 for s in report.per_check)
+
+
+def test_split_campaign_measures_as_the_serial_one(eigvalsh_calls, monkeypatch):
+    # with the threads switching as often as they can, the split forms no
+    # product or norm twice (31 eigensolves, as in
+    # test_large_campaign_solves_few_gap_norms) and reports the same bytes
+    config = TrialConfig(dims=(64, 96), trials=1, base_seed=0)
+    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", False)
+    serial = run_trials(config).to_json()
+    assert len(eigvalsh_calls) == 31
+    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", True)
+    eigvalsh_calls.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = run_trials(config).to_json()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(eigvalsh_calls) == 31
+    assert split == serial
 
 
 @pytest.mark.parametrize("tol", [verify.DEFAULT_TOL, 1e-15])
