@@ -197,19 +197,19 @@ def gram_norms(gram: np.ndarray) -> list[float]:
 # products of entries of A that underflow, each off by at most 2^-1075, shift
 # the top of an m x n A's Gram by a relative m n 2^-115 at most, far below
 # the eigensolve's rounding.
-_UNDERFLOW_NORM = 2.0**-480
+UNDERFLOW_NORM = 2.0**-480
 
 
 def stack_norms(stack: np.ndarray, gram: np.ndarray) -> list[float]:
     """||A|| for each matrix A of a stack, given their Grams: gram_norms(gram),
-    except that a nonzero A whose norm there lies below _UNDERFLOW_NORM, its
+    except that a nonzero A whose norm there lies below UNDERFLOW_NORM, its
     Gram perhaps underflowed, is measured again scaled by a power of two to a
     largest entry near 1, and its norm scaled back. This is the rule of
     spectral_norms."""
     norms = gram_norms(gram)
-    if min(norms, default=math.inf) < _UNDERFLOW_NORM:
+    if min(norms, default=math.inf) < UNDERFLOW_NORM:
         for j, norm in enumerate(norms):
-            if norm < _UNDERFLOW_NORM and stack[j].any():
+            if norm < UNDERFLOW_NORM and stack[j].any():
                 norms[j] = _scaled_norm(stack[j])
     return norms
 

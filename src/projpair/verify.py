@@ -14,7 +14,7 @@ import math
 import os
 import threading
 from dataclasses import asdict, dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate, islice, repeat
 from typing import NamedTuple
 
@@ -24,6 +24,7 @@ from ._jsontext import json_text
 from .linalg import (
     GRAM_UNDERFLOW_BOUND,
     STACK_BYTES,
+    UNDERFLOW_NORM,
     adjoint,
     as_stack,
     gram_bounds,
@@ -100,6 +101,23 @@ def _degree_groups(degrees: range, per_degree: int, dim: int) -> list[range]:
     """
     size = max(1, stack_capacity((dim, dim)) // per_degree)
     return [degrees[i : i + size] for i in range(0, len(degrees), size)]
+
+
+# numpy's gufuncs release the GIL only for loops longer than 500
+# (NPY_BEGIN_THREADS_THRESHOLDED), and eigvalsh's loop is (matrices in the
+# call) x n long. Two threads against one making the same eigvalsh calls (2
+# vCPU, numpy 2.4.6, BLAS on one thread): n 499 and one matrix 0.98x, n 501
+# 1.81x; n 64 and 7 matrices 0.94x, 8 1.69x; n 96 and 5 matrices 0.94x, 6 1.78x.
+EIGVALSH_GIL_THRESHOLD = 500
+
+
+def _runs(items: range, size: int) -> list[range]:
+    """items cut into consecutive runs of size, the last taking the
+    remainder: each run is shorter than 2 size, and none shorter than size
+    unless items is."""
+    count = max(1, len(items) // size)
+    return [items[i * size : len(items) if i == count - 1 else (i + 1) * size]
+            for i in range(count)]
 
 
 def _slices(stacks: list) -> list:
@@ -236,27 +254,66 @@ def check_lemma_product_powers(pairs, m_max: int = 8, tol: float = DEFAULT_TOL, 
     """check_lemma_product_power for each of many equally sized pairs, in
     order: the powers of every pair are formed as one stack, and each run of
     degrees is measured for all the pairs at once. With a floor, the gaps
-    (fg)^m - (fgf)^(m-1) fg are measured only where they can matter (_Gaps)."""
+    (fg)^m - (fgf)^(m-1) fg are measured only where they can matter (_Gaps).
+
+    Where one dim x dim matrix fills a stack (dim >= 64), ||fgf|| and the
+    norms of the powers are measured together instead: each Gram is formed
+    with its matrix, and the Grams are eigensolved in runs of at least
+    EIGVALSH_GIL_THRESHOLD // dim + 1 matrices, so that each eigensolve
+    releases the GIL to a power_expansion worker (_run_beside). Runs are
+    shorter than twice that, so memory stays flat in m_max. Their matrices
+    are not kept: one whose norm may have underflowed is formed again and
+    measured by stack_norms' rule, so every norm has spectral_norms' bits.
+    """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if not pairs:
         return []
-    k = len(pairs)
+    k, dim = len(pairs), pairs[0].dim
     fg, fgf = as_stack([pair.fg for pair in pairs]), as_stack([pair.fgf for pair in pairs])
     a = [pair.norm_fg for pair in pairs]
-    norm_fgf = spectral_norms(fgf)
-    residuals = [abs(norm - x * x) for norm, x in zip(norm_fgf, a)]
+    norm_fgf, residuals = [0.0] * k, [0.0] * k
+
+    def record(m: int, norms: list[float]) -> None:
+        """Each pair's ||(fg)^m||, or for m = 1, whose power needs no norm,
+        its ||fgf||, against the bound the lemma gives it."""
+        for i, norm in enumerate(norms):
+            if m == 1:
+                norm_fgf[i], excess = norm, abs(norm - a[i] * a[i])
+            else:
+                excess = norm - a[i] ** (2 * m - 1)
+            residuals[i] = max(residuals[i], excess)
+
     gaps = _Gaps(residuals, tol, floor)
     # m = 1 holds by construction: ||fg|| <= ||fg|| and fg = (fgf)^0 fg
     powers = islice(_powers(fg, m_max), 1, None)
     prefixes = _powers(fgf, m_max - 1)
-    for group in _degree_groups(range(2, m_max + 1), 2 * k, pairs[0].dim):
-        group_powers = list(islice(powers, len(group)))
-        for m, row in zip(group, _rows(spectral_norms(_slices(group_powers)), k)):
-            for i, power_norm in enumerate(row):
-                residuals[i] = max(residuals[i], power_norm - a[i] ** (2 * m - 1))
-        gaps.add(_slices([power - prefix @ fg for power, prefix in zip(group_powers, prefixes)]),
-                 [*range(k)] * len(group), [1.0] * (k * len(group)))
+    if 16 * dim * dim < STACK_BYTES:
+        record(1, spectral_norms(fgf))
+        for group in _degree_groups(range(2, m_max + 1), 2 * k, dim):
+            group_powers = list(islice(powers, len(group)))
+            for m, row in zip(group, _rows(spectral_norms(_slices(group_powers)), k)):
+                record(m, row)
+            gaps.add(_slices([power - prefix @ fg for power, prefix in zip(group_powers, prefixes)]),
+                     [*range(k)] * len(group), [1.0] * (k * len(group)))
+    else:
+        # m = 1 stands for fgf, as in record. A run's gaps reach _Gaps before
+        # its norms reach the residuals, so under a floor _Gaps may hold terms
+        # it would have dropped, but finish() measures none of them: their
+        # bounds lie below its cut, which only rises.
+        for run in _runs(range(1, m_max + 1), -(-(EIGVALSH_GIL_THRESHOLD // dim + 1) // k)):
+            run_grams = np.empty((len(run) * k, dim, dim), dtype=np.complex128)
+            for j, m in enumerate(run):
+                mats = fgf if m == 1 else next(powers)
+                run_grams[j * k : (j + 1) * k] = grams(mats)[1]
+                if m > 1:
+                    gaps.add(_slices([mats - next(prefixes) @ fg]), [*range(k)], [1.0] * k)
+            for j, (m, row) in enumerate(zip(run, _rows(gram_norms(run_grams), k))):
+                if min(row) < UNDERFLOW_NORM:
+                    mats = fgf if m == 1 else reduce(np.matmul, repeat(fg, m))
+                    row = stack_norms(mats, run_grams[j * k : (j + 1) * k])
+                record(m, row)
+            del run_grams  # before the next run's is allocated
     gaps.finish()
     return [_report("lemma_product_power", pair,
                     {"norm_fg": x, "norm_fgf": norm, "m_max": m_max},

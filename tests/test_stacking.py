@@ -17,7 +17,7 @@ entry for entry.
 import math
 import tracemalloc
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate, islice, repeat
 
 import numpy as np
@@ -25,10 +25,15 @@ import pytest
 
 import projpair.linalg as linalg
 import projpair.projections as projections
+import projpair.verify as verify
 from projpair.linalg import (
     STACK_BYTES,
+    UNDERFLOW_NORM,
     NonHermitianError,
     adjoint,
+    as_stack,
+    gram_norms,
+    grams,
     hermitian_eigen,
     hermitian_eigens,
     mat_poly_evals,
@@ -325,6 +330,96 @@ def test_floored_checks_keep_each_chunks_maximum_and_verdicts(dim):
                     assert report.quantities == want.quantities, label
                     if bits(report.residual) != bits(want.residual):
                         assert report.residual < want.residual <= min(tol, limit), label
+
+
+def product_powers_one_norm_at_a_time(pairs, m_max, tol, floor):
+    """Each pair's (||fgf||, residual) from check_lemma_product_powers as
+    it stood before its norms were measured in runs: the powers from
+    verify._powers, each norm by its own spectral_norms call, and each
+    degree's gaps through verify._Gaps, after that degree's norms."""
+    k = len(pairs)
+    fg, fgf = as_stack([p.fg for p in pairs]), as_stack([p.fgf for p in pairs])
+    a = [p.norm_fg for p in pairs]
+    norm_fgf = [spectral_norms([matrix])[0] for matrix in fgf]
+    residuals = [abs(norm - x * x) for norm, x in zip(norm_fgf, a)]
+    gaps = verify._Gaps(residuals, tol, floor)
+    powers = islice(verify._powers(fg, m_max), 1, None)
+    for m, (power, prefix) in enumerate(zip(powers, verify._powers(fgf, m_max - 1)), start=2):
+        for i, matrix in enumerate(power):
+            residuals[i] = max(residuals[i], spectral_norms([matrix])[0] - a[i] ** (2 * m - 1))
+        gaps.add(list(power - prefix @ fg), [*range(k)], [1.0] * k)
+    gaps.finish()
+    return [(norm, max(residual, 0.0)) for norm, residual in zip(norm_fgf, residuals)]
+
+
+def assert_product_powers_match(pairs, m_max, tol, floor, label):
+    reports = check_lemma_product_powers(pairs, m_max, tol, floor=floor)
+    expected = product_powers_one_norm_at_a_time(pairs, m_max, tol, floor)
+    for report, (norm_fgf, residual) in zip(reports, expected, strict=True):
+        assert bits(report.quantities["norm_fgf"]) == bits(norm_fgf), label
+        assert bits(report.residual) == bits(residual), label
+
+
+@pytest.mark.parametrize("dim", [64, 96])
+def test_product_power_norms_run_long_enough_to_release_the_gil(dim, eigvalsh_calls):
+    # Where one matrix fills a stack, ||fgf|| and the norms of (fg)^2 ..
+    # (fg)^m_max reach eigvalsh as runs of (run, dim, dim) Grams with
+    # run * dim > 500, numpy's threshold for releasing the GIL, once there
+    # are enough of them (m_max per pair), and as one run before. Every
+    # other eigensolve is a gap's, one matrix at a time. The norms, the
+    # residuals and so the verdicts keep the bits of measuring each norm on
+    # its own, with a floor as with none.
+    pairs = random_pairs(dim, [3, 4])
+    for pair in pairs:
+        pair.norm_fg  # measured once, before the calls are counted
+    for k in (1, 2):
+        for m_max in (1, 2, 8, 12, 32):
+            for floor in (None, 0.0, 1e-15):
+                label = f"{k} pairs, m_max {m_max}, floor {floor}"
+                eigvalsh_calls.clear()
+                check_lemma_product_powers(pairs[:k], m_max, floor=floor)
+                runs = [shape for shape in eigvalsh_calls if shape != (1, dim, dim)]
+                if k * m_max == 1:
+                    assert eigvalsh_calls == [(1, dim, dim)], label
+                    continue
+                assert sum(run for run, _, _ in runs) == k * m_max, label
+                assert all(shape[1:] == (dim, dim) for shape in runs), label
+                threshold = verify.EIGVALSH_GIL_THRESHOLD
+                if k * m_max * dim > threshold:
+                    # and shorter than twice the fewest that suffice, whatever m_max
+                    assert all(threshold < run * dim and run < 2 * (threshold // dim + k)
+                               for run, _, _ in runs), label
+                else:
+                    assert len(runs) == 1, label
+                assert_product_powers_match(pairs[:k], m_max, 1e-8, floor, label)
+
+
+def test_product_powers_measure_underflowing_norms_again_scaled(monkeypatch):
+    # ||fg|| is about 2^-40, so ||(fg)^7|| and ||(fg)^8|| lie below
+    # UNDERFLOW_NORM: their Grams underflow, to subnormals and to zero, and
+    # the run's eigensolve reads norms that have lost their digits. Each is
+    # formed again and measured scaled, as spectral_norms measures it. Their residual terms, norm - ||fg||^(2m-1), are negative
+    # either way, so the norms themselves are watched as stack_norms returns
+    # them; the gaps' norms, near 0, cannot be mistaken for them.
+    pair = pair_from_angles(AngleSpec((math.acos(2.0**-40),) + (math.pi / 2,) * 31))
+    underflowing = [reduce(np.matmul, repeat(pair.fg, m)) for m in (7, 8)]
+    for power in underflowing:
+        [from_gram] = gram_norms(grams(power[np.newaxis])[1])
+        assert from_gram < UNDERFLOW_NORM and bits(from_gram) != bits(spectral_norm(power))
+    returned = []
+
+    def watched(stack, gram):
+        norms = linalg.stack_norms(stack, gram)
+        returned.extend(map(bits, norms))
+        return norms
+
+    monkeypatch.setattr(verify, "stack_norms", watched)
+    for floor in (None, 0.0):
+        returned.clear()
+        assert_product_powers_match([pair], 8, 1e-8, floor, f"floor {floor}")
+        assert {bits(spectral_norm(power)) for power in underflowing} <= set(returned)
+    report = check_lemma_product_power(pair)
+    assert report.passed and report.quantities["norm_fgf"] == pytest.approx(2.0**-80)
 
 
 def test_nw_block_chunks_mix_ranks_of_f():

@@ -479,16 +479,20 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
 
 
 def test_large_campaign_solves_few_gap_norms(eigvalsh_calls):
-    # One dim-64 and one dim-96 trial, each a chunk of one pair: 26
+    # One dim-64 and one dim-96 trial, each a chunk of one pair: 12
     # eigensolves for norms that are not pure gaps, and 5 for gaps, all in
     # the dim-64 trial: each check's floor is its campaign maximum, and the
-    # dim-64 maxima cover every gap of the dim-96 trial. halmos_decompose
-    # measures only ||D||, the Frobenius bound certifying its relation gaps;
-    # measuring them took 5 more (36 in all). Measuring every gap took 66
-    # (97 in all), and floors kept per dim took 10 (41 in all)
+    # dim-64 maxima cover every gap of the dim-96 trial. Each trial's 12 are
+    # its three pair norms, one run of lemma_product_power's eight norms
+    # (||fgf|| and (fg)^2..(fg)^8, one (8, dim, dim) eigensolve), ||u|| in
+    # lemma_commutator and ||D|| in halmos_decompose, the Frobenius bound
+    # certifying its relation gaps. Measuring lemma_product_power's norms
+    # one at a time took 14 more (31 in all), measuring the relation gaps 5
+    # more again (36), measuring every gap 66 (97), and floors kept per dim
+    # 10 (41)
     report = run_trials(TrialConfig(dims=(64, 96), trials=1, base_seed=0))
     assert report.verdict == "pass"
-    assert len(eigvalsh_calls) == 31
+    assert len(eigvalsh_calls) == 17
 
 
 def exact_checks(monkeypatch):
@@ -820,12 +824,13 @@ def test_split_chunk_raises_the_first_failing_checks_error(checks, power_works, 
 
 def test_split_campaign_measures_as_the_serial_one(eigvalsh_calls, monkeypatch):
     # with the threads switching as often as they can, the split forms no
-    # product or norm twice (31 eigensolves, as in
+    # product or norm twice (17 eigensolves, one of them a run of
+    # lemma_product_power's eight norms per trial, as in
     # test_large_campaign_solves_few_gap_norms) and reports the same bytes
     config = TrialConfig(dims=(64, 96), trials=1, base_seed=0)
     monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", False)
     serial = run_trials(config).to_json()
-    assert len(eigvalsh_calls) == 31
+    assert len(eigvalsh_calls) == 17
     monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", True)
     eigvalsh_calls.clear()
     interval = sys.getswitchinterval()
@@ -834,7 +839,7 @@ def test_split_campaign_measures_as_the_serial_one(eigvalsh_calls, monkeypatch):
         split = run_trials(config).to_json()
     finally:
         sys.setswitchinterval(interval)
-    assert len(eigvalsh_calls) == 31
+    assert len(eigvalsh_calls) == 17
     assert split == serial
 
 
