@@ -61,8 +61,9 @@ BOUNDS_MAX_N = 10**6
 # pass numpy's allocation check, then exhaust an 8 GiB host. A fresh process of verify
 # --dims 1024 --trials 1 --checks theorem: ~1.0 s (1.5 s at 1 BLAS thread), ~190 MiB peak RSS.
 # All checks at --dims 512 --trials 1: ~1.9 s, ~131 MiB at BLAS's default 2 threads (2 vCPU);
-# at 1 BLAS thread, where power_expansion runs on a second thread, ~1.8 s, ~172 MiB (was
-# ~3.1 s, ~128 MiB serially). At 256: ~0.4 s, ~62 MiB; ~0.37 s, ~74 MiB (was ~0.51 s, ~61 MiB).
+# at 1 BLAS thread, where power_expansion runs on a second thread, ~1.75 s, ~172 MiB (~3.0 s,
+# ~128 MiB with the checks run serially). At 256: ~0.39 s, ~62 MiB; ~0.33 s, ~73 MiB (~0.50 s,
+# ~61 MiB serially).
 MAX_DIM = 1024
 
 

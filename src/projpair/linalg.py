@@ -16,7 +16,8 @@ HERM_TOL = 1e-10
 # pass; stack_slices splits longer sequences. Stacking pays at small dims,
 # where call overhead dominates; from dim 46 a stack holds one complex
 # matrix, and at dim >= 64 one fills the budget, so large matrices go one at
-# a time, as unstacked calls do.
+# a time, as unstacked calls do (but for lemma_product_power's norms, which
+# verify measures in longer runs so that eigvalsh releases the GIL).
 STACK_BYTES = 1 << 16
 
 

@@ -745,9 +745,13 @@ def _run_beside(pairs: list[ProjectionPair], checks: tuple[str, ...],
     """run(name) for every name in checks, by name in checks order, with
     power_expansion on one worker thread and the others, in order, on this
     one. power_expansion is almost all Horner products, which release the
-    GIL, while the others lean on eigensolves, which hold it; with BLAS on
-    one thread a product has the same bits on either thread, so the reports
-    are the serial ones.
+    GIL. The others lean on eigensolves, and numpy's eigvalsh releases the
+    GIL only when (matrices in the call) x dim exceeds
+    EIGVALSH_GIL_THRESHOLD: lemma_product_power measures ||fgf|| and its
+    powers' norms in runs long enough for that, while the pair norms, ||u||
+    in lemma_commutator, ||D|| in the Halmos split and the gap norms are
+    one-Gram eigensolves that hold it. With BLAS on one thread a product
+    has the same bits on either thread, so the reports are the serial ones.
 
     The worker runs in a copy of this thread's context, so it sees the
     caller's np.errstate (numpy 2 keeps it in a context variable). It reads

@@ -398,9 +398,10 @@ def test_product_powers_measure_underflowing_norms_again_scaled(monkeypatch):
     # ||fg|| is about 2^-40, so ||(fg)^7|| and ||(fg)^8|| lie below
     # UNDERFLOW_NORM: their Grams underflow, to subnormals and to zero, and
     # the run's eigensolve reads norms that have lost their digits. Each is
-    # formed again and measured scaled, as spectral_norms measures it. Their residual terms, norm - ||fg||^(2m-1), are negative
-    # either way, so the norms themselves are watched as stack_norms returns
-    # them; the gaps' norms, near 0, cannot be mistaken for them.
+    # formed again and measured scaled, as spectral_norms measures it. Their
+    # residual terms, norm - ||fg||^(2m-1), are negative either way, so the
+    # norms themselves are watched as stack_norms returns them; the gaps'
+    # norms, near 0, cannot be mistaken for them.
     pair = pair_from_angles(AngleSpec((math.acos(2.0**-40),) + (math.pi / 2,) * 31))
     underflowing = [reduce(np.matmul, repeat(pair.fg, m)) for m in (7, 8)]
     for power in underflowing:
