@@ -16,8 +16,10 @@ HERM_TOL = 1e-10
 # pass; stack_slices splits longer sequences. Stacking pays at small dims,
 # where call overhead dominates; from dim 46 a stack holds one complex
 # matrix, and at dim >= 64 one fills the budget, so large matrices go one at
-# a time, as unstacked calls do (but for lemma_product_power's norms, which
-# verify measures in longer runs so that eigvalsh releases the GIL).
+# a time, as unstacked calls do. lemma_product_power's norms are the
+# exception: at every dim verify eigensolves their Grams in runs long enough
+# that eigvalsh releases the GIL, which below dim 64 hold up to about 1 MB,
+# flat in m_max.
 STACK_BYTES = 1 << 16
 
 
@@ -224,26 +226,41 @@ def _scaled_norm(A: np.ndarray) -> float:
     return math.ldexp(gram_norms(grams(parts.view(np.complex128)[np.newaxis])[1])[0], exponent)
 
 
-# Relative slack of the Gram bounds below over the norm gram_norms computes
-# from the same Gram G = A*A. eigvalsh is backward stable: its top eigenvalue
-# is within p(n) eps ||G||_2 of G's, p a modest polynomial (LAPACK Users'
-# Guide, section 4.7), and the bounds' own sums and products carry relative
-# errors of at most about n^2 eps. Both stay far below 1% for any n a dense
-# matrix can have, and the square and fourth roots shrink them further.
+# Relative slack of every bound below over the norm spectral_norms computes
+# for the same matrix A from its Gram G = A*A. eigvalsh is backward stable:
+# its top eigenvalue is within p(n) eps ||G||_2 of G's, p a modest polynomial
+# (LAPACK Users' Guide, section 4.7), and the bounds' own sums and products
+# carry relative errors of at most about n^2 eps. Both stay far below 1% for
+# any n a dense matrix can have, and the square and fourth roots shrink them
+# further. So each bound is at least the computed norm, or is inf: it
+# certifies that norm without an eigensolve.
 GRAM_MARGIN = 0.01
-# A Gram whose gram_bounds bound is at least this has a top of at least
-# 2^-960, since ||G||_2 >= ||G||_F / sqrt(n), for any n below 2^38: its
-# gram_norms norm is the one stack_norms gives.
+# A Gram whose root ||G||_F^(1/2), times 1 + GRAM_MARGIN, is at least this
+# has a top of at least 2^-960, since ||G||_2 >= ||G||_F / sqrt(n), for any n
+# below 2^38: its gram_norms norm is the one stack_norms gives.
 GRAM_UNDERFLOW_BOUND = 2.0**-470
 
 
-def gram_bounds(gram: np.ndarray) -> np.ndarray:
-    """(1 + GRAM_MARGIN) ||G||_F^(1/2) for each complex Gram matrix G = A*A
-    of a stack: at least the ||A|| gram_norms gives, since ||A||^2 =
-    ||G||_2 <= ||G||_F. An all-zero Gram gives 0.0; one with a non-finite
+def frobenius_bounds(mats: np.ndarray) -> np.ndarray:
+    """(1 + GRAM_MARGIN) ||X||_F for each complex matrix X of a stack: at
+    least the ||X|| spectral_norms gives, since ||X|| <= ||X||_F. _frobenius
+    rescales entries whose squares underflow; a matrix with a non-finite
     entry, or whose largest entry is subnormal, certifies nothing and gives
     inf."""
-    return np.sqrt(_frobenius(gram)) * (1.0 + GRAM_MARGIN)
+    return _frobenius(mats) * (1.0 + GRAM_MARGIN)
+
+
+def gram_bounds(stack: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """(1 + GRAM_MARGIN) ||G||_F^(1/2) for each matrix A of a stack, given
+    its Gram G = A*A: at least the ||A|| stack_norms gives, since ||A||^2 =
+    ||G||_2 <= ||G||_F. An all-zero A gives 0.0. A Gram with a non-finite
+    entry, or whose largest entry is subnormal, certifies nothing and gives
+    inf; so does a nonzero A whose bound lies below GRAM_UNDERFLOW_BOUND,
+    since its Gram, and so its bound, may have underflowed."""
+    bounds = np.sqrt(_frobenius(gram)) * (1.0 + GRAM_MARGIN)
+    if bounds.min(initial=np.inf) < GRAM_UNDERFLOW_BOUND:
+        bounds[(bounds < GRAM_UNDERFLOW_BOUND) & stack.any(axis=(1, 2))] = np.inf
+    return bounds
 
 
 def gram_moment_bounds(gram: np.ndarray) -> np.ndarray:
@@ -252,7 +269,9 @@ def gram_moment_bounds(gram: np.ndarray) -> np.ndarray:
     gram_norms gives, since ||A||^4 = ||G^2||_2 <= ||G^2||_F, and at most
     gram_bounds' bound (equal to it at rank 1), at the cost of one more
     product. Scaling by s keeps the square from overflowing or underflowing.
-    Grams that gram_bounds gives 0.0 or inf give the same."""
+    It is meant for Grams that gram_bounds certifies, with a finite positive
+    bound; an all-zero Gram gives 0.0, and one with a non-finite entry, or
+    whose largest entry is subnormal, gives inf."""
     size = _frobenius(gram)
     roots = np.ones(len(gram))
     scaled = np.isfinite(size) & (size > 0)
@@ -278,11 +297,11 @@ def cell_bounds(a, b, c, d) -> np.ndarray:
     Rounding moves F^4 - 4 det^2 by a few eps F^4, so where the two singular
     values are close the root moves ||A||^2 by a relative sqrt(eps) or so,
     and elsewhere by a few eps: far below the margin, so each bound is at
-    least the norm spectral_norms computes for its A. Unlike gram_bounds'
-    ||A||_F this is tight when the singular values are equal, as for
-    [[0, x], [-x, 0]]. A matrix whose F^2 lies below _CELL_SQUARES, an
-    all-zero one among them, or whose bound is not finite certifies nothing
-    and gives inf."""
+    least the norm spectral_norms computes for its A. Unlike
+    frobenius_bounds' ||A||_F this is tight when the singular values are
+    equal, as for [[0, x], [-x, 0]]. A matrix whose F^2 lies below
+    _CELL_SQUARES, an all-zero one among them, or whose bound is not finite
+    certifies nothing and gives inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         squares = a * a + b * b + c * c + d * d
         det = a * d - b * c
@@ -305,9 +324,9 @@ def largest_norm(bounds: np.ndarray, build) -> float:
     can reach it, and building only those.
 
     bounds[i] is at least the norm spectral_norms computes for matrix i, as
-    gram_bounds, cell_bounds and (1 + GRAM_MARGIN) ||X||_F are, or is inf;
-    build(indices) returns the (j, m, n) stack of the matrices at an array
-    of indices, in that order. The first matrix with the largest bound is
+    frobenius_bounds and cell_bounds give, or is inf; build(indices) returns
+    the (j, m, n) stack of the matrices at an array of indices, in that
+    order. The first matrix with the largest bound is
     measured, and then every other matrix whose bound is at least that norm,
     a stack of at most STACK_BYTES at a time; the rest cannot be the maximum.
     Equal positive norms have equal bits, so the order they are met in does

@@ -14,11 +14,11 @@ import numpy as np
 
 from ._jsontext import json_text
 from .linalg import (
-    _frobenius,
     adjoint,
     as_matrix,
     as_stack,
     cell_bounds,
+    frobenius_bounds,
     hermitian_eigens,
     largest_norm,
     spectral_norm,
@@ -148,51 +148,48 @@ def projection_failures(mats, tol: float = PROJ_TOL) -> list[tuple[int, Validati
     """The position and validate_projection report of each of `mats` that
     fails validation, in order; `mats` is as for validate_projections.
 
-    A member whose gaps P^2 - P and P - P* are both certified (_certified)
-    passes with no eigensolve. Every other member, NaN and overflow
-    included, is measured by one validate_projections call, so the reports,
-    and the errors raised, are validate_projections' own.
+    A member whose gaps P^2 - P and P - P* both have a frobenius_bounds
+    bound of at most tol passes with no eigensolve. Every other member, NaN
+    and overflow included, is measured by one validate_projections call, so
+    the reports, and the errors raised, are validate_projections' own.
     """
     require_tol(tol)
     uncertain = []
     for part in stack_slices(mats):
         square_gap, adjoint_gap = _projection_gaps(mats[part])
-        certified = _certified(square_gap, tol) & _certified(adjoint_gap, tol)
+        certified = (frobenius_bounds(square_gap) <= tol) & (frobenius_bounds(adjoint_gap) <= tol)
         uncertain += (part.start + np.flatnonzero(~certified)).tolist()
     reports = validate_projections([mats[i] for i in uncertain], tol)
     return [(i, report) for i, report in zip(uncertain, reports) if not report.ok]
 
 
-def _certified(gaps: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each matrix X of a stack has ||X|| <= tol for certain, with no
-    eigensolve: since ||X|| <= ||X||_F, when ||X||_F <= tol / 2; the factor 2
-    covers the rounding of the Frobenius sum and of the eigensolve. _frobenius
-    rescales entries whose squares underflow; a matrix with a non-finite
-    entry certifies nothing, and the exact measurement then raises, or warns,
-    as it would alone."""
-    return _frobenius(gaps) <= tol / 2
-
-
 def _projection_gaps(mats) -> tuple[np.ndarray, np.ndarray]:
     """P^2 - P and P - P* for a stack of square matrices P, each formed in
-    the buffer of P^2 or of P*, which is laid out row-major, as _frobenius
-    reads it without a copy."""
+    the buffer of P^2 or of P*, which is laid out row-major, as
+    frobenius_bounds reads it without a copy. Entries large enough to
+    overflow a gap make it inf or nan there, with no numpy warning."""
     P = np.asarray(mats, dtype=np.complex128)
     if P.ndim != 3 or P.shape[1] != P.shape[2]:
         raise ValueError(f"expected equally shaped square matrices, got a stack of shape {P.shape}")
-    square_gap = np.matmul(P, P)
-    square_gap -= P
-    adjoint_gap = np.conj(P.swapaxes(1, 2), order="C")
-    np.subtract(P, adjoint_gap, out=adjoint_gap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square_gap = np.matmul(P, P)
+        square_gap -= P
+        adjoint_gap = np.conj(P.swapaxes(1, 2), order="C")
+        np.subtract(P, adjoint_gap, out=adjoint_gap)
     return square_gap, adjoint_gap
 
 
 def _validate_stack(mats, tol: float) -> list[ValidationReport]:
-    # entries large enough to overflow the gaps or their Grams give nan or
-    # inf norms, which fail validation, or an EigenConvergenceError; the
-    # report or the error says so, with no numpy warning beside it
+    # finite members whose gaps overflow raise OverflowError, and NaN or inf
+    # members spectral_norms' ValueError; entries large enough to overflow
+    # the gaps' Grams give nan or inf norms, which fail validation, or an
+    # EigenConvergenceError. The report or the error says so, with no numpy
+    # warning beside it
+    square_gap, adjoint_gap = _projection_gaps(mats)
+    finite_gaps = np.isfinite(square_gap).all() and np.isfinite(adjoint_gap).all()
+    if not finite_gaps and np.isfinite(mats).all():
+        raise OverflowError("matrix entries too large: P^2 - P or P - P* overflows")
     with np.errstate(over="ignore", invalid="ignore"):
-        square_gap, adjoint_gap = _projection_gaps(mats)
         norms = spectral_norms([*square_gap, *adjoint_gap])
     k = len(square_gap)
     return [ValidationReport(idem, herm, tol, idem <= tol and herm <= tol)
@@ -543,9 +540,10 @@ def halmos_decompositions(pairs, tol: float = 1e-9) -> list[HalmosBlocks]:
 
     One hermitian_eigens call diagonalizes every f and one stacked product
     carries every g into its basis. Pairs whose f has the same rank share
-    one stack of blocks and of relation gaps. A gap that _certified bounds
-    by tol needs no eigensolve; the others, and ||D||, are measured with one
-    spectral_norms call per relation, ||D|| riding with the range block's.
+    one stack of blocks and of relation gaps. A gap whose frobenius_bounds
+    bound is at most tol needs no eigensolve; the others, and ||D||, are
+    measured with one spectral_norms call per relation, ||D|| riding with
+    the range block's.
     A pair that fails is measured in full, so its DecompositionError names
     the same residuals, in the same words, as measuring every gap would.
     """
@@ -569,7 +567,8 @@ def halmos_decompositions(pairs, tol: float = 1e-9) -> list[HalmosBlocks]:
         g_in_basis = g_in_bases[members]
         D, V, Dp = g_in_basis[:, :r, :r], g_in_basis[:, :r, r:], g_in_basis[:, r:, r:]
         gaps = _relation_gaps(D, V, Dp)
-        uncertain = {name: np.flatnonzero(~_certified(gap, tol)) for name, gap in gaps.items()}
+        uncertain = {name: np.flatnonzero(frobenius_bounds(gap) > tol)
+                     for name, gap in gaps.items()}
         # ||D|| shares the uncertain range-block gaps' eigensolve: all are r x r
         range_norms = spectral_norms([*gaps["range_block"][uncertain["range_block"]], *D])
         norms_D = range_norms[-len(members):]

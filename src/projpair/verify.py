@@ -22,7 +22,6 @@ import numpy as np
 
 from ._jsontext import json_text
 from .linalg import (
-    GRAM_UNDERFLOW_BOUND,
     STACK_BYTES,
     UNDERFLOW_NORM,
     adjoint,
@@ -137,17 +136,16 @@ class _Gaps:
     in exact arithmetic, each adding ||X|| / scale to its pair's residual.
 
     One loop forms each stack's Grams as spectral_norms does. It measures the
-    stack whole, by spectral_norms' rule, with no floor, for a Gram whose
-    Frobenius bound is inf, or for a nonzero term whose bound lies below
-    GRAM_UNDERFLOW_BOUND. With a floor, the campaign's largest residual so
-    far for the check, a term is measured only if it can raise a residual
-    above min(tol, limit), where limit is the floor or the largest value
-    measured so far, whichever is larger: no such term can set the campaign's
-    maximum or fail a trial that would pass, so the report keeps its bytes,
-    while a trial's residual may fall short of its exact value; a term its
-    bound does not certify is held as a one-Gram view of its stack. Held
-    terms keep their stacks alive until finish(), so a floored check's memory
-    grows with its number of degrees.
+    stack whole, by spectral_norms' rule, with no floor, or where a term's
+    gram_bounds bound is inf, certifying nothing. With a floor, the
+    campaign's largest residual so far for the check, a term is measured
+    only if it can raise a residual above min(tol, limit), where limit is
+    the floor or the largest value measured so far, whichever is larger: no
+    such term can set the campaign's maximum or fail a trial that would
+    pass, so the report keeps its bytes, while a trial's residual may fall
+    short of its exact value; a term its bound does not certify is held as
+    a one-Gram view of its stack. Held terms keep their stacks alive until
+    finish(), so a floored check's memory grows with its number of degrees.
     finish() takes the held terms in descending order of their bounds: it
     measures the first, then each later one whose tighter Gram-moment bound
     the limit reached by then does not cover.
@@ -161,12 +159,10 @@ class _Gaps:
         """Terms ||mats[j]|| / scales[j] of pairs owners[j]."""
         for part in stack_slices(mats):
             stack, gram = grams(mats[part])
-            bounds = [math.inf] if self.floor is None else gram_bounds(gram).tolist()
-            # measured whole, raising, as spectral_norms would; so is a stack
-            # with a nonzero term whose Gram, and so its bound, may have
-            # underflowed: stack_norms measures that term again, scaled
-            if math.inf in bounds or (min(bounds) < GRAM_UNDERFLOW_BOUND
-                                      and stack[np.less(bounds, GRAM_UNDERFLOW_BOUND)].any()):
+            bounds = [math.inf] if self.floor is None else gram_bounds(stack, gram).tolist()
+            # measured whole, raising, as spectral_norms would; stack_norms
+            # measures a term whose Gram underflowed again, scaled
+            if math.inf in bounds:
                 for owner, scale, norm in zip(owners[part], scales[part], stack_norms(stack, gram)):
                     self._record(owner, norm / scale)
                 continue
@@ -252,18 +248,18 @@ def check_lemma_product_power(pair: ProjectionPair, m_max: int = 8,
 def check_lemma_product_powers(pairs, m_max: int = 8, tol: float = DEFAULT_TOL, *,
                                floor: float | None = None) -> list[TrialReport]:
     """check_lemma_product_power for each of many equally sized pairs, in
-    order: the powers of every pair are formed as one stack, and each run of
-    degrees is measured for all the pairs at once. With a floor, the gaps
-    (fg)^m - (fgf)^(m-1) fg are measured only where they can matter (_Gaps).
+    order: the powers of every pair are formed as one stack, and their gaps
+    (fg)^m - (fgf)^(m-1) fg are measured one degree at a time for all the
+    pairs at once; with a floor, only where they can matter (_Gaps).
 
-    Where one dim x dim matrix fills a stack (dim >= 64), ||fgf|| and the
-    norms of the powers are measured together instead: each Gram is formed
-    with its matrix, and the Grams are eigensolved in runs of at least
-    EIGVALSH_GIL_THRESHOLD // dim + 1 matrices, so that each eigensolve
-    releases the GIL to a power_expansion worker (_run_beside). Runs are
-    shorter than twice that, so memory stays flat in m_max. Their matrices
-    are not kept: one whose norm may have underflowed is formed again and
-    measured by stack_norms' rule, so every norm has spectral_norms' bits.
+    ||fgf|| and the norms of the powers are measured together: each Gram is
+    formed with its matrix, and the Grams are eigensolved in runs of at least
+    EIGVALSH_GIL_THRESHOLD // dim + 1 matrices, so that at dim >= 64 each
+    eigensolve releases the GIL to a power_expansion worker (_run_beside).
+    Runs are shorter than twice that, so memory stays flat in m_max: below
+    dim 64 a run holds up to about 1 MB of Grams. Their matrices are not
+    kept: one whose norm may have underflowed is formed again and measured
+    by stack_norms' rule, so every norm has spectral_norms' bits.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -285,35 +281,26 @@ def check_lemma_product_powers(pairs, m_max: int = 8, tol: float = DEFAULT_TOL, 
             residuals[i] = max(residuals[i], excess)
 
     gaps = _Gaps(residuals, tol, floor)
-    # m = 1 holds by construction: ||fg|| <= ||fg|| and fg = (fgf)^0 fg
+    # m = 1 holds by construction: ||fg|| <= ||fg|| and fg = (fgf)^0 fg; in
+    # the runs it stands for fgf, as in record. A run's gaps reach _Gaps
+    # before its norms reach the residuals, so under a floor _Gaps may hold
+    # terms it would have dropped, but finish() measures none of them: their
+    # bounds lie below its cut, which only rises.
     powers = islice(_powers(fg, m_max), 1, None)
     prefixes = _powers(fgf, m_max - 1)
-    if 16 * dim * dim < STACK_BYTES:
-        record(1, spectral_norms(fgf))
-        for group in _degree_groups(range(2, m_max + 1), 2 * k, dim):
-            group_powers = list(islice(powers, len(group)))
-            for m, row in zip(group, _rows(spectral_norms(_slices(group_powers)), k)):
-                record(m, row)
-            gaps.add(_slices([power - prefix @ fg for power, prefix in zip(group_powers, prefixes)]),
-                     [*range(k)] * len(group), [1.0] * (k * len(group)))
-    else:
-        # m = 1 stands for fgf, as in record. A run's gaps reach _Gaps before
-        # its norms reach the residuals, so under a floor _Gaps may hold terms
-        # it would have dropped, but finish() measures none of them: their
-        # bounds lie below its cut, which only rises.
-        for run in _runs(range(1, m_max + 1), -(-(EIGVALSH_GIL_THRESHOLD // dim + 1) // k)):
-            run_grams = np.empty((len(run) * k, dim, dim), dtype=np.complex128)
-            for j, m in enumerate(run):
-                mats = fgf if m == 1 else next(powers)
-                run_grams[j * k : (j + 1) * k] = grams(mats)[1]
-                if m > 1:
-                    gaps.add(_slices([mats - next(prefixes) @ fg]), [*range(k)], [1.0] * k)
-            for j, (m, row) in enumerate(zip(run, _rows(gram_norms(run_grams), k))):
-                if min(row) < UNDERFLOW_NORM:
-                    mats = fgf if m == 1 else reduce(np.matmul, repeat(fg, m))
-                    row = stack_norms(mats, run_grams[j * k : (j + 1) * k])
-                record(m, row)
-            del run_grams  # before the next run's is allocated
+    for run in _runs(range(1, m_max + 1), -(-(EIGVALSH_GIL_THRESHOLD // dim + 1) // k)):
+        run_grams = np.empty((len(run) * k, dim, dim), dtype=np.complex128)
+        for j, m in enumerate(run):
+            mats = fgf if m == 1 else next(powers)
+            run_grams[j * k : (j + 1) * k] = grams(mats)[1]
+            if m > 1:
+                gaps.add(_slices([mats - next(prefixes) @ fg]), [*range(k)], [1.0] * k)
+        for j, (m, row) in enumerate(zip(run, _rows(gram_norms(run_grams), k))):
+            if min(row) < UNDERFLOW_NORM:
+                mats = fgf if m == 1 else reduce(np.matmul, repeat(fg, m))
+                row = stack_norms(mats, run_grams[j * k : (j + 1) * k])
+            record(m, row)
+        del run_grams  # before the next run's is allocated
     gaps.finish()
     return [_report("lemma_product_power", pair,
                     {"norm_fg": x, "norm_fgf": norm, "m_max": m_max},

@@ -223,23 +223,27 @@ def test_decompose_computes_relation_residuals_once(capsys, tmp_path, monkeypatc
 
 
 def test_decompose_hostile_finite_input_is_usage_error(capsys, tmp_path):
-    # An entry of 1e200 is finite, but validation's Gram products overflow:
-    # at dim 2 the eigensolve gives a nan top, which gram_norms rejects; from
-    # dim 3 up it does not converge. Either way: exit 2, one error line and no
-    # numpy warning.
+    # An entry of 1e200 is finite. Off the diagonal, P^2 - P stays finite but
+    # validation's Gram products overflow: at dim 2 the eigensolve gives a
+    # nan top, which gram_norms rejects; from dim 3 up it does not converge.
+    # On the diagonal, P^2 - P itself overflows, which validation names.
+    # Either way: exit 2, one error line and no numpy warning.
     from projpair.projections import ProjectionPair, Provenance, random_projection
 
     path = tmp_path / "hostile.json"
     for dim in (2, 4):
-        f = random_projection(dim, 1, 0).copy()
-        f[1, 0] = 1e200
-        save_pair_json(ProjectionPair(f, random_projection(dim, 1, 1), dim, Provenance("file")),
-                       path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, "decompose", "--input", str(path))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for row, col in ((1, 0), (0, 0)):
+            f = random_projection(dim, 1, 0).copy()
+            f[row, col] = 1e200
+            save_pair_json(ProjectionPair(f, random_projection(dim, 1, 1), dim,
+                                          Provenance("file")), path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, "decompose", "--input", str(path))
+            assert (code, out) == (2, ""), err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            if row == col:
+                assert err == "error: matrix entries too large: P^2 - P or P - P* overflows\n"
 
 
 @pytest.mark.parametrize("entry", [1e160, 1e200, 1e300])

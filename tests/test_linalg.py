@@ -9,11 +9,11 @@ from projpair import linalg
 from projpair.linalg import (
     GRAM_MARGIN,
     NonHermitianError,
-    _frobenius,
     adjoint,
     as_matrix,
     as_stack,
     cell_bounds,
+    frobenius_bounds,
     gram_bounds,
     gram_moment_bounds,
     gram_norms,
@@ -243,7 +243,7 @@ def test_gram_bounds_cover_spectral_norms(case):
     norms = np.array(spectral_norms(mats))
     stack, gram = grams(mats)
     assert stack_norms(stack, gram) == list(norms)
-    frobenius, moment = gram_bounds(gram), gram_moment_bounds(gram)
+    frobenius, moment = gram_bounds(stack, gram), gram_moment_bounds(gram)
     assert np.all(moment >= norms) and np.all(frobenius >= norms)
     assert np.all(moment <= frobenius * (1 + 1e-12))
     if case == "rank 1":  # G = |v|^2 w w*: both bounds are the norm, plus the margin
@@ -255,20 +255,29 @@ def test_gram_bounds_cover_spectral_norms(case):
 
 
 def test_gram_bounds_certify_nothing_for_non_finite_or_subnormal_grams():
-    eye = np.eye(3, dtype=complex)
+    # Each Gram is passed as its own matrix too: gram_bounds reads the
+    # matrices only to tell a zero one from a nonzero one. 1e-170 I_3 is a
+    # matrix, not a Gram: its Gram underflows to zero, which gram_bounds
+    # must not read as the norm 0.0.
+    eye, zero = np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)
     bad = [np.full((3, 3), np.nan, dtype=complex), np.where(eye, np.inf, 0).astype(complex),
            np.where(eye, complex(0, -np.inf), 0), eye * 1e-310,
            np.full((3, 3), 5e-324, dtype=complex)]
-    for bound in (gram_bounds, gram_moment_bounds):
-        alone = bound(eye[np.newaxis]).tolist()
+    for bound in (gram_bounds, lambda stack, gram: gram_moment_bounds(gram)):
+        alone = bound(eye[np.newaxis], eye[np.newaxis]).tolist()
         assert alone[0] >= 1.0
         for gram in bad:
-            stack = np.stack([eye, gram, np.zeros((3, 3), dtype=complex)])
-            assert bound(stack).tolist() == alone + [math.inf, 0.0]
-        assert bound(np.zeros((2, 0, 0), dtype=complex)).tolist() == [0.0, 0.0]
+            stack = np.stack([eye, gram, zero])
+            assert bound(stack, stack).tolist() == alone + [math.inf, 0.0]
+        empty = np.zeros((2, 0, 0), dtype=complex)
+        assert bound(empty, empty).tolist() == [0.0, 0.0]
         with np.errstate(over="ignore", invalid="ignore"):
-            _, overflowed = grams(np.full((1, 2, 2), 1e200, dtype=complex))
-        assert bound(overflowed).tolist() == [math.inf]
+            huge, overflowed = grams(np.full((1, 2, 2), 1e200, dtype=complex))
+        assert bound(huge, overflowed).tolist() == [math.inf]
+    stack, gram = grams(np.stack([eye, 1e-170 * eye, zero]))
+    assert not gram[1:].any()
+    first = gram_bounds(stack[:1], gram[:1]).tolist()
+    assert gram_bounds(stack, gram).tolist() == first + [math.inf, 0.0]
 
 
 # --- closed-form cell bounds --------------------------------------------------------
@@ -366,10 +375,10 @@ def full_max(stack) -> float:
 
 def largest(mats) -> float:
     """largest_norm of the matrices of mats, a (k, m, n) array or a sequence of
-    equally shaped matrices, by their bounds (1 + GRAM_MARGIN) ||X||_F, built
+    equally shaped matrices, by their frobenius_bounds bounds, built
     by indexing their stack; no matrices make an empty stack."""
     stack = as_stack(mats) if len(mats) else np.zeros((0, 2, 2), dtype=complex)
-    return largest_norm(_frobenius(stack) * (1.0 + GRAM_MARGIN), stack.__getitem__)
+    return largest_norm(frobenius_bounds(stack), stack.__getitem__)
 
 
 def product_stacks(grid):

@@ -67,13 +67,17 @@ def _range_bump(size: float) -> np.ndarray:
     return P + eps * np.outer(v, v.conj())
 
 
-def test_projection_failures_certifies_below_half_tol(eigvalsh_calls):
-    assert projection_failures([_range_bump(0.4 * BOUNDARY_TOL)], BOUNDARY_TOL) == []
+# A gap is certified when its frobenius_bounds bound, (1 + GRAM_MARGIN)
+# ||X||_F, is at most tol: for a rank-one gap, when ||X|| <= tol / 1.01.
+
+
+def test_projection_failures_certifies_below_tol_over_margin(eigvalsh_calls):
+    assert projection_failures([_range_bump(0.98 * BOUNDARY_TOL)], BOUNDARY_TOL) == []
     assert eigvalsh_calls == []
 
 
-def test_projection_failures_measures_between_half_tol_and_tol(eigvalsh_calls):
-    member = _range_bump(0.6 * BOUNDARY_TOL)
+def test_projection_failures_measures_between_tol_over_margin_and_tol(eigvalsh_calls):
+    member = _range_bump(0.995 * BOUNDARY_TOL)
     assert projection_failures([member], BOUNDARY_TOL) == []
     assert eigvalsh_calls
     assert validate_projection(member, BOUNDARY_TOL).ok
@@ -128,7 +132,7 @@ def test_validators_fail_a_projection_too_small_for_its_gram():
 )
 def test_projection_failures_agrees_with_validate_projections(dim, members, log_tol):
     # seeded projections plus Hermitian or non-Hermitian perturbations of
-    # spectral size 10^u, on either side of tol and tol / 2
+    # spectral size 10^u, on either side of tol and tol / (1 + GRAM_MARGIN)
     mats = []
     for seed, log_size, hermitian in members:
         rng = np.random.default_rng(seed)

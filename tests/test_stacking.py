@@ -394,6 +394,18 @@ def test_product_power_norms_run_long_enough_to_release_the_gil(dim, eigvalsh_ca
                 assert_product_powers_match(pairs[:k], m_max, 1e-8, floor, label)
 
 
+@pytest.mark.parametrize("dim", [2, 5, 16, 48])
+def test_product_power_norms_match_below_dim_64(dim):
+    # Below dim 64 the norms are measured in the same runs of Grams, one run
+    # holding several pairs' degrees, and keep the same bits.
+    pairs = random_pairs(dim, list(range(5)))
+    for k in (1, 2, 5):
+        for m_max in (1, 2, 8, 12):
+            for floor in (None, 0.0, 1e-15):
+                assert_product_powers_match(pairs[:k], m_max, 1e-8, floor,
+                                            f"{k} pairs, m_max {m_max}, floor {floor}")
+
+
 def test_product_powers_measure_underflowing_norms_again_scaled(monkeypatch):
     # ||fg|| is about 2^-40, so ||(fg)^7|| and ||(fg)^8|| lie below
     # UNDERFLOW_NORM: their Grams underflow, to subnormals and to zero, and
@@ -944,14 +956,19 @@ def test_search_and_campaign_memory_does_not_grow_with_the_run():
     assert campaign[1] < 1.1 * campaign[0], campaign
 
 
-@pytest.mark.parametrize("check", [check_lemma_product_powers, check_power_expansions,
-                                   check_nw_blocks])
-def test_unfloored_power_loops_hold_one_run_of_degrees(check):
+@pytest.mark.parametrize("check, dim", [(check_lemma_product_powers, 64),
+                                        (check_power_expansions, 64), (check_nw_blocks, 64),
+                                        (check_lemma_product_powers, 48)])
+def test_unfloored_power_loops_hold_one_run_of_degrees(check, dim):
     # With no floor, each run of degrees is measured and freed before the
-    # next, so four times the loop needs no more memory. (Under a floor the
-    # gap terms' Grams are held to the end: power_expansion's peak on this
-    # pair grows about 3x from 8 to 32 degrees.)
-    pairs = random_pairs(64, [0])
-    peaks = [traced_peak(lambda: check(pairs, degrees, floor=None)) for degrees in (8, 32)]
+    # next, so four times the loop needs no more memory. The shorter loop is
+    # as long as lemma_product_power's shortest run of Grams, 8 degrees at
+    # dim 64 and 11 at dim 48; a loop shorter than that is one shorter run,
+    # and holds fewer Grams. (Under a floor the gap terms' Grams are held to
+    # the end: power_expansion's peak on a dim-64 pair grows about 3x from 8
+    # to 32 degrees.)
+    pairs = random_pairs(dim, [0])
+    degrees = verify.EIGVALSH_GIL_THRESHOLD // dim + 1
+    peaks = [traced_peak(lambda: check(pairs, n, floor=None)) for n in (degrees, 4 * degrees)]
     assert peaks[1] < 1.1 * peaks[0], peaks
 

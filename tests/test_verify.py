@@ -458,20 +458,18 @@ def test_run_trials_evaluates_each_matrix_polynomial_once(monkeypatch):
 
 def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
     # Each check stacks its matrices of every degree, so a dim-4 trial makes
-    # one Hermitian eigensolve per stack: 3 for its norms, 2 in
-    # lemma_product_power (||fgf|| and the powers), 1 in lemma_commutator
-    # for ||u|| and 1 in halmos_decompose, for ||D||: the Frobenius bound
-    # certifies its three relation gaps. Validation makes none: the same
-    # bound certifies both constructed members. The gap norms make 3 more:
-    # the Gram bounds leave lemma_product_power none to measure, and
-    # lemma_commutator, power_expansion and nw_block one each, their gap of
-    # largest bound. Measured one matrix at a time, it made 53. A chunk of
-    # pairs shares its stacks across its pairs: 3 norms per pair, 3 for the
-    # other checks, 1 in halmos_decompositions for each rank of f among its
-    # pairs (seeds 0-3 have ranks 3 and 2), and 3 for gaps, so 20 where
-    # trial by trial it made 53, measuring every relation gap 24, and
-    # measuring every gap as well 26.
-    for trials, solves in ((1, 10), (4, 20)):
+    # one Hermitian eigensolve per stack: 3 for its norms, 1 in
+    # lemma_product_power (the Grams of fgf and of the powers, one run), 1
+    # in lemma_commutator for ||u|| and 1 in halmos_decompose, for ||D||:
+    # the Frobenius bound certifies its three relation gaps. Validation
+    # makes none: the same bound certifies both constructed members. The
+    # gap norms make 3 more: the Gram bounds leave lemma_product_power none
+    # to measure, and lemma_commutator, power_expansion and nw_block one
+    # each, their gap of largest bound. A chunk of pairs shares its stacks
+    # across its pairs: 3 norms per pair, 2 for the other checks, 1 in
+    # halmos_decompositions for each rank of f among its pairs (seeds 0-3
+    # have ranks 3 and 2), and 3 for gaps, so 19.
+    for trials, solves in ((1, 9), (4, 19)):
         eigvalsh_calls.clear()
         report = run_trials(TrialConfig(dims=(4,), trials=trials, base_seed=0))
         assert report.verdict == "pass"

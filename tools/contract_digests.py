@@ -1,10 +1,10 @@
 """Print the sha256 of every output in projpair's byte contract.
 
 The contract is twelve campaign reports (`run_trials(config).to_json()`),
-nineteen CLI stdouts, the four pair files those runs write, and six failing
-CLI runs, each hashed as its exit code and its stderr. A refactor keeps it
-when this script prints the same lines before and after the change on the
-same machine:
+nineteen CLI stdouts, the four pair files those runs write, and seven
+failing CLI runs, each hashed as its exit code and its stderr. A refactor
+keeps it when this script prints the same lines before and after the change
+on the same machine:
 
     PYTHONPATH=src python3 tools/contract_digests.py > after.txt
     diff before.txt after.txt
@@ -117,6 +117,9 @@ FAILING = (
     "decompose --input hostile.json",
     # the same at dim 2, where the eigensolver returns a nan top, not an error
     "decompose --input hostile2.json",
+    # the dim-2 reference pair with f[0][0] = 1e200, whose P^2 - P itself
+    # overflows: one error line naming the overflow, and no numpy warning
+    "decompose --input hostile3.json",
     # one past UNIVERSAL_MAX_GRID, rejected before any grid is built
     "universal --grid-size 1000001",
     # one past BOUNDS_MAX_N, rejected before any row is computed
@@ -172,6 +175,7 @@ def main() -> None:
             _write_hostile("pair.json", "hostile.json", 1, 2)
             save_pair_json(reference_2x2_pair(), "reference.json")
             _write_hostile("reference.json", "hostile2.json", 0, 1)
+            _write_hostile("reference.json", "hostile3.json", 0, 0)
             for command in FAILING:
                 print(f"{_sha256(_cli_failure(command))}  projpair {command} (exit code, stderr)")
         finally:
