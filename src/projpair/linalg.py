@@ -160,7 +160,7 @@ def as_stack(mats) -> np.ndarray:
 def _finite_stack(mats) -> np.ndarray:
     """as_stack(mats), whose entries must be finite."""
     stack = as_stack(mats)
-    if not np.all(np.isfinite(stack)):
+    if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return stack
 
@@ -393,7 +393,8 @@ def mat_poly_evals(polys, mats) -> Iterator[np.ndarray]:
     `mats` is a (k, n, n) array or a sequence of equally shaped square
     matrices. They are stacked at most STACK_BYTES at a time, and each stack
     gets one finiteness check and one Horner pass, run by a plan made once
-    per distinct list of coefficient tuples (_horner_plan). Values are
+    per distinct list of coefficient tuples (_horner_plan, or _slice_plan
+    for a stack of one matrix). Values are
     yielded one stack at a time, as views into that stack's result buffer,
     so a caller that consumes them as they come holds one stack's values,
     not all of them.
@@ -407,9 +408,16 @@ def mat_poly_evals(polys, mats) -> Iterator[np.ndarray]:
 
 # Added to the diagonal for a zero coefficient: x + -0.0 == x for every x.
 _UNCHANGED = complex(-0.0, -0.0)
-# Most Horner plans kept: a campaign_small or campaign_large job of the
-# benchmark uses 25-30 distinct coefficient lists.
+# Most Horner plans kept for lists of two or more coefficient tuples: a
+# campaign_small or campaign_large job of the benchmark uses 25-30 of them.
 HORNER_PLANS = 64
+# Most one-slice plans kept, in a cache of their own. From dim 46 a stack
+# holds one matrix, so every pass is one slice, and the loop checks cycle
+# through one plan per polynomial: 2 n_max for power_expansion's P_n and Q_n
+# and n_max + 1 for nw_block's F_n, 193 at n_max 64, about 1.6 MB of plans.
+# An LRU cache smaller than the cycle evicts each plan just before its next
+# use, and so rebuilds every plan on every call.
+HORNER_SLICE_PLANS = 256
 
 
 class _HornerPlan(NamedTuple):
@@ -465,6 +473,13 @@ def _horner_plan(coeffs: tuple[tuple, ...]) -> _HornerPlan:
     return _HornerPlan(order, place, top, first, lead, steps, constants)
 
 
+@lru_cache(maxsize=HORNER_SLICE_PLANS)
+def _slice_plan(coeffs: tuple) -> _HornerPlan:
+    """_horner_plan((coeffs,)), the plan of a one-slice pass, cached by its
+    one coefficient tuple apart from the plans of longer lists."""
+    return _horner_plan.__wrapped__((coeffs,))
+
+
 def _horner(coeffs: tuple[tuple, ...], mats) -> list[np.ndarray]:
     """One Horner pass over a stack of k square matrices: coeffs[i] at mats[i].
 
@@ -473,11 +488,11 @@ def _horner(coeffs: tuple[tuple, ...], mats) -> list[np.ndarray]:
     diagonal, so each slice gets the same bits as a pass over it alone; its
     first product (c I) @ A is formed as c A, which has the same bits, up to
     the sign of a zero entry. A zero c adds -0.0 - 0.0j, which leaves every
-    entry unchanged, in place of skipping the add. The pass follows
-    _horner_plan(coeffs): slices sorted by length, longest first, so the
+    entry unchanged, in place of skipping the add. The pass follows the
+    plan of coeffs: slices sorted by length, longest first, so the
     slices that multiply or add at a step are always a prefix of the stack.
     """
-    plan = _horner_plan(coeffs)
+    plan = _slice_plan(coeffs[0]) if len(coeffs) == 1 else _horner_plan(coeffs)
     stack = _finite_stack([mats[i] for i in plan.order])
     k, n = len(stack), stack.shape[-1]
     if stack.shape[1] != n:

@@ -34,7 +34,6 @@ from .linalg import (
     spectral_norms,
     stack_capacity,
     stack_norms,
-    stack_slices,
 )
 from .linalg import mat_poly_eval, spectral_norm  # noqa: F401  (unused; the tracer wraps these)
 from .polynomials import poly_F, poly_PQ_recursive
@@ -135,46 +134,76 @@ class _Gaps:
     """The pure gap terms of one stacked check: norms of matrices that vanish
     in exact arithmetic, each adding ||X|| / scale to its pair's residual.
 
-    One loop forms each stack's Grams as spectral_norms does. It measures the
-    stack whole, by spectral_norms' rule, with no floor, or where a term's
-    gram_bounds bound is inf, certifying nothing. With a floor, the
+    add() pools its terms, in arrival order, into one pending run of equally
+    shaped matrices, and certifies the run a stack at a time: when it fills
+    stack_capacity of its shape, when a term of another shape arrives, and
+    at the top of finish(). From dim 46 up a dim x dim matrix fills a stack
+    alone, so each such term is certified as it arrives. Pooled terms are
+    read only when their run is certified, so a caller must not write to a
+    matrix after handing it to add(); an error a term raises, the ValueError
+    of a non-finite entry or the OverflowError of gram_norms, surfaces with
+    its type and text at that later add() or in finish().
+
+    Certifying forms each stack's Grams as spectral_norms does. It measures
+    the stack whole, by spectral_norms' rule, with no floor, or where a
+    term's gram_bounds bound is inf, certifying nothing. With a floor, the
     campaign's largest residual so far for the check, a term is measured
     only if it can raise a residual above min(tol, limit), where limit is
     the floor or the largest value measured so far, whichever is larger: no
     such term can set the campaign's maximum or fail a trial that would
     pass, so the report keeps its bytes, while a trial's residual may fall
     short of its exact value; a term its bound does not certify is held as
-    a one-Gram view of its stack. Held terms keep their stacks alive until
-    finish(), so a floored check's memory grows with its number of degrees.
-    finish() takes the held terms in descending order of their bounds: it
-    measures the first, then each later one whose tighter Gram-moment bound
-    the limit reached by then does not cover.
+    a one-Gram view of its stack. Residuals only rise, so certifying a term
+    later than it arrived drops no term that could matter. Held terms keep
+    their stacks alive until finish(), so a floored check's memory grows
+    with its number of degrees. finish() takes the held terms in descending
+    order of their bounds: it measures the first, then each later one whose
+    tighter Gram-moment bound the limit reached by then does not cover.
     """
 
     def __init__(self, residuals: list[float], tol: float, floor: float | None):
         self.residuals, self.tol, self.floor = residuals, tol, floor
         self.held = []  # (bound / scale, Gram of one term, pair, scale)
+        self.mats, self.owners, self.scales = [], [], []  # the pending run
 
     def add(self, mats, owners, scales) -> None:
-        """Terms ||mats[j]|| / scales[j] of pairs owners[j]."""
-        for part in stack_slices(mats):
-            stack, gram = grams(mats[part])
-            bounds = [math.inf] if self.floor is None else gram_bounds(stack, gram).tolist()
-            # measured whole, raising, as spectral_norms would; stack_norms
-            # measures a term whose Gram underflowed again, scaled
-            if math.inf in bounds:
-                for owner, scale, norm in zip(owners[part], scales[part], stack_norms(stack, gram)):
-                    self._record(owner, norm / scale)
-                continue
-            cut = min(self.tol, max(self.floor, *self.residuals))
-            terms = zip(owners[part], scales[part], bounds)
-            self.held += [(bound / scale, gram[j : j + 1], owner, scale)
-                          for j, (owner, scale, bound) in enumerate(terms) if bound / scale > cut]
+        """Terms ||mats[j]|| / scales[j] of pairs owners[j], all of one shape."""
+        if not len(mats):
+            return
+        shape = np.shape(mats[0])
+        if self.mats and np.shape(self.mats[0]) != shape:
+            self._certify()
+        self.mats += mats
+        self.owners += owners
+        self.scales += scales
+        capacity = stack_capacity(shape)
+        while len(self.mats) >= capacity:
+            self._certify(capacity)
+
+    def _certify(self, count: int | None = None) -> None:
+        """Certify, or measure, the first count pending terms, or all of
+        them, as one stack."""
+        stack, gram = grams(self.mats[:count])
+        owners, scales = self.owners[:count], self.scales[:count]
+        del self.mats[:count], self.owners[:count], self.scales[:count]
+        bounds = [math.inf] if self.floor is None else gram_bounds(stack, gram).tolist()
+        # measured whole, raising, as spectral_norms would; stack_norms
+        # measures a term whose Gram underflowed again, scaled
+        if math.inf in bounds:
+            for owner, scale, norm in zip(owners, scales, stack_norms(stack, gram)):
+                self._record(owner, norm / scale)
+            return
+        cut = min(self.tol, max(self.floor, *self.residuals))
+        self.held += [(bound / scale, gram[j : j + 1], owner, scale)
+                      for j, (owner, scale, bound) in enumerate(zip(owners, scales, bounds))
+                      if bound / scale > cut]
 
     def finish(self) -> None:
-        """Measure the held terms that can still matter. Bounds only fall
-        and the limit only rises along the pass, so the first term the limit
-        covers ends it."""
+        """Certify the pending run, then measure the held terms that can
+        still matter. Bounds only fall and the limit only rises along the
+        pass, so the first term the limit covers ends it."""
+        if self.mats:
+            self._certify()
         held, self.held = sorted(self.held, key=lambda term: term[0], reverse=True), []
         if not held:  # always so with no floor
             return
@@ -249,8 +278,11 @@ def check_lemma_product_powers(pairs, m_max: int = 8, tol: float = DEFAULT_TOL, 
                                floor: float | None = None) -> list[TrialReport]:
     """check_lemma_product_power for each of many equally sized pairs, in
     order: the powers of every pair are formed as one stack, and their gaps
-    (fg)^m - (fgf)^(m-1) fg are measured one degree at a time for all the
-    pairs at once; with a floor, only where they can matter (_Gaps).
+    (fg)^m - (fgf)^(m-1) fg reach _Gaps one degree at a time for all the
+    pairs at once. _Gaps pools them and certifies a stack of them once it is
+    full, and the rest in finish(), so below dim 46 a short loop's gaps are
+    certified together; with a floor, they are measured only where they can
+    matter.
 
     ||fgf|| and the norms of the powers are measured together: each Gram is
     formed with its matrix, and the Grams are eigensolved in runs of at least
@@ -282,10 +314,7 @@ def check_lemma_product_powers(pairs, m_max: int = 8, tol: float = DEFAULT_TOL, 
 
     gaps = _Gaps(residuals, tol, floor)
     # m = 1 holds by construction: ||fg|| <= ||fg|| and fg = (fgf)^0 fg; in
-    # the runs it stands for fgf, as in record. A run's gaps reach _Gaps
-    # before its norms reach the residuals, so under a floor _Gaps may hold
-    # terms it would have dropped, but finish() measures none of them: their
-    # bounds lie below its cut, which only rises.
+    # the runs it stands for fgf, as in record
     powers = islice(_powers(fg, m_max), 1, None)
     prefixes = _powers(fgf, m_max - 1)
     for run in _runs(range(1, m_max + 1), -(-(EIGVALSH_GIL_THRESHOLD // dim + 1) // k)):

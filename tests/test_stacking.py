@@ -711,9 +711,34 @@ def test_horner_plans_once_per_list_in_a_bounded_cache():
         list(mat_poly_evals(polys, mats))
     info = linalg._horner_plan.cache_info()
     assert (info.misses, info.hits) == (2, 3)
+    # plans of one-slice passes are kept in a cache of their own, so each
+    # kind of plan fills its own cache to its own bound
     for i in range(linalg.HORNER_PLANS + 10):
-        list(mat_poly_evals([(i, 1)], mats[:1]))
+        list(mat_poly_evals([(i, 1), (1,)], mats[:2]))
     assert linalg._horner_plan.cache_info().currsize == linalg.HORNER_PLANS
+    for i in range(linalg.HORNER_SLICE_PLANS + 10):
+        list(mat_poly_evals([(i, 1)], mats[:1]))
+    assert linalg._slice_plan.cache_info().currsize == linalg.HORNER_SLICE_PLANS
+    assert linalg._horner_plan.cache_info().currsize == linalg.HORNER_PLANS
+
+
+def plan_builds() -> int:
+    return linalg._horner_plan.cache_info().misses + linalg._slice_plan.cache_info().misses
+
+
+@pytest.mark.parametrize("dim", [48, 64])
+def test_warm_power_loops_rebuild_no_horner_plan(dim):
+    # From dim 46 a stack holds one matrix, so every Horner pass is one
+    # slice and each polynomial has a plan of its own: 2 n_max for
+    # power_expansion's P_n and Q_n and n_max + 1 for nw_block's F_n. Up to
+    # n_max 64 a warm repeat finds every plan cached; a cache shorter than
+    # the cycle rebuilt all of them from n_max 33 on.
+    pairs = random_pairs(dim, [0])
+    for n_max in (33, 64):
+        for check in (check_power_expansions, check_nw_blocks, check_power_expansions):
+            builds = plan_builds()
+            check(pairs, n_max)
+        assert plan_builds() == builds, n_max
 
 
 # --- seeded construction -----------------------------------------------------------

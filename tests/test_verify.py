@@ -500,18 +500,28 @@ def exact_checks(monkeypatch):
                             lambda pairs, cfg, floor, check=check: check(pairs, cfg, None))
 
 
-def contract_campaigns() -> dict:
-    """The campaigns of tools/contract_digests.py, by label."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "contract_digests.py"
-    spec = importlib.util.spec_from_file_location("contract_digests", path)
+def load_tool(name: str):
+    """The module of tools/<name>.py."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return dict(module.CAMPAIGNS)
+    return module
 
 
-# theorem and corollary measure no gaps, so campaigns of only them are left out
-GAP_CAMPAIGNS = {label: config for label, config in contract_campaigns().items()
+# The campaigns of tools/contract_digests.py, by label; theorem and corollary
+# measure no gaps, so campaigns of only them are left out
+GAP_CAMPAIGNS = {label: config for label, config in load_tool("contract_digests").CAMPAIGNS
                  if set(config.checks) - {"theorem", "corollary"}}
+
+
+def test_call_counts_tool_counts_every_name(eigvalsh_calls):
+    # tools/call_counts.py wraps each name it counts where its callers look
+    # it up, so a name renamed, or no longer called there, fails here: a
+    # dim-8 job at seed 0 calls every one of them
+    counts = load_tool("call_counts").call_counts({"dims": (8,), "trials": 2}, range(1))
+    assert all(counts.values()), counts
+    assert counts["np.linalg.eigvalsh"] == len(eigvalsh_calls)
 
 
 @pytest.mark.parametrize("label", list(GAP_CAMPAIGNS))
@@ -585,6 +595,74 @@ def test_gaps_measure_tiny_terms_by_the_scaled_norm_rule():
             assert residuals == [spectral_norm(term)], floor
     assert residuals[0] == pytest.approx(spectral_norm(X) * 1e-152, rel=1e-13, abs=0)
     assert spectral_norm(1e-170 * np.eye(3)) == 1e-170
+
+
+def test_gaps_certify_a_full_stack_at_a_time(monkeypatch):
+    # Terms pool, in arrival order, into one pending run, certified when it
+    # fills a stack, when a term of another shape arrives, or in finish():
+    # lemma_product_power's 35 dim-2 gaps (5 pairs, degrees 2..8) are one
+    # stack, certified by one gram_bounds pass instead of one per degree
+    passes = []
+    real = verify.gram_bounds
+
+    def spy(stack, gram):
+        passes.append(stack.shape)
+        return real(stack, gram)
+
+    monkeypatch.setattr(verify, "gram_bounds", spy)
+    verify.check_lemma_product_powers(projections.random_pairs(2, list(range(5))), 8, floor=0.0)
+    assert passes == [(35, 2, 2)]
+    rng = np.random.default_rng(3)
+    twos, threes = rng.standard_normal((3, 2, 2)) + 0j, rng.standard_normal((2, 3, 3)) + 0j
+    passes.clear()
+    gaps = verify._Gaps([0.0, 0.0], 1e-8, 0.0)
+    gaps.add(list(twos[:2]), [0, 0], [1.0, 1.0])
+    gaps.add(list(twos[2:]), [1], [1.0])
+    assert passes == []
+    gaps.add(list(threes[:1]), [1], [1.0])
+    assert passes == [(3, 2, 2)]
+    gaps.add(list(threes[1:]), [0], [1.0])
+    gaps.finish()
+    assert passes == [(3, 2, 2), (2, 3, 3)]
+
+
+def test_gaps_certify_each_term_as_it_arrives_from_dim_46(monkeypatch):
+    # a 48 x 48 stack holds one matrix, so nothing is left pending after any
+    # add() of such terms, and the checks whose gaps are dim x dim certify
+    # them one pass per term, as they arrive (nw_block's blocks are smaller,
+    # and pool)
+    pending = []
+    real = verify._Gaps.add
+
+    def add(self, mats, owners, scales):
+        real(self, mats, owners, scales)
+        pending.append(len(self.mats))
+
+    monkeypatch.setattr(verify._Gaps, "add", add)
+    pairs = projections.random_pairs(48, [0, 1])
+    for floor in (None, 0.0):
+        verify.check_lemma_product_powers(pairs, 4, floor=floor)
+        verify.check_lemma_commutators(pairs, floor=floor)
+        verify.check_power_expansions(pairs, 4, floor=floor)
+    assert len(pending) == 2 * (3 + 1 + 4) and not any(pending)
+
+
+@pytest.mark.parametrize("entry", [math.nan, 1e200], ids=["nan", "overflowing Gram"])
+@pytest.mark.parametrize("floor", [None, 0.0])
+def test_gaps_raise_a_pending_terms_error_by_finish(entry, floor):
+    # a term that spectral_norms would refuse raises the same error, with
+    # the same text, at the add() or finish() that certifies its pending run
+    bad = np.eye(2, dtype=np.complex128)
+    bad[0, 1] = entry
+    gaps = verify._Gaps([0.0, 0.0], 1e-8, floor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises((ValueError, OverflowError)) as refused:
+            spectral_norms([bad])
+        with pytest.raises(refused.type) as raised:
+            gaps.add([np.eye(2, dtype=np.complex128)], [0], [1.0])
+            gaps.add([bad], [1], [1.0])
+            gaps.finish()
+    assert str(raised.value) == str(refused.value)
 
 
 def test_theorem_campaign_solves_only_its_norms(eigvalsh_calls):
