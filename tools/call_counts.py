@@ -61,14 +61,14 @@ def call_counts(shape: dict, seeds=SEEDS) -> dict[str, float]:
             return real(*args, **kwargs)
         return wrapper
 
-    reals = [(module, name, getattr(module, name)) for _, module, name in COUNTED]
+    reals = [getattr(module, name) for _, module, name in COUNTED]
     try:
-        for (label, _, _), (module, name, real) in zip(COUNTED, reals):
+        for (label, module, name), real in zip(COUNTED, reals):
             setattr(module, name, counting(label, real))
         for seed in seeds:
             run_trials(TrialConfig(**shape, base_seed=seed))
     finally:
-        for module, name, real in reals:
+        for (_, module, name), real in zip(COUNTED, reals):
             setattr(module, name, real)
     return {label: counts[label] / len(seeds) for label, _, _ in COUNTED}
 
