@@ -9,13 +9,19 @@ into a reproducible aggregate whose JSON form is byte-stable.
 
 from __future__ import annotations
 
+import atexit
 import contextvars
+import ctypes
 import math
 import os
+import pickle
+import sys
 import threading
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cache, reduce
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -134,15 +140,16 @@ class _Gaps:
     """The pure gap terms of one stacked check: norms of matrices that vanish
     in exact arithmetic, each adding ||X|| / scale to its pair's residual.
 
-    add() pools its terms, in arrival order, into one pending run of equally
-    shaped matrices, and certifies the run a stack at a time: when it fills
-    stack_capacity of its shape, when a term of another shape arrives, and
-    at the top of finish(). From dim 46 up a dim x dim matrix fills a stack
-    alone, so each such term is certified as it arrives. Pooled terms are
-    read only when their run is certified, so a caller must not write to a
-    matrix after handing it to add(); an error a term raises, the ValueError
-    of a non-finite entry or the OverflowError of gram_norms, surfaces with
-    its type and text at that later add() or in finish().
+    add() pools its terms, in arrival order, into one pending run per shape,
+    and certifies a run a stack at a time: when it fills stack_capacity of
+    its shape, and at the top of finish(), the runs in the order their first
+    terms arrived. From dim 46 up a dim x dim matrix fills a stack alone, so
+    each such term is certified as it arrives; nw_block's northwest and
+    northeast blocks, added in turn, pool in runs of their own. Pooled terms
+    are read only when their run is certified, so a caller must not write
+    to a matrix after handing it to add(); an error a term raises, the
+    ValueError of a non-finite entry or the OverflowError of gram_norms,
+    surfaces with its type and text at that later add() or in finish().
 
     Certifying forms each stack's Grams as spectral_norms does. It measures
     the stack whole, by spectral_norms' rule, with no floor, or where a
@@ -164,28 +171,27 @@ class _Gaps:
     def __init__(self, residuals: list[float], tol: float, floor: float | None):
         self.residuals, self.tol, self.floor = residuals, tol, floor
         self.held = []  # (bound / scale, Gram of one term, pair, scale)
-        self.mats, self.owners, self.scales = [], [], []  # the pending run
+        self.runs = {}  # shape: the pending run's [mats, owners, scales]
 
     def add(self, mats, owners, scales) -> None:
         """Terms ||mats[j]|| / scales[j] of pairs owners[j], all of one shape."""
         if not len(mats):
             return
         shape = np.shape(mats[0])
-        if self.mats and np.shape(self.mats[0]) != shape:
-            self._certify()
-        self.mats += mats
-        self.owners += owners
-        self.scales += scales
+        run = self.runs.setdefault(shape, [[], [], []])
+        for pending, new in zip(run, (mats, owners, scales)):
+            pending += new
         capacity = stack_capacity(shape)
-        while len(self.mats) >= capacity:
-            self._certify(capacity)
+        while len(run[0]) >= capacity:
+            self._certify(run, capacity)
 
-    def _certify(self, count: int | None = None) -> None:
-        """Certify, or measure, the first count pending terms, or all of
-        them, as one stack."""
-        stack, gram = grams(self.mats[:count])
-        owners, scales = self.owners[:count], self.scales[:count]
-        del self.mats[:count], self.owners[:count], self.scales[:count]
+    def _certify(self, run: list, count: int | None = None) -> None:
+        """Certify, or measure, the first count terms of a pending run, or
+        all of them, as one stack."""
+        stack, gram = grams(run[0][:count])
+        owners, scales = run[1][:count], run[2][:count]
+        for pending in run:
+            del pending[:count]
         bounds = [math.inf] if self.floor is None else gram_bounds(stack, gram).tolist()
         # measured whole, raising, as spectral_norms would; stack_norms
         # measures a term whose Gram underflowed again, scaled
@@ -199,11 +205,12 @@ class _Gaps:
                       if bound / scale > cut]
 
     def finish(self) -> None:
-        """Certify the pending run, then measure the held terms that can
+        """Certify the pending runs, then measure the held terms that can
         still matter. Bounds only fall and the limit only rises along the
         pass, so the first term the limit covers ends it."""
-        if self.mats:
-            self._certify()
+        for run in self.runs.values():
+            if run[0]:
+                self._certify(run)
         held, self.held = sorted(self.held, key=lambda term: term[0], reverse=True), []
         if not held:  # always so with no floor
             return
@@ -700,11 +707,28 @@ class AggregateReport:
         return json_text(self.to_payload())
 
 
+def _openblas(symbol: str, restype=ctypes.c_int, argtypes=()):
+    """The function `symbol` of the OpenBLAS that numpy's linalg loaded,
+    declared with restype and argtypes, or None where that library exports
+    no such name (another BLAS, or an OpenBLAS built without numpy's
+    scipy_openblas prefix)."""
+    try:
+        function = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), symbol)
+    except (AttributeError, OSError):
+        return None
+    function.restype, function.argtypes = restype, argtypes
+    return function
+
+
 def _one_blas_thread(environ) -> bool:
-    """Whether numpy's OpenBLAS runs each call on one thread, read from
-    `environ` as OpenBLAS reads it when it loads: the first of
+    """Whether numpy's BLAS runs each call on one thread: the count numpy's
+    bundled OpenBLAS reports, where it exports one. Elsewhere it is read
+    from `environ` as OpenBLAS reads it when it loads: the first of
     OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a
     positive integer, else one thread per CPU, taken here as more than one."""
+    threads = _openblas("scipy_openblas_get_num_threads64_")
+    if threads is not None:
+        return threads() == 1
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             threads = int(environ.get(name, ""))
@@ -815,58 +839,339 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     order gives. Each dim's trials run in chunks of stack_capacity((dim, dim))
     pairs, and each check runs on a chunk's pairs at once; a chunk's pairs
     are freed once its checks have run, so however many trials a campaign
-    runs it holds one chunk's pairs with the products their checks cache,
-    and the stacks of one check; at dim >= 64, where a chunk is one pair,
-    and with BLAS on one thread, power_expansion runs on a worker thread
-    beside the other checks, so a chunk holds two checks' stacks at once
-    (_check_trials). Under the floors below, a check also holds the Grams
-    of its gap terms that can matter until its last degree, so its memory
-    grows with m_max and n_max (_Gaps).
+    runs, a process holds one chunk's pairs with the products their checks
+    cache, and the stacks of one check; at dim >= 64, where a chunk is one
+    pair, and with BLAS on one thread, power_expansion runs on a worker
+    thread beside the other checks, so a chunk holds two checks' stacks at
+    once (_check_trials). Under the floors below, a check also holds the
+    Grams of its gap terms that can matter until its last degree, so its
+    memory grows with m_max and n_max (_Gaps).
+
+    With 2 usable CPUs or more and BLAS on one thread, a campaign of 2
+    chunks or more runs them in this process and in one helper process
+    beside it (_chunk_outcomes), so two chunks can be alive at once, one per
+    process. The helper is forked at the first such campaign and runs the
+    package as it was then: a function patched later runs in this process
+    only, and a tracer here sees only this process's share of the chunks.
 
     Only each check's largest residual and its failing trials are reported,
-    so each check gets its summary's max_residual so far as a floor and
-    measures only the gap norms that can exceed it or fail (_Gaps); the
+    so each check gets the largest residual its process has seen as a floor
+    and measures only the gap norms that can exceed it or fail (_Gaps); the
     report is the one exact residuals give.
     """
     summaries = {name: CheckSummary(name) for name in config.checks}
     errors = []
-    for position, dim in enumerate(config.dims):
-        first, step = position * config.trials, stack_capacity((dim, dim))
-        for start in range(first, first + config.trials, step):
-            _run_chunk(config, dim, range(start, min(start + step, first + config.trials)),
-                       summaries, errors)
+    for (dim, indices), outcomes in _chunk_outcomes(config, _Chunks(config)):
+        for index, outcome in zip(indices, outcomes):
+            if isinstance(outcome, str):
+                errors.append({"trial": index, "dim": dim, "message": outcome})
+                continue
+            for name, (residual, passed) in outcome.items():
+                summary = summaries[name]
+                summary.trials += 1
+                summary.max_residual = max(summary.max_residual, residual)
+                if not passed:
+                    summary.failures.append(index)
     ordered = [summaries[name] for name in config.checks]
     ok = not errors and all(not s.failures for s in ordered)
     return AggregateReport(config, ordered, errors, "pass" if ok else "fail")
 
 
+class _Chunks:
+    """A campaign's chunks, in order, as (dim, trial indices): each dim's
+    trials in runs of stack_capacity((dim, dim)). Each is computed when
+    asked for, so the campaign's list takes no memory per trial."""
+
+    def __init__(self, config: TrialConfig):
+        self.dims, self.trials = config.dims, config.trials
+        self.steps = [stack_capacity((dim, dim)) for dim in config.dims]
+        # the index of each dim's first chunk, and the count of all of them
+        self.starts = [0, *accumulate(-(-config.trials // step) for step in self.steps)]
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, index: int) -> tuple[int, range]:
+        position = bisect_right(self.starts, index) - 1
+        first = position * self.trials + (index - self.starts[position]) * self.steps[position]
+        return (self.dims[position],
+                range(first, min(first + self.steps[position], (position + 1) * self.trials)))
+
+
 def _run_chunk(config: TrialConfig, dim: int, indices: range,
-               summaries: dict[str, CheckSummary], errors: list[dict]) -> None:
-    """Run one chunk of trials, recording each in summaries or errors, with
-    each check's max_residual so far as its floor. A chunk of one pair, or
-    one whose pairs could not be built, validated or checked together, runs
-    trial by trial, so each trial records its own failure."""
-    chunk = None
-    if len(indices) > 1:
+               floors: dict[str, float]) -> list:
+    """The outcome of each trial of one chunk, in order: its residual and
+    verdict by check name, or the message of the error it raised, with each
+    check's floor from `floors`. A chunk of one pair, or one whose pairs
+    could not be built, validated or checked together, runs trial by trial,
+    so each trial records its own failure."""
+    seeds = [config.base_seed + index for index in indices]
+    if len(seeds) > 1:
         try:
-            chunk = _check_trials(config, dim, [config.base_seed + index for index in indices],
-                                  {name: s.max_residual for name, s in summaries.items()})
+            return [_outcome(reports) for reports in _check_trials(config, dim, seeds, floors)]
         except Exception:  # rerun trial by trial; the trial that raises records it
             pass
-    for position, index in enumerate(indices):
-        if chunk is not None:
-            results = chunk[position]
-        else:
-            try:
-                results = _run_one_trial(config, dim, config.base_seed + index,
-                                         {name: s.max_residual for name, s in summaries.items()})
-            except Exception as exc:  # trial isolation: record, never kill the campaign
-                errors.append({"trial": index, "dim": dim,
-                               "message": f"{type(exc).__name__}: {exc}"})
-                continue
-        for name, report in results.items():
-            summary = summaries[name]
-            summary.trials += 1
-            summary.max_residual = max(summary.max_residual, report.residual)
-            if not report.passed:
-                summary.failures.append(index)
+    outcomes = []
+    for seed in seeds:
+        try:
+            outcomes.append(_outcome(_run_one_trial(config, dim, seed, floors)))
+        except Exception as exc:  # trial isolation: record, never kill the campaign
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+def _outcome(reports: dict[str, TrialReport]) -> dict[str, tuple[float, bool]]:
+    return {name: (report.residual, report.passed) for name, report in reports.items()}
+
+
+def _raise_floors(floors: dict[str, float], outcomes: list) -> None:
+    """Raise each check's floor to its largest residual among outcomes."""
+    for outcome in outcomes:
+        if not isinstance(outcome, str):
+            for name, (residual, _) in outcome.items():
+                floors[name] = max(floors[name], residual)
+
+
+def _chunk_outcomes(config: TrialConfig, chunks: _Chunks):
+    """Each chunk with its outcomes (_run_chunk), in chunk order.
+
+    This process runs chunk 0 and each chunk it claims after it (_claims).
+    A helper, where there is one, claims and runs the others and sends
+    their outcomes back; a chunk the helper claimed but died before sending
+    back runs here. Outcomes that come before their turn wait in `done`,
+    which stays short, since both processes claim chunks in order and this
+    one collects the helper's after each chunk it runs. Each process's
+    floors are the largest residuals it has seen, never above the
+    campaign's, so the summaries merged from the outcomes are the serial
+    ones.
+    """
+    floors = dict.fromkeys(config.checks, 0.0)
+    done = {}
+
+    def record(index: int, outcomes: list) -> None:
+        done[index] = outcomes
+        _raise_floors(floors, outcomes)
+
+    with _claims(config, chunks) as claims:
+        mine = 0  # the chunk this process runs next
+        for turn in range(len(chunks)):
+            while turn not in done:
+                if mine < len(chunks):
+                    record(mine, _run_chunk(config, *chunks[mine], floors))
+                    mine = claims.claim()
+                    claims.collect(record, wait=False)
+                elif claims.active:
+                    claims.collect(record, wait=True)
+                else:  # claimed by a helper that died before sending it back
+                    record(turn, _run_chunk(config, *chunks[turn], floors))
+            yield chunks[turn], done.pop(turn)
+        while claims.active:  # until the helper ends the campaign
+            claims.collect(record, wait=True)
+
+
+# --- the helper process --------------------------------------------------------
+
+# None: campaigns use a helper where _helper_wanted() says the host allows.
+# Tests set False to keep every chunk in this process, where their spies and
+# counters see it, or True to use a helper on any host that can fork one.
+_use_helper: bool | None = None
+_helper = None  # this process's _Helper, once forked
+_helper_lock = threading.Lock()  # held by the campaign using _helper
+
+
+def _helper_wanted() -> bool:
+    """Whether campaigns should run chunks on a helper: with 2 usable CPUs
+    or more, and BLAS on one thread, by _run_beside's rule, since two
+    callers of threaded BLAS oversubscribe the cores."""
+    if _use_helper is not None:
+        return _use_helper
+    return (_ONE_BLAS_THREAD and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1)
+
+
+class _Alone:
+    """The claims of a campaign that has no helper: this process claims
+    every chunk, in order."""
+
+    active = False
+
+    def __init__(self):
+        self.claim = count(1).__next__
+
+    def collect(self, record, wait: bool) -> None:
+        pass
+
+
+class _Helper:
+    """A process forked from this one, that runs campaign chunks beside it.
+
+    Both processes claim chunks from a counter in a file they share, under a
+    POSIX record lock, which the kernel drops if its holder dies. For each
+    campaign this process sends (config, np.geterr(), chunks) over a socket;
+    the helper runs, under that errstate, each chunk it claims and sends
+    back (index, outcomes), then None once the counter has passed the last
+    chunk. A message is its length and its pickle. The helper ignores
+    SIGINT, which a terminal sends the whole process group, and exits when
+    its socket reaches EOF; _close_helper ends it.
+    """
+
+    def __init__(self):
+        # imported only where a helper runs: socket alone takes 3-6 ms
+        import socket
+        import tempfile
+
+        self.owner, self.active, self.dead = os.getpid(), False, False
+        self.counter = tempfile.TemporaryFile()
+        self.socket, theirs = socket.socketpair()
+        sys.stderr.flush()  # so that the helper's stderr starts empty
+        self.pid = os.fork()
+        if self.pid:
+            theirs.close()
+            return
+        try:  # in the helper, until it exits
+            import signal
+
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            self.socket.close()
+            self.socket = theirs
+            self._serve()
+        except (EOFError, OSError):  # the campaign's process closed its end, or died
+            os._exit(0)
+        except BaseException:
+            import traceback
+
+            traceback.print_exc()
+        finally:
+            os._exit(1)
+
+    def _serve(self) -> None:
+        while True:
+            config, errstate, chunks = self._receive()
+            floors = dict.fromkeys(config.checks, 0.0)
+            with np.errstate(**errstate):
+                while (index := self.claim()) < len(chunks):
+                    outcomes = _run_chunk(config, *chunks[index], floors)
+                    _raise_floors(floors, outcomes)
+                    self._send((index, outcomes))
+            self._send(None)
+
+    def begin(self, config: TrialConfig, chunks: _Chunks) -> bool:
+        """Start the helper on a campaign, whose chunk 0 this process runs;
+        False if the helper has died."""
+        os.pwrite(self.counter.fileno(), (1).to_bytes(8, "little"), 0)
+        try:
+            self._send((config, np.geterr(), chunks))
+        except OSError:
+            return False
+        self.active = True
+        return True
+
+    def claim(self) -> int:
+        """The next chunk's index, from the shared counter."""
+        import fcntl
+
+        fd = self.counter.fileno()
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            index = int.from_bytes(os.pread(fd, 8, 0), "little")
+            os.pwrite(fd, (index + 1).to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+        return index
+
+    def collect(self, record, wait: bool) -> None:
+        """record(index, outcomes) for each chunk the helper has sent back;
+        with wait, first block until it sends a chunk or ends the campaign.
+        A helper found dead is no longer active; _claims closes it."""
+        import select
+
+        try:
+            while self.active and (wait or select.select([self.socket], [], [], 0)[0]):
+                wait = False
+                message = self._receive()
+                if message is None:
+                    self.active = False
+                else:
+                    record(*message)
+        except (EOFError, OSError):
+            self.active, self.dead = False, True
+
+    def close(self) -> None:
+        """Close this process's ends of the helper, and if this process
+        forked it, end it and reap it."""
+        self.socket.close()
+        self.counter.close()
+        if self.owner != os.getpid():
+            return
+        import signal
+
+        try:
+            if os.waitpid(self.pid, os.WNOHANG)[0] == 0:  # alive, and still this pid's
+                os.kill(self.pid, signal.SIGTERM)
+                os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped by another wait call
+            pass
+
+    def _send(self, message) -> None:
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        self.socket.sendall(len(data).to_bytes(8, "little") + data)
+
+    def _receive(self):
+        return pickle.loads(self._read(int.from_bytes(self._read(8), "little")))
+
+    def _read(self, size: int) -> bytearray:
+        data = bytearray()
+        while len(data) < size:
+            part = self.socket.recv(size - len(data))
+            if not part:
+                raise EOFError("the other process closed its end")
+            data += part
+        return data
+
+
+def _start_helper(config: TrialConfig, chunks: _Chunks) -> _Helper | None:
+    """This process's helper, forked if there is none and no other thread
+    is alive (a fork copies only the calling thread), and started on the
+    campaign; None if it cannot be."""
+    global _helper
+    if _helper is not None and _helper.owner != os.getpid():
+        _close_helper()  # a forked child's copy of its parent's helper
+    if _helper is None and hasattr(os, "fork") and threading.active_count() == 1:
+        _helper = _Helper()
+    if _helper is not None and not _helper.begin(config, chunks):
+        _close_helper()
+    return _helper
+
+
+@contextmanager
+def _claims(config: TrialConfig, chunks: _Chunks):
+    """The claims of one campaign: this process's helper's, started on it,
+    when the campaign has 2 chunks or more, _helper_wanted(), and no other
+    campaign in this process holds the helper; else _Alone's. A campaign
+    left by an exception closes its helper, whose outcomes would otherwise
+    reach the next campaign, and so does one whose helper died."""
+    if len(chunks) < 2 or not _helper_wanted() or not _helper_lock.acquire(blocking=False):
+        yield _Alone()
+        return
+    try:
+        helper = _start_helper(config, chunks)
+        yield helper or _Alone()
+        if helper is not None and helper.dead:
+            _close_helper()
+    except BaseException:
+        _close_helper()
+        raise
+    finally:
+        _helper_lock.release()
+
+
+def _close_helper() -> None:
+    """Drop this process's helper and close it. Registered to run at exit,
+    so the helper never outlives the process that forked it."""
+    global _helper
+    helper, _helper = _helper, None
+    if helper is not None:
+        helper.close()
+
+
+atexit.register(_close_helper)

@@ -410,7 +410,7 @@ def test_run_trials_deterministic_aggregate():
     assert first == second
 
 
-def test_run_trials_measures_each_pair_norm_once(monkeypatch):
+def test_run_trials_measures_each_pair_norm_once(monkeypatch, in_caller):
     measured = []
 
     def recording(A):
@@ -437,7 +437,7 @@ def test_run_trials_measures_each_pair_norm_once(monkeypatch):
                 assert count == 1, f"seed {seed}: ||{name}|| measured {count} times"
 
 
-def test_run_trials_evaluates_each_matrix_polynomial_once(monkeypatch):
+def test_run_trials_evaluates_each_matrix_polynomial_once(monkeypatch, in_caller):
     evaluated = Counter()
 
     def recording(polys, mats):
@@ -553,7 +553,10 @@ def test_gaps_measure_only_terms_the_limit_does_not_cover(eigvalsh_calls, monkey
     #   b = 2e-13 I_3:   2.66e-13,            norm 2e-13
     # With floor 0, a has the largest bound and is measured outright, raising
     # the limit to 1e-12; c's Frobenius bound exceeds that but its moment
-    # bound does not, and b's Frobenius bound ends the pass.
+    # bound does not, and b's Frobenius bound ends the pass. With no floor
+    # each is measured when its run is certified: c, which fills a stack
+    # alone, as it arrives, then a and b, pending in runs of their own
+    # shapes, in finish().
     a, c, b = (x * np.eye(n, dtype=np.complex128) for x, n in ((1e-12, 16), (3e-13, 256),
                                                                  (2e-13, 3)))
     moments = []
@@ -566,7 +569,7 @@ def test_gaps_measure_only_terms_the_limit_does_not_cover(eigvalsh_calls, monkey
     monkeypatch.setattr(verify, "gram_moment_bounds", spy)
     for floor, norms, solved, bounded in (
             (0.0, [1e-12, 0.0, 0.0], [(1, 16, 16)], [(1, 256, 256)]),
-            (None, [1e-12, 3e-13, 2e-13], [(1, 16, 16), (1, 256, 256), (1, 3, 3)], [])):
+            (None, [1e-12, 3e-13, 2e-13], [(1, 256, 256), (1, 16, 16), (1, 3, 3)], [])):
         eigvalsh_calls.clear()
         moments.clear()
         residuals = [0.0] * 3
@@ -598,10 +601,12 @@ def test_gaps_measure_tiny_terms_by_the_scaled_norm_rule():
 
 
 def test_gaps_certify_a_full_stack_at_a_time(monkeypatch):
-    # Terms pool, in arrival order, into one pending run, certified when it
-    # fills a stack, when a term of another shape arrives, or in finish():
-    # lemma_product_power's 35 dim-2 gaps (5 pairs, degrees 2..8) are one
-    # stack, certified by one gram_bounds pass instead of one per degree
+    # Terms pool, in arrival order, into one pending run per shape, each
+    # certified when it fills a stack, or in finish(), in the order the
+    # runs began: lemma_product_power's 35 dim-2 gaps (5 pairs, degrees
+    # 2..8) are one stack, certified by one gram_bounds pass instead of one
+    # per degree, and terms of two shapes added in turn, as nw_block adds
+    # its northwest and northeast gaps, make one pass per shape
     passes = []
     real = verify.gram_bounds
 
@@ -617,11 +622,10 @@ def test_gaps_certify_a_full_stack_at_a_time(monkeypatch):
     passes.clear()
     gaps = verify._Gaps([0.0, 0.0], 1e-8, 0.0)
     gaps.add(list(twos[:2]), [0, 0], [1.0, 1.0])
-    gaps.add(list(twos[2:]), [1], [1.0])
-    assert passes == []
     gaps.add(list(threes[:1]), [1], [1.0])
-    assert passes == [(3, 2, 2)]
+    gaps.add(list(twos[2:]), [1], [1.0])
     gaps.add(list(threes[1:]), [0], [1.0])
+    assert passes == []
     gaps.finish()
     assert passes == [(3, 2, 2), (2, 3, 3)]
 
@@ -636,7 +640,7 @@ def test_gaps_certify_each_term_as_it_arrives_from_dim_46(monkeypatch):
 
     def add(self, mats, owners, scales):
         real(self, mats, owners, scales)
-        pending.append(len(self.mats))
+        pending.append(sum(len(mats) for mats, _, _ in self.runs.values()))
 
     monkeypatch.setattr(verify._Gaps, "add", add)
     pairs = projections.random_pairs(48, [0, 1])
@@ -717,7 +721,7 @@ def serial_campaign(config):
     return verify.AggregateReport(config, ordered, errors, "pass" if ok else "fail")
 
 
-def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch):
+def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch, in_caller):
     # Each dim's 5 trials are one chunk. The middle trial of the dim-2 chunk
     # (seed 2) fails to build, so that chunk reruns trial by trial; the
     # middle trial of the dim-8 chunk (seed 7) raises in a check, after its
@@ -748,7 +752,7 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch):
     assert chunked.to_json() == serial_campaign(config).to_json()
 
 
-def test_chunk_falls_back_when_one_pairs_decomposition_raises(monkeypatch):
+def test_chunk_falls_back_when_one_pairs_decomposition_raises(monkeypatch, in_caller):
     # The dim-4 chunk holds trials 0-5; seed 3's decomposition raises, in the
     # chunk and alone, so the chunk reruns trial by trial and only trial 3
     # records an error.
@@ -792,7 +796,7 @@ def test_chunk_reruns_when_one_member_fails_validation(monkeypatch):
     assert report.to_json() == serial_campaign(config).to_json()
 
 
-def test_run_trials_drops_each_chunks_pairs_once_its_checks_have_run(monkeypatch):
+def test_run_trials_drops_each_chunks_pairs_once_its_checks_have_run(monkeypatch, in_caller):
     # 20 dim-16 trials are a chunk of 16 and one of 4; when a chunk's check
     # runs, the pairs of the chunk before it (and the products their checks
     # cached) are gone.
@@ -832,7 +836,10 @@ def spy_power_expansion(monkeypatch, record):
     ({"MKL_NUM_THREADS": "1"}, False),
     ({}, False),
 ])
-def test_one_blas_thread_reads_the_variables_as_openblas_does(environ, one_thread):
+def test_one_blas_thread_reads_the_variables_as_openblas_does(environ, one_thread,
+                                                              monkeypatch):
+    # where numpy's BLAS exports no thread count
+    monkeypatch.setattr(verify, "_openblas", lambda symbol: None)
     assert verify._one_blas_thread(environ) == one_thread
 
 
@@ -843,7 +850,8 @@ def test_one_blas_thread_reads_the_variables_as_openblas_does(environ, one_threa
     ((64,), verify.ALL_CHECKS, False, False),
 ])
 def test_power_expansion_runs_beside_the_other_checks_at_dim_64(dims, checks, one_blas_thread,
-                                                                off_thread, monkeypatch):
+                                                                off_thread, monkeypatch,
+                                                                in_caller):
     monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", one_blas_thread)
     idents = spy_power_expansion(monkeypatch, threading.get_ident)
     report = run_trials(TrialConfig(dims=dims, trials=1, checks=checks))
@@ -852,7 +860,7 @@ def test_power_expansion_runs_beside_the_other_checks_at_dim_64(dims, checks, on
     assert (idents[0] != threading.get_ident()) == off_thread
 
 
-def test_power_expansion_worker_keeps_the_callers_errstate(monkeypatch):
+def test_power_expansion_worker_keeps_the_callers_errstate(monkeypatch, in_caller):
     # a new thread starts with an empty context, where numpy's errstate is
     # the default over="warn"
     monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", True)
@@ -873,7 +881,7 @@ def test_power_expansion_worker_keeps_the_callers_errstate(monkeypatch):
     (("nw_block", "theorem", "power_expansion"), False, "ValueError: synthetic theorem failure"),
 ])
 def test_split_chunk_raises_the_first_failing_checks_error(checks, power_works, message,
-                                                           monkeypatch):
+                                                           monkeypatch, in_caller):
     # theorem fails on this thread, power_expansion on the worker, after its
     # real work or at once; the error recorded is the one of the failing
     # check that comes first in checks order, as in the serial loop, and
@@ -920,7 +928,7 @@ def test_split_campaign_measures_as_the_serial_one(eigvalsh_calls, monkeypatch):
 
 
 @pytest.mark.parametrize("tol", [verify.DEFAULT_TOL, 1e-15])
-def test_split_checks_report_as_single_check_campaigns(tol, monkeypatch):
+def test_split_checks_report_as_single_check_campaigns(tol, monkeypatch, in_caller):
     # each check's summary depends on that check alone, and a campaign of
     # one check runs it on the calling thread; at 1e-15 trials fail, so the
     # failing indices are compared too

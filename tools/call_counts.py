@@ -7,7 +7,9 @@ Each shape runs as `run_trials` jobs at base seeds 0-9, and each line gives
 one counted name's mean calls per job. A name is counted where its callers
 look it up, on every thread: at dim >= 64 power_expansion runs on a worker.
 BLAS runs on one thread, as in the benchmark, so that worker runs here too.
-The counts repeat exactly from run to run; they are not timings.
+Every chunk runs in this process, where the counters are: a campaign's
+helper process, forked before they were installed, would not count its
+share. The counts repeat exactly from run to run; they are not timings.
 """
 
 from __future__ import annotations
@@ -62,12 +64,15 @@ def call_counts(shape: dict, seeds=SEEDS) -> dict[str, float]:
         return wrapper
 
     reals = [getattr(module, name) for _, module, name in COUNTED]
+    use_helper = verify._use_helper
     try:
+        verify._use_helper = False
         for (label, module, name), real in zip(COUNTED, reals):
             setattr(module, name, counting(label, real))
         for seed in seeds:
             run_trials(TrialConfig(**shape, base_seed=seed))
     finally:
+        verify._use_helper = use_helper
         for (_, module, name), real in zip(COUNTED, reals):
             setattr(module, name, real)
     return {label: counts[label] / len(seeds) for label, _, _ in COUNTED}

@@ -2,12 +2,20 @@
 
 The contract is twelve campaign reports (`run_trials(config).to_json()`),
 nineteen CLI stdouts, the four pair files those runs write, and seven
-failing CLI runs, each hashed as its exit code and its stderr. A refactor
-keeps it when this script prints the same lines before and after the change
-on the same machine:
+failing CLI runs, each hashed as its exit code and its stderr. The first
+line printed is a header naming what the bits depend on: the numpy version,
+its BLAS and the CPU core OpenBLAS chose. A refactor keeps the contract when
+this script prints the same lines before and after the change on the same
+machine:
 
     PYTHONPATH=src python3 tools/contract_digests.py > after.txt
     diff before.txt after.txt
+
+`--check` compares the lines with those committed in contract_digests.txt
+beside this script. It exits 0 when they match, 1 naming each label whose
+digest differs, and 2 without running anything when the file holds the
+digests of another fingerprint. A change that moves the bytes on purpose
+rewrites the file with this script's output.
 
 BLAS runs on one thread, so the floating-point reductions, and the digests,
 do not depend on the core count. The CLI runs in a temporary directory with
@@ -25,15 +33,21 @@ os.environ.update(dict.fromkeys(
      "VECLIB_MAXIMUM_THREADS"), "1"))
 
 import contextlib  # noqa: E402
+import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from projpair import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from projpair import cli, verify  # noqa: E402
 from projpair.projections import reference_2x2_pair, save_pair_json  # noqa: E402
 from projpair.verify import ALL_CHECKS, TrialConfig, run_trials  # noqa: E402
+
+COMMITTED = Path(__file__).with_suffix(".txt")
 
 CAMPAIGNS = (
     ("default TrialConfig()", TrialConfig()),
@@ -161,26 +175,69 @@ def _cli_failure(command: str) -> str:
     return f"exit {code}\n{err}"
 
 
-def main() -> None:
+def fingerprint() -> str:
+    """The header line: numpy's version, its BLAS, and the core OpenBLAS
+    runs its kernels for, where numpy's bundled OpenBLAS names it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    corename = verify._openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    core = "unknown" if corename is None else corename().decode()
+    return f"# numpy {np.__version__}, BLAS {blas}, OpenBLAS core {core}"
+
+
+def digest_lines():
+    """Each digest line, in order."""
     for label, config in CAMPAIGNS:
-        print(f"{_sha256(run_trials(config).to_json())}  run_trials: {label}")
+        yield f"{_sha256(run_trials(config).to_json())}  run_trials: {label}"
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for command in COMMANDS:
-                print(f"{_sha256(_cli_stdout(command))}  projpair {command}")
+                yield f"{_sha256(_cli_stdout(command))}  projpair {command}"
             for name in PAIR_FILES:
-                print(f"{_sha256(Path(name).read_text())}  pair file {name}")
+                yield f"{_sha256(Path(name).read_text())}  pair file {name}"
             _write_hostile("pair.json", "hostile.json", 1, 2)
             save_pair_json(reference_2x2_pair(), "reference.json")
             _write_hostile("reference.json", "hostile2.json", 0, 1)
             _write_hostile("reference.json", "hostile3.json", 0, 0)
             for command in FAILING:
-                print(f"{_sha256(_cli_failure(command))}  projpair {command} (exit code, stderr)")
+                yield f"{_sha256(_cli_failure(command))}  projpair {command} (exit code, stderr)"
         finally:
             os.chdir(cwd)
 
 
+def check() -> int:
+    """Compare the digests with the committed ones; the exit status."""
+    header, *committed = COMMITTED.read_text().splitlines()
+    if header != fingerprint():
+        print(f"{COMMITTED.name} holds digests for `{header}`, not `{fingerprint()}`",
+              file=sys.stderr)
+        return 2
+    expected = dict(line.split("  ", 1)[::-1] for line in committed)
+    found = dict(line.split("  ", 1)[::-1] for line in digest_lines())
+    differing = [label for label in expected.keys() | found.keys()
+                 if expected.get(label) != found.get(label)]
+    for label in sorted(differing, key=[*expected, *found].index):
+        print(f"differs: {label}", file=sys.stderr)
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--check"]:
+        return check()
+    if argv:
+        print("usage: contract_digests.py [--check]", file=sys.stderr)
+        return 2
+    print(fingerprint())
+    for line in digest_lines():
+        print(line)
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
