@@ -9,16 +9,11 @@ into a reproducible aggregate whose JSON form is byte-stable.
 
 from __future__ import annotations
 
-import atexit
-import contextvars
 import ctypes
 import math
 import os
-import pickle
-import sys
-import threading
 from bisect import bisect_right
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import cache, reduce
 from itertools import accumulate, count, islice, repeat
@@ -28,7 +23,6 @@ import numpy as np
 
 from ._jsontext import json_text
 from .linalg import (
-    STACK_BYTES,
     UNDERFLOW_NORM,
     adjoint,
     as_stack,
@@ -112,6 +106,10 @@ def _degree_groups(degrees: range, per_degree: int, dim: int) -> list[range]:
 # call) x n long. Two threads against one making the same eigvalsh calls (2
 # vCPU, numpy 2.4.6, BLAS on one thread): n 499 and one matrix 0.98x, n 501
 # 1.81x; n 64 and 7 matrices 0.94x, 8 1.69x; n 96 and 5 matrices 0.94x, 6 1.78x.
+# This package starts no thread, but lemma_product_power keeps its runs of
+# Grams this long: a run is one eigvalsh call where one per power would be
+# up to eight, and while it runs another thread of the calling program, such
+# as a second campaign that found the helper busy, can run Python code.
 EIGVALSH_GIL_THRESHOLD = 500
 
 
@@ -293,8 +291,8 @@ def check_lemma_product_powers(pairs, m_max: int = 8, tol: float = DEFAULT_TOL, 
 
     ||fgf|| and the norms of the powers are measured together: each Gram is
     formed with its matrix, and the Grams are eigensolved in runs of at least
-    EIGVALSH_GIL_THRESHOLD // dim + 1 matrices, so that at dim >= 64 each
-    eigensolve releases the GIL to a power_expansion worker (_run_beside).
+    EIGVALSH_GIL_THRESHOLD // dim + 1 matrices, one eigvalsh call each,
+    which releases the GIL to any other thread of the program.
     Runs are shorter than twice that, so memory stays flat in m_max: below
     dim 64 a run holds up to about 1 MB of Grams. Their matrices are not
     kept: one whose norm may have underflowed is formed again and measured
@@ -707,6 +705,8 @@ class AggregateReport:
         return json_text(self.to_payload())
 
 
+
+
 def _openblas(symbol: str, restype=ctypes.c_int, argtypes=()):
     """The function `symbol` of the OpenBLAS that numpy's linalg loaded,
     declared with restype and argtypes, or None where that library exports
@@ -739,96 +739,42 @@ def _one_blas_thread(environ) -> bool:
     return False
 
 
-# Read once: BLAS read the same environment when numpy, imported above, loaded it.
-_ONE_BLAS_THREAD = _one_blas_thread(os.environ)
-
-
 def _check_trials(config: TrialConfig, dim: int, seeds: list[int],
-                  floors: dict[str, float] | None = None) -> list[dict[str, TrialReport]]:
-    """Each seed's reports by check name. The seeds' pairs are built with
-    one random_pairs call, every member is validated in one
-    projection_failures call, and each check runs on all the pairs at once,
-    with its floor from `floors` (exact residuals when None); the first
-    member that fails validation raises ArithmeticError.
+                  floors: dict[str, float] | None = None, checks: tuple[str, ...] | None = None,
+                  kept: dict | None = None) -> list[dict[str, TrialReport]]:
+    """Each seed's reports by check name, for `checks` (config.checks when
+    None). The seeds' pairs are built with one random_pairs call and every
+    member is validated in one projection_failures call; the first member
+    that fails validation raises ArithmeticError. The checks run one after
+    another, each on all the pairs at once with its floor from `floors`
+    (exact residuals when None), so a chunk raises the error of the first
+    failing one in checks order.
 
-    When one dim x dim matrix fills a stack (dim >= 64) and BLAS runs on
-    one thread, power_expansion runs beside the other checks (_run_beside),
-    so the chunk holds its stacks and those of one other check at once;
-    otherwise the checks run one after another. Either way, when checks
-    raise, the chunk raises the error of the first failing one in
-    config.checks order."""
-    pairs = random_pairs(dim, seeds)
-    failures = projection_failures([p.f for p in pairs] + [p.g for p in pairs])
-    if failures:
-        position, report = failures[0]
-        name = "fg"[position // len(pairs)]
-        raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
-
-    def run(name: str) -> list[TrialReport]:
-        return CHECKS[name](pairs, config, None if floors is None else floors[name])
-
-    # One complex dim x dim matrix fills a stack's budget: dim >= 64. Below
-    # that, even where a stack holds one matrix (dim 46-63), the worker's
-    # smaller products gain less than sharing the GIL costs. With BLAS's own
-    # threads on top, the two callers oversubscribe the cores and run slower
-    # than one.
-    if (_ONE_BLAS_THREAD and 16 * dim * dim >= STACK_BYTES
-            and "power_expansion" in config.checks and len(config.checks) > 1):
-        by_check = _run_beside(pairs, config.checks, run)
-    else:
-        by_check = {name: run(name) for name in config.checks}
+    `kept`, a dict, holds the last pairs built with it: pairs it holds are
+    taken from it, with the products and norms their earlier checks
+    cached; others are built once it has let its old ones go, and kept."""
+    kept = {} if kept is None else kept
+    key = (dim, *seeds)
+    if key not in kept:
+        kept.clear()
+        pairs = random_pairs(dim, seeds)
+        failures = projection_failures([p.f for p in pairs] + [p.g for p in pairs])
+        if failures:
+            position, report = failures[0]
+            name = "fg"[position // len(pairs)]
+            raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
+        kept[key] = pairs
+    pairs = kept[key]
+    by_check = {name: CHECKS[name](pairs, config, None if floors is None else floors[name])
+                for name in (config.checks if checks is None else checks)}
     return [dict(zip(by_check, trial)) for trial in zip(*by_check.values())]
 
 
-def _run_beside(pairs: list[ProjectionPair], checks: tuple[str, ...],
-                run) -> dict[str, list[TrialReport]]:
-    """run(name) for every name in checks, by name in checks order, with
-    power_expansion on one worker thread and the others, in order, on this
-    one. power_expansion is almost all Horner products, which release the
-    GIL. The others lean on eigensolves, and numpy's eigvalsh releases the
-    GIL only when (matrices in the call) x dim exceeds
-    EIGVALSH_GIL_THRESHOLD: lemma_product_power measures ||fgf|| and its
-    powers' norms in runs long enough for that, while the pair norms, ||u||
-    in lemma_commutator, ||D|| in the Halmos split and the gap norms are
-    one-Gram eigensolves that hold it. With BLAS on one thread a product
-    has the same bits on either thread, so the reports are the serial ones.
-
-    The worker runs in a copy of this thread's context, so it sees the
-    caller's np.errstate (numpy 2 keeps it in a context variable). It reads
-    only products and norms of the pairs formed here before it starts, so
-    no cached product is computed on both threads. This thread stops at its
-    first failing check and always joins the worker, then raises the error
-    of whichever failing check comes first in checks order, as the serial
-    loop would. The worker is a daemon, so an interrupt does not wait for
-    it."""
-    for pair in pairs:
-        pair.fgf, pair.norm_anti  # with fg, gf and anti, all power_expansion reads
-    results, errors = {}, {}
-
-    def attempt(name: str) -> None:
-        try:
-            results[name] = run(name)
-        except Exception as exc:  # raised below, once the worker has been joined
-            errors[name] = exc
-
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(attempt, "power_expansion"), daemon=True)
-    worker.start()
-    for name in checks:
-        if name != "power_expansion":
-            attempt(name)
-            if name in errors:
-                break
-    worker.join()
-    if errors:
-        raise errors[min(errors, key=checks.index)]
-    return {name: results[name] for name in checks}
-
-
 def _run_one_trial(config: TrialConfig, dim: int, seed: int,
-                   floors: dict[str, float] | None = None) -> dict[str, TrialReport]:
+                   floors: dict[str, float] | None = None, checks: tuple[str, ...] | None = None,
+                   kept: dict | None = None) -> dict[str, TrialReport]:
     """One trial's reports by check name: _check_trials for its seed alone."""
-    return _check_trials(config, dim, [seed], floors)[0]
+    return _check_trials(config, dim, [seed], floors, checks, kept)[0]
 
 
 def run_trials(config: TrialConfig) -> AggregateReport:
@@ -836,85 +782,109 @@ def run_trials(config: TrialConfig) -> AggregateReport:
 
     Trial i (numbered across the whole campaign) always uses base_seed + i,
     and the report is the one running the trials one after another in index
-    order gives. Each dim's trials run in chunks of stack_capacity((dim, dim))
-    pairs, and each check runs on a chunk's pairs at once; a chunk's pairs
-    are freed once its checks have run, so however many trials a campaign
-    runs, a process holds one chunk's pairs with the products their checks
-    cache, and the stacks of one check; at dim >= 64, where a chunk is one
-    pair, and with BLAS on one thread, power_expansion runs on a worker
-    thread beside the other checks, so a chunk holds two checks' stacks at
-    once (_check_trials). Under the floors below, a check also holds the
-    Grams of its gap terms that can matter until its last degree, so its
-    memory grows with m_max and n_max (_Gaps).
+    order gives. The campaign's work is cut into units (_Units): each dim's
+    trials in chunks of stack_capacity((dim, dim)) pairs, the largest
+    first, and a chunk of one pair (dim >= 46) into one unit per check.
+    Each check runs on a unit's pairs at once. A process keeps the pairs of
+    the last unit it ran, so the check units of one pair build it and form
+    its products and norms once, and lets them go before it builds the next
+    unit's: however many trials a campaign runs, a process holds one
+    chunk's pairs with the products their checks cache, and the stacks of
+    one check. Under the floors below, a check also holds the Grams of its
+    gap terms that can matter until its last degree, so its memory grows
+    with m_max and n_max (_Gaps).
 
     With 2 usable CPUs or more and BLAS on one thread, a campaign of 2
-    chunks or more runs them in this process and in one helper process
-    beside it (_chunk_outcomes), so two chunks can be alive at once, one per
-    process. The helper is forked at the first such campaign and runs the
-    package as it was then: a function patched later runs in this process
-    only, and a tracer here sees only this process's share of the chunks.
+    units or more runs them in this process and in one helper process
+    beside it (projpair._helper). Both claim the next unit from one counter,
+    so the small units, claimed last, even out when the two finish. The
+    helper is forked at the first such campaign and runs the package as it
+    was then: a function patched later runs in this process only, and a
+    tracer here sees only this process's share of the units. Outcomes are
+    merged as they arrive (_Merge).
 
     Only each check's largest residual and its failing trials are reported,
-    so each check gets the largest residual its process has seen as a floor
-    and measures only the gap norms that can exceed it or fail (_Gaps); the
-    report is the one exact residuals give.
+    so each check gets as a floor the largest residual among the whole
+    trials its process holds, and measures only the gap norms that can
+    exceed it or fail (_Gaps); the report is the one exact residuals give.
     """
-    summaries = {name: CheckSummary(name) for name in config.checks}
-    errors = []
-    for (dim, indices), outcomes in _chunk_outcomes(config, _Chunks(config)):
-        for index, outcome in zip(indices, outcomes):
-            if isinstance(outcome, str):
-                errors.append({"trial": index, "dim": dim, "message": outcome})
-                continue
-            for name, (residual, passed) in outcome.items():
-                summary = summaries[name]
-                summary.trials += 1
-                summary.max_residual = max(summary.max_residual, residual)
-                if not passed:
-                    summary.failures.append(index)
-    ordered = [summaries[name] for name in config.checks]
-    ok = not errors and all(not s.failures for s in ordered)
-    return AggregateReport(config, ordered, errors, "pass" if ok else "fail")
+    units = _Units(config)
+    merge = _Merge(config, units)
+    kept = {}  # the pairs of the last unit this process ran
+
+    def run(index: int) -> None:
+        merge.add(index, _run_unit(config, units[index], merge.floors(), kept))
+
+    with _claims(config, units) as claims:
+        mine = 0  # the unit this process runs next
+        while mine < len(units):
+            run(mine)
+            mine = claims.claim()
+            claims.collect(merge.add, wait=False)
+        while claims.active:  # until the helper ends the campaign
+            claims.collect(merge.add, wait=True)
+        for index in claims.lost():  # claimed by a helper that died before sending it back
+            run(index)
+    return merge.report()
 
 
-class _Chunks:
-    """A campaign's chunks, in order, as (dim, trial indices): each dim's
-    trials in runs of stack_capacity((dim, dim)). Each is computed when
-    asked for, so the campaign's list takes no memory per trial."""
+class _Units:
+    """A campaign's units of work, in the order they are claimed, as (dim,
+    trial indices, checks). Each dim's trials come in chunks of
+    stack_capacity((dim, dim)). A chunk is one unit of all config.checks,
+    unless it is one pair (a stack holds one matrix: dim >= 46); then it is
+    one unit per check, in config.checks order, which two processes can
+    share. The dims with the most pairs in a chunk come first, and among
+    them the largest, equal ones in config order: a chunk's time grows with
+    its pairs, a chunk of one pair's with its dim, so the smallest units
+    come last. Each is computed when asked for, so the campaign's list
+    takes no memory per trial."""
 
     def __init__(self, config: TrialConfig):
-        self.dims, self.trials = config.dims, config.trials
-        self.steps = [stack_capacity((dim, dim)) for dim in config.dims]
-        # the index of each dim's first chunk, and the count of all of them
-        self.starts = [0, *accumulate(-(-config.trials // step) for step in self.steps)]
+        self.trials, self.checks = config.trials, config.checks
+        steps = [stack_capacity((dim, dim)) for dim in config.dims]
+        # each dim's position in config.dims, in the order its units come
+        self.positions = sorted(range(len(config.dims)),
+                                key=lambda p: (-min(steps[p], config.trials), -config.dims[p]))
+        self.dims = [config.dims[p] for p in self.positions]
+        self.steps = [steps[p] for p in self.positions]
+        # units per chunk, and the index of each dim's first unit and the count of all of them
+        self.widths = [len(self.checks) if step == 1 else 1 for step in self.steps]
+        self.starts = [0, *accumulate(width * -(-config.trials // step)
+                                      for step, width in zip(self.steps, self.widths))]
 
     def __len__(self) -> int:
         return self.starts[-1]
 
-    def __getitem__(self, index: int) -> tuple[int, range]:
-        position = bisect_right(self.starts, index) - 1
-        first = position * self.trials + (index - self.starts[position]) * self.steps[position]
-        return (self.dims[position],
-                range(first, min(first + self.steps[position], (position + 1) * self.trials)))
+    def __getitem__(self, index: int) -> tuple[int, range, tuple[str, ...]]:
+        k = bisect_right(self.starts, index) - 1
+        chunk, check = divmod(index - self.starts[k], self.widths[k])
+        position, step = self.positions[k], self.steps[k]
+        first = position * self.trials + chunk * step
+        return (self.dims[k], range(first, min(first + step, (position + 1) * self.trials)),
+                self.checks if self.widths[k] == 1 else self.checks[check : check + 1])
 
 
-def _run_chunk(config: TrialConfig, dim: int, indices: range,
-               floors: dict[str, float]) -> list:
-    """The outcome of each trial of one chunk, in order: its residual and
-    verdict by check name, or the message of the error it raised, with each
-    check's floor from `floors`. A chunk of one pair, or one whose pairs
+def _run_unit(config: TrialConfig, unit: tuple[int, range, tuple[str, ...]],
+              floors: dict[str, float], kept: dict) -> list:
+    """The outcome of each trial of one unit, in order: its residual and
+    verdict by check name, for the unit's checks, or the message of the
+    error it raised, with each check's floor from `floors` and the pairs
+    kept in `kept` (_check_trials). A unit of one pair, or one whose pairs
     could not be built, validated or checked together, runs trial by trial,
     so each trial records its own failure."""
+    dim, indices, checks = unit
     seeds = [config.base_seed + index for index in indices]
     if len(seeds) > 1:
         try:
-            return [_outcome(reports) for reports in _check_trials(config, dim, seeds, floors)]
+            return [_outcome(reports)
+                    for reports in _check_trials(config, dim, seeds, floors, checks, kept)]
         except Exception:  # rerun trial by trial; the trial that raises records it
             pass
     outcomes = []
     for seed in seeds:
         try:
-            outcomes.append(_outcome(_run_one_trial(config, dim, seed, floors)))
+            outcomes.append(_outcome(_run_one_trial(config, dim, seed, floors, checks, kept)))
         except Exception as exc:  # trial isolation: record, never kill the campaign
             outcomes.append(f"{type(exc).__name__}: {exc}")
     return outcomes
@@ -924,74 +894,80 @@ def _outcome(reports: dict[str, TrialReport]) -> dict[str, tuple[float, bool]]:
     return {name: (report.residual, report.passed) for name, report in reports.items()}
 
 
-def _raise_floors(floors: dict[str, float], outcomes: list) -> None:
-    """Raise each check's floor to its largest residual among outcomes."""
-    for outcome in outcomes:
-        if not isinstance(outcome, str):
-            for name, (residual, _) in outcome.items():
-                floors[name] = max(floors[name], residual)
+class _Merge:
+    """A campaign's summaries, merged from its units' outcomes in whatever
+    order they arrive. Counts and maxima do not depend on the order, and
+    failures and errors are sorted by trial in report(). A trial split into
+    check units is merged once all of them are in, with the error of the
+    first failing check in config.checks order where any raised, as the
+    serial loop would."""
 
+    def __init__(self, config: TrialConfig, units: _Units):
+        self.config, self.units = config, units
+        self.summaries = {name: CheckSummary(name) for name in config.checks}
+        self.errors = []
+        self.parts = {}  # a split trial's outcomes by check, until all are in
 
-def _chunk_outcomes(config: TrialConfig, chunks: _Chunks):
-    """Each chunk with its outcomes (_run_chunk), in chunk order.
+    def add(self, index: int, outcomes: list) -> None:
+        """Merge the outcomes of unit `index`."""
+        dim, indices, checks = self.units[index]
+        split = checks != self.config.checks
+        for trial, outcome in zip(indices, outcomes):
+            if split:
+                parts = self.parts.setdefault(trial, {})
+                parts[checks[0]] = outcome
+                if len(parts) < len(self.config.checks):
+                    continue
+                del self.parts[trial]
+                parts = [parts[name] for name in self.config.checks]
+                errors = [part for part in parts if isinstance(part, str)]
+                outcome = errors[0] if errors else {name: value for part in parts
+                                                    for name, value in part.items()}
+            if isinstance(outcome, str):
+                self.errors.append({"trial": trial, "dim": dim, "message": outcome})
+                continue
+            for name, (residual, passed) in outcome.items():
+                summary = self.summaries[name]
+                summary.trials += 1
+                summary.max_residual = max(summary.max_residual, residual)
+                if not passed:
+                    summary.failures.append(trial)
 
-    This process runs chunk 0 and each chunk it claims after it (_claims).
-    A helper, where there is one, claims and runs the others and sends
-    their outcomes back; a chunk the helper claimed but died before sending
-    back runs here. Outcomes that come before their turn wait in `done`,
-    which stays short, since both processes claim chunks in order and this
-    one collects the helper's after each chunk it runs. Each process's
-    floors are the largest residuals it has seen, never above the
-    campaign's, so the summaries merged from the outcomes are the serial
-    ones.
-    """
-    floors = dict.fromkeys(config.checks, 0.0)
-    done = {}
+    def floors(self) -> dict[str, float]:
+        """Each check's largest residual among the merged trials: floors a
+        trial that another check's unit errored on never raises."""
+        return {name: summary.max_residual for name, summary in self.summaries.items()}
 
-    def record(index: int, outcomes: list) -> None:
-        done[index] = outcomes
-        _raise_floors(floors, outcomes)
-
-    with _claims(config, chunks) as claims:
-        mine = 0  # the chunk this process runs next
-        for turn in range(len(chunks)):
-            while turn not in done:
-                if mine < len(chunks):
-                    record(mine, _run_chunk(config, *chunks[mine], floors))
-                    mine = claims.claim()
-                    claims.collect(record, wait=False)
-                elif claims.active:
-                    claims.collect(record, wait=True)
-                else:  # claimed by a helper that died before sending it back
-                    record(turn, _run_chunk(config, *chunks[turn], floors))
-            yield chunks[turn], done.pop(turn)
-        while claims.active:  # until the helper ends the campaign
-            claims.collect(record, wait=True)
+    def report(self) -> AggregateReport:
+        ordered = [self.summaries[name] for name in self.config.checks]
+        for summary in ordered:
+            summary.failures.sort()
+        self.errors.sort(key=lambda error: error["trial"])
+        ok = not self.errors and all(not s.failures for s in ordered)
+        return AggregateReport(self.config, ordered, self.errors, "pass" if ok else "fail")
 
 
 # --- the helper process --------------------------------------------------------
 
 # None: campaigns use a helper where _helper_wanted() says the host allows.
-# Tests set False to keep every chunk in this process, where their spies and
+# Tests set False to keep every unit in this process, where their spies and
 # counters see it, or True to use a helper on any host that can fork one.
 _use_helper: bool | None = None
-_helper = None  # this process's _Helper, once forked
-_helper_lock = threading.Lock()  # held by the campaign using _helper
 
 
 def _helper_wanted() -> bool:
-    """Whether campaigns should run chunks on a helper: with 2 usable CPUs
-    or more, and BLAS on one thread, by _run_beside's rule, since two
+    """Whether campaigns should run units on a helper: with 2 usable CPUs
+    or more, and BLAS on one thread at the time of asking, since two
     callers of threaded BLAS oversubscribe the cores."""
     if _use_helper is not None:
         return _use_helper
-    return (_ONE_BLAS_THREAD and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1)
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+            and _one_blas_thread(os.environ))
 
 
 class _Alone:
     """The claims of a campaign that has no helper: this process claims
-    every chunk, in order."""
+    every unit, in order."""
 
     active = False
 
@@ -1001,177 +977,17 @@ class _Alone:
     def collect(self, record, wait: bool) -> None:
         pass
 
-
-class _Helper:
-    """A process forked from this one, that runs campaign chunks beside it.
-
-    Both processes claim chunks from a counter in a file they share, under a
-    POSIX record lock, which the kernel drops if its holder dies. For each
-    campaign this process sends (config, np.geterr(), chunks) over a socket;
-    the helper runs, under that errstate, each chunk it claims and sends
-    back (index, outcomes), then None once the counter has passed the last
-    chunk. A message is its length and its pickle. The helper ignores
-    SIGINT, which a terminal sends the whole process group, and exits when
-    its socket reaches EOF; _close_helper ends it.
-    """
-
-    def __init__(self):
-        # imported only where a helper runs: socket alone takes 3-6 ms
-        import socket
-        import tempfile
-
-        self.owner, self.active, self.dead = os.getpid(), False, False
-        self.counter = tempfile.TemporaryFile()
-        self.socket, theirs = socket.socketpair()
-        sys.stderr.flush()  # so that the helper's stderr starts empty
-        self.pid = os.fork()
-        if self.pid:
-            theirs.close()
-            return
-        try:  # in the helper, until it exits
-            import signal
-
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            self.socket.close()
-            self.socket = theirs
-            self._serve()
-        except (EOFError, OSError):  # the campaign's process closed its end, or died
-            os._exit(0)
-        except BaseException:
-            import traceback
-
-            traceback.print_exc()
-        finally:
-            os._exit(1)
-
-    def _serve(self) -> None:
-        while True:
-            config, errstate, chunks = self._receive()
-            floors = dict.fromkeys(config.checks, 0.0)
-            with np.errstate(**errstate):
-                while (index := self.claim()) < len(chunks):
-                    outcomes = _run_chunk(config, *chunks[index], floors)
-                    _raise_floors(floors, outcomes)
-                    self._send((index, outcomes))
-            self._send(None)
-
-    def begin(self, config: TrialConfig, chunks: _Chunks) -> bool:
-        """Start the helper on a campaign, whose chunk 0 this process runs;
-        False if the helper has died."""
-        os.pwrite(self.counter.fileno(), (1).to_bytes(8, "little"), 0)
-        try:
-            self._send((config, np.geterr(), chunks))
-        except OSError:
-            return False
-        self.active = True
-        return True
-
-    def claim(self) -> int:
-        """The next chunk's index, from the shared counter."""
-        import fcntl
-
-        fd = self.counter.fileno()
-        fcntl.lockf(fd, fcntl.LOCK_EX)
-        try:
-            index = int.from_bytes(os.pread(fd, 8, 0), "little")
-            os.pwrite(fd, (index + 1).to_bytes(8, "little"), 0)
-        finally:
-            fcntl.lockf(fd, fcntl.LOCK_UN)
-        return index
-
-    def collect(self, record, wait: bool) -> None:
-        """record(index, outcomes) for each chunk the helper has sent back;
-        with wait, first block until it sends a chunk or ends the campaign.
-        A helper found dead is no longer active; _claims closes it."""
-        import select
-
-        try:
-            while self.active and (wait or select.select([self.socket], [], [], 0)[0]):
-                wait = False
-                message = self._receive()
-                if message is None:
-                    self.active = False
-                else:
-                    record(*message)
-        except (EOFError, OSError):
-            self.active, self.dead = False, True
-
-    def close(self) -> None:
-        """Close this process's ends of the helper, and if this process
-        forked it, end it and reap it."""
-        self.socket.close()
-        self.counter.close()
-        if self.owner != os.getpid():
-            return
-        import signal
-
-        try:
-            if os.waitpid(self.pid, os.WNOHANG)[0] == 0:  # alive, and still this pid's
-                os.kill(self.pid, signal.SIGTERM)
-                os.waitpid(self.pid, 0)
-        except ChildProcessError:  # reaped by another wait call
-            pass
-
-    def _send(self, message) -> None:
-        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-        self.socket.sendall(len(data).to_bytes(8, "little") + data)
-
-    def _receive(self):
-        return pickle.loads(self._read(int.from_bytes(self._read(8), "little")))
-
-    def _read(self, size: int) -> bytearray:
-        data = bytearray()
-        while len(data) < size:
-            part = self.socket.recv(size - len(data))
-            if not part:
-                raise EOFError("the other process closed its end")
-            data += part
-        return data
+    def lost(self) -> list[int]:
+        return []
 
 
-def _start_helper(config: TrialConfig, chunks: _Chunks) -> _Helper | None:
-    """This process's helper, forked if there is none and no other thread
-    is alive (a fork copies only the calling thread), and started on the
-    campaign; None if it cannot be."""
-    global _helper
-    if _helper is not None and _helper.owner != os.getpid():
-        _close_helper()  # a forked child's copy of its parent's helper
-    if _helper is None and hasattr(os, "fork") and threading.active_count() == 1:
-        _helper = _Helper()
-    if _helper is not None and not _helper.begin(config, chunks):
-        _close_helper()
-    return _helper
+def _claims(config: TrialConfig, units: _Units):
+    """A context manager giving the claims of one campaign: a helper's
+    (projpair._helper.claims), when the campaign has 2 units or more and
+    _helper_wanted(); else _Alone's. The helper's module is imported only
+    then."""
+    if len(units) < 2 or not _helper_wanted():
+        return nullcontext(_Alone())
+    from . import _helper
 
-
-@contextmanager
-def _claims(config: TrialConfig, chunks: _Chunks):
-    """The claims of one campaign: this process's helper's, started on it,
-    when the campaign has 2 chunks or more, _helper_wanted(), and no other
-    campaign in this process holds the helper; else _Alone's. A campaign
-    left by an exception closes its helper, whose outcomes would otherwise
-    reach the next campaign, and so does one whose helper died."""
-    if len(chunks) < 2 or not _helper_wanted() or not _helper_lock.acquire(blocking=False):
-        yield _Alone()
-        return
-    try:
-        helper = _start_helper(config, chunks)
-        yield helper or _Alone()
-        if helper is not None and helper.dead:
-            _close_helper()
-    except BaseException:
-        _close_helper()
-        raise
-    finally:
-        _helper_lock.release()
-
-
-def _close_helper() -> None:
-    """Drop this process's helper and close it. Registered to run at exit,
-    so the helper never outlives the process that forked it."""
-    global _helper
-    helper, _helper = _helper, None
-    if helper is not None:
-        helper.close()
-
-
-atexit.register(_close_helper)
+    return _helper.claims(config, units)

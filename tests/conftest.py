@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import projpair._helper as helper_process
 import projpair.verify as verify
 
 
@@ -9,14 +10,14 @@ def fresh_helper():
     """Each test forks its own campaign helper, if it uses one: a helper
     runs the package as it was when it was forked, so one forked under an
     earlier test's patches would run them in later tests."""
-    verify._close_helper()
+    helper_process._close_helper()
     yield
-    verify._close_helper()
+    helper_process._close_helper()
 
 
 @pytest.fixture
 def in_caller(monkeypatch):
-    """Keep every campaign chunk in the test's process, where its spies and
+    """Keep every campaign unit in the test's process, where its spies and
     counters see them, never on a helper."""
     monkeypatch.setattr(verify, "_use_helper", False)
 

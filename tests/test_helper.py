@@ -1,20 +1,23 @@
-"""The campaign helper process: run_trials with its chunks shared between
-the calling process and one forked helper reports the bytes it reports with
-every chunk in the caller."""
+"""The campaign helper process: run_trials with its units of work shared
+between the calling process and one forked helper reports the bytes it
+reports with every unit in the caller."""
 
 import ctypes
+import importlib.util
 import os
 import pickle
 import select
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import projpair._helper as helper_process
 import projpair.verify as verify
 from projpair.verify import TrialConfig, run_trials
 
@@ -39,24 +42,29 @@ def one_blas_thread():
 
 
 def run_both(config: TrialConfig, monkeypatch) -> tuple[str, str]:
-    """The report's JSON with every chunk in this process, then with a helper."""
+    """The report's JSON with every unit in this process, then with a helper."""
     monkeypatch.setattr(verify, "_use_helper", False)
     alone = run_trials(config).to_json()
     monkeypatch.setattr(verify, "_use_helper", True)
     return alone, run_trials(config).to_json()
 
 
-def caller_chunks(monkeypatch) -> list:
-    """The index ranges of the chunks this process runs, from here on."""
-    real = verify._run_chunk
+def caller_units(monkeypatch) -> list:
+    """The units this process runs, from here on."""
+    real = verify._run_unit
     ran = []
 
-    def recording(config, dim, indices, floors):
-        ran.append(indices)
-        return real(config, dim, indices, floors)
+    def recording(config, unit, floors, kept):
+        ran.append(unit)
+        return real(config, unit, floors, kept)
 
-    monkeypatch.setattr(verify, "_run_chunk", recording)
+    monkeypatch.setattr(verify, "_run_unit", recording)
     return ran
+
+
+def all_units(config: TrialConfig) -> list:
+    units = verify._Units(config)
+    return [units[i] for i in range(len(units))]
 
 
 def load_contract_tool():
@@ -69,51 +77,88 @@ def load_contract_tool():
 
 
 def test_helper_keeps_the_contract_campaigns_bytes(monkeypatch):
-    # among them floored multi-chunk campaigns: dims 16 and 24 in chunks, and
-    # dims 64 and 96, a pair a chunk, failing at tol 1e-15
+    # among them floored campaigns of many units: dims 16 and 24 in chunks,
+    # and dims 64 and 96, a unit per check of each pair, failing at tol 1e-15
     campaigns = load_contract_tool().CAMPAIGNS
     monkeypatch.setattr(verify, "_use_helper", True)
     run_trials(TrialConfig(dims=(2, 4), trials=1))  # fork the helper before the spy
-    ran = caller_chunks(monkeypatch)
-    chunks = 0
+    ran = caller_units(monkeypatch)
+    units = 0
     for label, config in campaigns:
         alone, shared = run_both(config, monkeypatch)
         assert shared == alone, label
-        chunks += len(verify._Chunks(config))
-    # the serial runs' chunks, and some but not all of the helper runs'
-    assert chunks < len(ran) < 2 * chunks
+        units += len(verify._Units(config))
+    # the serial runs' units, and some but not all of the helper runs'
+    assert units < len(ran) < 2 * units
+
+
+def merged_units(monkeypatch) -> list:
+    """The index of each unit this process merges, from here on: its own,
+    and those the helper sends back."""
+    real = verify._Merge.add
+    merged = []
+
+    def recording(merge, index, outcomes):
+        merged.append(index)
+        return real(merge, index, outcomes)
+
+    monkeypatch.setattr(verify._Merge, "add", recording)
+    return merged
+
+
+def assert_each_unit_merged_once(config: TrialConfig, monkeypatch) -> None:
+    """Three helper runs of config: each unit is merged here once, run here
+    or sent back, so no claim is lost or repeated between the processes."""
+    monkeypatch.setattr(verify, "_use_helper", True)
+    expected = run_trials(config).to_json()
+    merged, ran = merged_units(monkeypatch), caller_units(monkeypatch)
+    units = len(verify._Units(config))
+    for _ in range(3):
+        merged.clear()
+        ran.clear()
+        assert run_trials(config).to_json() == expected
+        assert sorted(merged) == list(range(units))
+        assert 0 < len(ran) < units
 
 
 def test_both_processes_claim_each_chunk_once(monkeypatch):
-    # 60 chunks of one pair: each is recorded here once, run here or sent
-    # back, so no claim is lost or repeated between the two processes
-    config = TrialConfig(dims=(64,), trials=60, checks=("theorem",))
-    monkeypatch.setattr(verify, "_use_helper", True)
-    expected = run_trials(replace(config, base_seed=1)).to_json()
-    real = verify._raise_floors
-    recorded = []
+    # 60 chunks of one pair and one check
+    assert_each_unit_merged_once(TrialConfig(dims=(64,), trials=60, base_seed=1,
+                                             checks=("theorem",)), monkeypatch)
 
-    def recording(floors, outcomes):
-        recorded.append(outcomes)
-        return real(floors, outcomes)
 
-    monkeypatch.setattr(verify, "_raise_floors", recording)
-    ran = caller_chunks(monkeypatch)
-    for _ in range(3):
-        recorded.clear()
-        ran.clear()
-        assert run_trials(replace(config, base_seed=1)).to_json() == expected
-        assert len(recorded) == 60
-        assert 0 < len(ran) < 60
+def test_both_processes_claim_each_check_unit_once(monkeypatch):
+    # 10 dim-64 trials of 6 check units each, then one chunk of 10 dim-16
+    # pairs
+    assert_each_unit_merged_once(TrialConfig(dims=(16, 64), trials=10, base_seed=2),
+                                 monkeypatch)
 
 
 def test_chunks_cover_each_dims_trials_in_stack_sized_runs():
-    config = TrialConfig(dims=(2, 32, 64, 24), trials=9)
-    chunks = verify._Chunks(config)
-    assert [chunks[i] for i in range(len(chunks))] == [
-        (2, range(0, 9)), (32, range(9, 13)), (32, range(13, 17)), (32, range(17, 18)),
-        *[(64, range(i, i + 1)) for i in range(18, 27)], (24, range(27, 34)), (24, range(34, 36))]
-    assert len(verify._Chunks(TrialConfig(dims=(2, 64), trials=0))) == 0
+    # the dims with the most pairs in a chunk first, then the largest, equal
+    # dims in config order; a chunk of one pair is one unit per check,
+    # unless the campaign runs one check
+    config = TrialConfig(dims=(2, 32, 64, 24, 32), trials=9, checks=("theorem", "nw_block"))
+    whole = config.checks
+    assert all_units(config) == [
+        (2, range(0, 9), whole), (24, range(27, 34), whole), (24, range(34, 36), whole),
+        (32, range(9, 13), whole), (32, range(13, 17), whole), (32, range(17, 18), whole),
+        (32, range(36, 40), whole), (32, range(40, 44), whole), (32, range(44, 45), whole),
+        *[(64, range(i, i + 1), (check,)) for i in range(18, 27) for check in whole]]
+    assert all_units(replace(config, checks=("theorem",)))[9:] == [
+        (64, range(i, i + 1), ("theorem",)) for i in range(18, 27)]
+    assert len(verify._Units(TrialConfig(dims=(2, 64), trials=0))) == 0
+
+
+def test_caller_runs_the_largest_units_first(monkeypatch, in_caller):
+    # chunks of two pairs, the larger dims first, then the check units of
+    # one pair, the larger dims first
+    config = TrialConfig(dims=(2, 64, 16, 96, 16), trials=2, checks=("theorem", "corollary"))
+    ran = caller_units(monkeypatch)
+    assert run_trials(config).verdict == "pass"
+    assert ran == all_units(config)
+    assert [(dim, len(indices)) for dim, indices, _ in ran] == [
+        (16, 2), (16, 2), (2, 2), *[(96, 1)] * 4, *[(64, 1)] * 4]
 
 
 def test_helper_keeps_the_order_of_errors_and_failures(monkeypatch):
@@ -137,6 +182,74 @@ def test_helper_keeps_the_order_of_errors_and_failures(monkeypatch):
     assert any(s.failures for s in report.per_check)
 
 
+@pytest.mark.parametrize("checks, caller_fails", [
+    # theorem's unit, the caller's first, fails first; power_expansion's
+    # fails on the helper while the caller waits in theorem
+    (("theorem", "corollary", "power_expansion"), "theorem"),
+    # the caller waits in corollary while the helper claims theorem's unit,
+    # and fails power_expansion's while the helper waits in theorem
+    (("corollary", "theorem", "power_expansion"), "power_expansion"),
+])
+def test_first_failing_check_wins_across_the_processes(checks, caller_fails, monkeypatch):
+    caller = os.getpid()
+    real_corollary = verify.CHECKS["corollary"]
+
+    def slow_theorem(pairs, cfg, floor):
+        time.sleep(0.4 if os.getpid() == caller else 0.8)
+        raise ValueError("synthetic theorem failure")
+
+    def failing_power(pairs, cfg, floor):
+        raise ArithmeticError("synthetic power_expansion failure")
+
+    def slow_corollary(pairs, cfg, floor):
+        if os.getpid() == caller:
+            time.sleep(0.4)
+        return real_corollary(pairs, cfg, floor)
+
+    monkeypatch.setitem(verify.CHECKS, "theorem", slow_theorem)
+    monkeypatch.setitem(verify.CHECKS, "power_expansion", failing_power)
+    monkeypatch.setitem(verify.CHECKS, "corollary", slow_corollary)
+    monkeypatch.setattr(verify, "_use_helper", True)
+    ran = caller_units(monkeypatch)
+    report = run_trials(TrialConfig(dims=(64,), trials=1, checks=checks))
+    assert [checks for _, _, checks in ran] == [(checks[0],)] + (
+        [("power_expansion",)] if caller_fails == "power_expansion" else [])
+    assert report.errors == [{"trial": 0, "dim": 64,
+                              "message": "ValueError: synthetic theorem failure"}]
+    assert all(s.trials == 0 for s in report.per_check)
+
+
+def test_a_trial_that_errors_raises_no_floor(monkeypatch):
+    # trial 0 (seed 4) raises in theorem, so it is left out of the report,
+    # and reports nw_block's largest residual, 1e-9: a process that floored
+    # nw_block there would skip every gap term of the later trials, each
+    # below 1e-13, and report a smaller maximum. The caller waits in
+    # theorem's unit of trial 0, its first, so the helper runs the trial's
+    # other units and then most of the rest.
+    real_theorem, real_block = verify.CHECKS["theorem"], verify.CHECKS["nw_block"]
+    caller = os.getpid()
+
+    def failing(pairs, cfg, floor):
+        if any(pair.provenance.params["seed"] == 4 for pair in pairs):
+            if os.getpid() == caller:
+                time.sleep(0.3)
+            raise ArithmeticError("synthetic check failure")
+        return real_theorem(pairs, cfg, floor)
+
+    def raised(pairs, cfg, floor):
+        return [replace(report, residual=1e-9) if report.pair_provenance.params["seed"] == 4
+                else report for report in real_block(pairs, cfg, floor)]
+
+    monkeypatch.setitem(verify.CHECKS, "theorem", failing)
+    monkeypatch.setitem(verify.CHECKS, "nw_block", raised)
+    config = TrialConfig(dims=(64,), trials=8, base_seed=4)
+    alone, shared = run_both(config, monkeypatch)
+    assert shared == alone
+    report = run_trials(config)
+    assert [e["trial"] for e in report.errors] == [0]
+    assert 0 < report.per_check[-1].max_residual < 1e-13
+
+
 def test_helper_runs_under_the_callers_errstate(monkeypatch):
     def reporting(pairs, cfg, floor):
         raise FloatingPointError(f"over={np.geterr()['over']}")
@@ -148,7 +261,7 @@ def test_helper_runs_under_the_callers_errstate(monkeypatch):
         with np.errstate(over=over):
             report = run_trials(config)
         assert [e["message"] for e in report.errors] == [f"FloatingPointError: over={over}"] * 4
-    assert verify._helper is not None
+    assert helper_process._helper is not None
 
 
 def test_helper_killed_mid_campaign_leaves_its_chunks_to_the_caller(monkeypatch):
@@ -157,46 +270,46 @@ def test_helper_killed_mid_campaign_leaves_its_chunks_to_the_caller(monkeypatch)
     alone = run_trials(config).to_json()
     monkeypatch.setattr(verify, "_use_helper", True)
     run_trials(TrialConfig(dims=(2, 4), trials=1))
-    helper = verify._helper
-    real = verify._run_chunk
+    helper = helper_process._helper
+    real = verify._run_unit
     ran = []
 
-    def killing(config, dim, indices, floors):
-        ran.append(indices)
-        if len(ran) == 2:  # the helper has claimed chunk 1 by now, or dies first
+    def killing(config, unit, floors, kept):
+        ran.append(unit)
+        if len(ran) == 2:  # the helper has claimed unit 1 by now, or dies first
             os.kill(helper.pid, signal.SIGKILL)
-        return real(config, dim, indices, floors)
+        return real(config, unit, floors, kept)
 
-    monkeypatch.setattr(verify, "_run_chunk", killing)
+    monkeypatch.setattr(verify, "_run_unit", killing)
     assert run_trials(config).to_json() == alone
     assert len(ran) >= 2
-    assert verify._helper is None  # closed and reaped
+    assert helper_process._helper is None  # closed and reaped
     with pytest.raises(ChildProcessError):
         os.waitpid(helper.pid, os.WNOHANG)
     # the next campaign forks a new helper
     assert run_trials(config).to_json() == alone
-    assert verify._helper.pid != helper.pid
+    assert helper_process._helper.pid != helper.pid
 
 
 def test_helper_ignores_sigint_and_a_busy_helper_leaves_the_campaign_here(monkeypatch):
     config = TrialConfig(dims=(64,), trials=3)
     monkeypatch.setattr(verify, "_use_helper", True)
     alone = run_trials(config).to_json()
-    helper = verify._helper
+    helper = helper_process._helper
     os.kill(helper.pid, signal.SIGINT)
     assert run_trials(config).to_json() == alone
-    assert verify._helper is helper
-    ran = caller_chunks(monkeypatch)
-    with verify._helper_lock:  # as another thread's campaign holds it
+    assert helper_process._helper is helper
+    ran = caller_units(monkeypatch)
+    with helper_process._helper_lock:  # as another thread's campaign holds it
         assert run_trials(config).to_json() == alone
-    assert ran == [range(0, 1), range(1, 2), range(2, 3)]
+    assert ran == all_units(config)
 
 
 def test_forked_child_does_not_use_its_parents_helper(monkeypatch):
     config = TrialConfig(dims=(2, 64), trials=3, base_seed=1)
     monkeypatch.setattr(verify, "_use_helper", True)
     expected = run_trials(config).to_json()
-    parent_helper = verify._helper.pid
+    parent_helper = helper_process._helper.pid
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: run the campaign, send its bytes and helper back
@@ -205,8 +318,9 @@ def test_forked_child_does_not_use_its_parents_helper(monkeypatch):
             os.close(read)
             report = run_trials(config).to_json()
             with os.fdopen(write, "wb") as out:
-                pickle.dump((report, verify._helper and verify._helper.pid), out)
-            verify._close_helper()
+                pickle.dump((report, helper_process._helper and helper_process._helper.pid),
+                            out)
+            helper_process._close_helper()
             code = 0
         finally:
             os._exit(code)
@@ -219,13 +333,13 @@ def test_forked_child_does_not_use_its_parents_helper(monkeypatch):
     assert child_helper not in (None, parent_helper)
     # the parent's helper still serves it
     assert run_trials(config).to_json() == expected
-    assert verify._helper.pid == parent_helper
+    assert helper_process._helper.pid == parent_helper
 
 
 def test_campaign_process_leaves_no_helper_behind():
     code = ("import sys; import projpair.verify as v; v._use_helper = True; "
             "v.run_trials(v.TrialConfig(dims=(2, 64), trials=2)); "
-            "print(v._helper.pid, 'multiprocessing' in sys.modules)")
+            "print(sys.modules['projpair._helper']._helper.pid, 'multiprocessing' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120).stdout.split()
@@ -252,7 +366,7 @@ def test_one_blas_thread_reads_numpys_openblas():
     assert verify._one_blas_thread({}) == (count() == 1)
     # OpenBLAS reads the variable when it loads, so a fresh process with it
     # at 1 runs one thread, whatever this process runs
-    code = "import projpair.verify as v; print(v._ONE_BLAS_THREAD)"
+    code = "import projpair.verify as v; print(v._one_blas_thread({}))"
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120).stdout
@@ -268,3 +382,37 @@ def test_contract_digests_match_the_committed_ones():
     if proc.returncode == 2:
         pytest.skip(proc.stderr.strip())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_helper_wanted_reads_the_blas_thread_count_per_campaign(monkeypatch):
+    set_threads = verify._openblas("scipy_openblas_set_num_threads64_", None, (ctypes.c_int,))
+    if set_threads is None:
+        pytest.skip("numpy's BLAS exports no scipy_openblas thread count")
+    monkeypatch.setattr(verify, "_use_helper", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert verify._helper_wanted()
+    set_threads(2)
+    try:
+        assert not verify._helper_wanted()
+    finally:
+        set_threads(1)
+    assert verify._helper_wanted()
+
+
+def test_helper_module_loads_only_for_a_campaign_that_wants_it():
+    code = "import projpair.cli, sys; print('projpair._helper' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out == "False\n"
+
+
+@pytest.mark.parametrize("tool", ["contract_digests", "call_counts"])
+def test_importing_a_tool_leaves_the_environment_alone(tool, monkeypatch):
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        monkeypatch.setenv(name, "7")
+    before = dict(os.environ)
+    spec = importlib.util.spec_from_file_location(f"fresh_{tool}", ROOT / "tools" / f"{tool}.py")
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert dict(os.environ) == before

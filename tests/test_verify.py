@@ -477,20 +477,19 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
 
 
 def test_large_campaign_solves_few_gap_norms(eigvalsh_calls):
-    # One dim-64 and one dim-96 trial, each a chunk of one pair: 12
-    # eigensolves for norms that are not pure gaps, and 5 for gaps, all in
-    # the dim-64 trial: each check's floor is its campaign maximum, and the
-    # dim-64 maxima cover every gap of the dim-96 trial. Each trial's 12 are
-    # its three pair norms, one run of lemma_product_power's eight norms
-    # (||fgf|| and (fg)^2..(fg)^8, one (8, dim, dim) eigensolve), ||u|| in
-    # lemma_commutator and ||D|| in halmos_decompose, the Frobenius bound
-    # certifying its relation gaps. Measuring lemma_product_power's norms
-    # one at a time took 14 more (31 in all), measuring the relation gaps 5
-    # more again (36), measuring every gap 66 (97), and floors kept per dim
-    # 10 (41)
+    # One dim-64 and one dim-96 trial, each a pair whose checks run as one
+    # unit each, the dim-96 trial first: 12 eigensolves for norms that are
+    # not pure gaps, and 9 for gaps, 5 in the dim-96 trial, which has no
+    # floor yet, and 4 in the dim-64 trial, floored at the dim-96 maxima.
+    # Each trial's 6 are its three pair norms, one run of
+    # lemma_product_power's eight norms (||fgf|| and (fg)^2..(fg)^8, one
+    # (8, dim, dim) eigensolve), ||u|| in lemma_commutator and ||D|| in
+    # halmos_decompose, the Frobenius bound certifying its relation gaps:
+    # the check units of one pair share its cached norms. Run dim 64 first,
+    # the dim-64 maxima covered every gap of the dim-96 trial (17 in all)
     report = run_trials(TrialConfig(dims=(64, 96), trials=1, base_seed=0))
     assert report.verdict == "pass"
-    assert len(eigvalsh_calls) == 17
+    assert len(eigvalsh_calls) == 21
 
 
 def exact_checks(monkeypatch):
@@ -745,9 +744,10 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch, in_caller):
     monkeypatch.setattr(verify, "random_pairs", flaky_stacked)
     monkeypatch.setitem(verify.CHECKS, "corollary", failing_corollary)
     chunked = run_trials(config)
-    # each failed chunk reruns its trials one seed at a time
-    assert stacked_calls == [[0, 1, 2, 3, 4], [0], [1], [2], [3], [4],
-                             [5, 6, 7, 8, 9], [5], [6], [7], [8], [9]]
+    # each failed chunk reruns its trials one seed at a time, the dim-8
+    # chunk first, as the larger dim
+    assert stacked_calls == [[5, 6, 7, 8, 9], [5], [6], [7], [8], [9],
+                             [0, 1, 2, 3, 4], [0], [1], [2], [3], [4]]
     assert [(e["trial"], e["dim"]) for e in chunked.errors] == [(2, 2), (7, 8)]
     assert chunked.to_json() == serial_campaign(config).to_json()
 
@@ -814,20 +814,6 @@ def test_run_trials_drops_each_chunks_pairs_once_its_checks_have_run(monkeypatch
     assert alive == [[True] * 16, [False] * 16 + [True] * 4]
 
 
-def spy_power_expansion(monkeypatch, record):
-    """Make CHECKS["power_expansion"] append record() to the returned list
-    each time it runs, then run the real check."""
-    real = verify.CHECKS["power_expansion"]
-    seen = []
-
-    def spy(pairs, cfg, floor):
-        seen.append(record())
-        return real(pairs, cfg, floor)
-
-    monkeypatch.setitem(verify.CHECKS, "power_expansion", spy)
-    return seen
-
-
 @pytest.mark.parametrize("environ, one_thread", [
     ({"OPENBLAS_NUM_THREADS": "1"}, True),
     ({"OMP_NUM_THREADS": "1"}, True),
@@ -843,49 +829,17 @@ def test_one_blas_thread_reads_the_variables_as_openblas_does(environ, one_threa
     assert verify._one_blas_thread(environ) == one_thread
 
 
-@pytest.mark.parametrize("dims, checks, one_blas_thread, off_thread", [
-    ((64,), verify.ALL_CHECKS, True, True),
-    ((48,), verify.ALL_CHECKS, True, False),  # a stack holds one 48 x 48 matrix, but is not full
-    ((64,), ("power_expansion",), True, False),
-    ((64,), verify.ALL_CHECKS, False, False),
-])
-def test_power_expansion_runs_beside_the_other_checks_at_dim_64(dims, checks, one_blas_thread,
-                                                                off_thread, monkeypatch,
-                                                                in_caller):
-    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", one_blas_thread)
-    idents = spy_power_expansion(monkeypatch, threading.get_ident)
-    report = run_trials(TrialConfig(dims=dims, trials=1, checks=checks))
-    assert report.verdict == "pass"
-    assert len(idents) == 1
-    assert (idents[0] != threading.get_ident()) == off_thread
-
-
-def test_power_expansion_worker_keeps_the_callers_errstate(monkeypatch, in_caller):
-    # a new thread starts with an empty context, where numpy's errstate is
-    # the default over="warn"
-    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", True)
-    seen = spy_power_expansion(monkeypatch, lambda: (np.geterr()["over"], threading.get_ident()))
-    with np.errstate(over="raise"):
-        report = run_trials(TrialConfig(dims=(64,), trials=1))
-    assert report.verdict == "pass"
-    assert len(seen) == 1
-    over, ident = seen[0]
-    assert ident != threading.get_ident()
-    assert over == "raise"
-
-
 @pytest.mark.parametrize("checks, power_works, message", [
     (verify.ALL_CHECKS, True, "ValueError: synthetic theorem failure"),
     (verify.ALL_CHECKS[::-1], True, "ArithmeticError: synthetic power_expansion failure"),
-    # the worker fails while nw_block runs here; theorem still runs, and fails first
     (("nw_block", "theorem", "power_expansion"), False, "ValueError: synthetic theorem failure"),
 ])
 def test_split_chunk_raises_the_first_failing_checks_error(checks, power_works, message,
                                                            monkeypatch, in_caller):
-    # theorem fails on this thread, power_expansion on the worker, after its
-    # real work or at once; the error recorded is the one of the failing
-    # check that comes first in checks order, as in the serial loop, and
-    # the worker is joined before the trial records it
+    # a dim-64 trial runs as one unit per check: theorem's and
+    # power_expansion's both fail, the latter after its real work or at
+    # once; the trial records the error of the failing check that comes
+    # first in checks order, as in the serial loop, and no thread is started
     real_power = verify.CHECKS["power_expansion"]
 
     def failing_theorem(pairs, cfg, floor):
@@ -896,7 +850,6 @@ def test_split_chunk_raises_the_first_failing_checks_error(checks, power_works, 
             real_power(pairs, cfg, floor)
         raise ArithmeticError("synthetic power_expansion failure")
 
-    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", True)
     monkeypatch.setitem(verify.CHECKS, "theorem", failing_theorem)
     monkeypatch.setitem(verify.CHECKS, "power_expansion", failing_power)
     threads = threading.active_count()
@@ -906,33 +859,11 @@ def test_split_chunk_raises_the_first_failing_checks_error(checks, power_works, 
     assert all(s.trials == 0 for s in report.per_check)
 
 
-def test_split_campaign_measures_as_the_serial_one(eigvalsh_calls, monkeypatch):
-    # with the threads switching as often as they can, the split forms no
-    # product or norm twice (17 eigensolves, one of them a run of
-    # lemma_product_power's eight norms per trial, as in
-    # test_large_campaign_solves_few_gap_norms) and reports the same bytes
-    config = TrialConfig(dims=(64, 96), trials=1, base_seed=0)
-    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", False)
-    serial = run_trials(config).to_json()
-    assert len(eigvalsh_calls) == 17
-    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", True)
-    eigvalsh_calls.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        split = run_trials(config).to_json()
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(eigvalsh_calls) == 17
-    assert split == serial
-
-
 @pytest.mark.parametrize("tol", [verify.DEFAULT_TOL, 1e-15])
 def test_split_checks_report_as_single_check_campaigns(tol, monkeypatch, in_caller):
-    # each check's summary depends on that check alone, and a campaign of
-    # one check runs it on the calling thread; at 1e-15 trials fail, so the
+    # each check's summary depends on that check alone, so it is the one a
+    # campaign of that check alone reports; at 1e-15 trials fail, so the
     # failing indices are compared too
-    monkeypatch.setattr(verify, "_ONE_BLAS_THREAD", True)
     config = TrialConfig(dims=(64, 96), trials=2, base_seed=7, tol=tol)
     report = run_trials(config)
     assert not report.errors

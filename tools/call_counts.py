@@ -5,23 +5,23 @@ Horner passes, for run_trials jobs of the benchmark's three campaign shapes.
 
 Each shape runs as `run_trials` jobs at base seeds 0-9, and each line gives
 one counted name's mean calls per job. A name is counted where its callers
-look it up, on every thread: at dim >= 64 power_expansion runs on a worker.
-BLAS runs on one thread, as in the benchmark, so that worker runs here too.
-Every chunk runs in this process, where the counters are: a campaign's
-helper process, forked before they were installed, would not count its
-share. The counts repeat exactly from run to run; they are not timings.
+look it up. BLAS runs on one thread, as in the benchmark. Every unit of
+work runs in this process, where the counters are: a campaign's helper
+process, forked before they were installed, would not count its share.
+The counts repeat exactly from run to run; they are not timings.
 """
 
 from __future__ import annotations
 
 import os
 
-# BLAS reads these once, when numpy is first imported.
-os.environ.update(dict.fromkeys(
-    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-     "VECLIB_MAXIMUM_THREADS"), "1"))
+if __name__ == "__main__":
+    # BLAS reads these once, when numpy is first imported; a program that
+    # imports this module keeps its own.
+    os.environ.update(dict.fromkeys(
+        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+         "VECLIB_MAXIMUM_THREADS"), "1"))
 
-import threading  # noqa: E402
 from collections import Counter  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -54,12 +54,10 @@ def call_counts(shape: dict, seeds=SEEDS) -> dict[str, float]:
     """Mean calls per job of each COUNTED name, by label, over the jobs
     run_trials(TrialConfig(**shape, base_seed=seed)) for each seed."""
     counts = Counter()
-    lock = threading.Lock()
 
     def counting(label, real):
         def wrapper(*args, **kwargs):
-            with lock:
-                counts[label] += 1
+            counts[label] += 1
             return real(*args, **kwargs)
         return wrapper
 

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import os
 
-# BLAS reads these once, when numpy is first imported.
-os.environ.update(dict.fromkeys(
-    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-     "VECLIB_MAXIMUM_THREADS"), "1"))
+if __name__ == "__main__":
+    # BLAS reads these once, when numpy is first imported; a program that
+    # imports this module keeps its own.
+    os.environ.update(dict.fromkeys(
+        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+         "VECLIB_MAXIMUM_THREADS"), "1"))
 
 import contextlib  # noqa: E402
 import ctypes  # noqa: E402
