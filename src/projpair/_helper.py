@@ -184,18 +184,18 @@ def _start_helper(config: verify.TrialConfig, units: verify._Units) -> _Helper |
 
 
 @contextmanager
-def claims(config: verify.TrialConfig, units: verify._Units):
-    """The claims of one campaign: this process's helper's, started on it,
-    unless another campaign in this process holds the helper or none can be
-    started; then verify._Alone's. A campaign left by an exception closes
-    its helper, whose outcomes would otherwise reach the next campaign, and
-    so does one whose helper died."""
+def claims(config: verify.TrialConfig):
+    """The claims of one campaign: this process's helper's, started on its
+    units largest first, unless another campaign in this process holds the
+    helper or none can be started; then verify._Alone's. A campaign left by
+    an exception closes its helper, whose outcomes would otherwise reach
+    the next campaign, and so does one whose helper died."""
     if not _helper_lock.acquire(blocking=False):
-        yield verify._Alone()
+        yield verify._Alone(config)
         return
     try:
-        helper = _start_helper(config, units)
-        yield helper or verify._Alone()
+        helper = _start_helper(config, verify._Units(config, largest_first=True))
+        yield helper or verify._Alone(config)
         if helper is not None and helper.dead:
             _close_helper()
     except BaseException:

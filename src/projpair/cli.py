@@ -59,10 +59,12 @@ UNIVERSAL_MAX_GRID = 10**6
 BOUNDS_MAX_N = 10**6
 # Largest --dims entry and --dim: a pair's members take 32 dim^2 bytes, so 12000 would
 # pass numpy's allocation check, then exhaust an 8 GiB host. A fresh process of verify
-# --dims 1024 --trials 1 --checks theorem: ~1.8 s (~2.6 s at 1 BLAS thread), ~190 MiB peak RSS.
-# All checks at --dims 512 --trials 1: ~3.7 s, ~128 MiB at BLAS's default 2 threads (2 vCPU);
-# at 1 BLAS thread, where a forked helper process runs some of the trial's checks, ~3.3 s and
-# ~123 MiB in the calling process. At 256: ~0.8 s, ~62 MiB; ~0.67 s, ~60 MiB.
+# --dims 1024 --trials 1 --checks theorem: ~1.0 s (1.5 s at 1 BLAS thread), ~190 MiB peak RSS.
+# All checks at --dims 512 --trials 1: ~1.9 s, ~131 MiB at BLAS's default 2 threads (2 vCPU);
+# ~3.0 s, ~128 MiB at 1 BLAS thread with the checks run serially, and 0.60 of the serial time,
+# ~124 MiB in the calling process, where a forked helper process runs some of the trial's
+# checks (both measured on one host). At 256: ~0.39 s, ~62 MiB; ~0.50 s, ~61 MiB serially, and
+# 0.68 of that with the helper.
 MAX_DIM = 1024
 
 

@@ -705,8 +705,6 @@ class AggregateReport:
         return json_text(self.to_payload())
 
 
-
-
 def _openblas(symbol: str, restype=ctypes.c_int, argtypes=()):
     """The function `symbol` of the OpenBLAS that numpy's linalg loaded,
     declared with restype and argtypes, or None where that library exports
@@ -783,12 +781,14 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     Trial i (numbered across the whole campaign) always uses base_seed + i,
     and the report is the one running the trials one after another in index
     order gives. The campaign's work is cut into units (_Units): each dim's
-    trials in chunks of stack_capacity((dim, dim)) pairs, the largest
-    first, and a chunk of one pair (dim >= 46) into one unit per check.
-    Each check runs on a unit's pairs at once. A process keeps the pairs of
-    the last unit it ran, so the check units of one pair build it and form
-    its products and norms once, and lets them go before it builds the next
-    unit's: however many trials a campaign runs, a process holds one
+    trials in chunks of stack_capacity((dim, dim)) pairs, and a chunk of one
+    pair (dim >= 46) into one unit per check. Each check runs on a unit's
+    pairs at once. A process keeps the pairs of the last unit it ran, so
+    the check units of one pair build it and form its products and norms
+    once, and lets them go before it builds the next unit's. With every
+    unit in this process, the units come in config order, so a campaign
+    forms the products and makes the eigensolves of that serial loop.
+    However many trials a campaign runs, a process holds one
     chunk's pairs with the products their checks cache, and the stacks of
     one check. Under the floors below, a check also holds the Grams of its
     gap terms that can matter until its last degree, so its memory grows
@@ -797,7 +797,8 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     With 2 usable CPUs or more and BLAS on one thread, a campaign of 2
     units or more runs them in this process and in one helper process
     beside it (projpair._helper). Both claim the next unit from one counter,
-    so the small units, claimed last, even out when the two finish. The
+    the largest dims first, so the small units, claimed last, even out when
+    the two finish. The
     helper is forked at the first such campaign and runs the package as it
     was then: a function patched later runs in this process only, and a
     tracer here sees only this process's share of the units. Outcomes are
@@ -808,14 +809,14 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     trials its process holds, and measures only the gap norms that can
     exceed it or fail (_Gaps); the report is the one exact residuals give.
     """
-    units = _Units(config)
-    merge = _Merge(config, units)
-    kept = {}  # the pairs of the last unit this process ran
+    with _claims(config) as claims:
+        units = claims.units
+        merge = _Merge(config, units)
+        kept = {}  # the pairs of the last unit this process ran
 
-    def run(index: int) -> None:
-        merge.add(index, _run_unit(config, units[index], merge.floors(), kept))
+        def run(index: int) -> None:
+            merge.add(index, _run_unit(config, units[index], merge.floors(), kept))
 
-    with _claims(config, units) as claims:
         mine = 0  # the unit this process runs next
         while mine < len(units):
             run(mine)
@@ -834,20 +835,20 @@ class _Units:
     stack_capacity((dim, dim)). A chunk is one unit of all config.checks,
     unless it is one pair (a stack holds one matrix: dim >= 46); then it is
     one unit per check, in config.checks order, which two processes can
-    share. The dims with the most pairs in a chunk come first, and among
-    them the largest, equal ones in config order: a chunk's time grows with
-    its pairs, a chunk of one pair's with its dim, so the smallest units
-    come last. Each is computed when asked for, so the campaign's list
-    takes no memory per trial."""
+    share. The dims come in config order, or with largest_first, for two
+    processes sharing the units, the largest first, equal ones in config
+    order, so the smallest units come last, where either process can take
+    them. Each is computed when asked for, so the campaign's list takes no
+    memory per trial."""
 
-    def __init__(self, config: TrialConfig):
+    def __init__(self, config: TrialConfig, largest_first: bool = False):
         self.trials, self.checks = config.trials, config.checks
-        steps = [stack_capacity((dim, dim)) for dim in config.dims]
         # each dim's position in config.dims, in the order its units come
-        self.positions = sorted(range(len(config.dims)),
-                                key=lambda p: (-min(steps[p], config.trials), -config.dims[p]))
+        self.positions = list(range(len(config.dims)))
+        if largest_first:
+            self.positions.sort(key=lambda p: -config.dims[p])
         self.dims = [config.dims[p] for p in self.positions]
-        self.steps = [steps[p] for p in self.positions]
+        self.steps = [stack_capacity((dim, dim)) for dim in self.dims]
         # units per chunk, and the index of each dim's first unit and the count of all of them
         self.widths = [len(self.checks) if step == 1 else 1 for step in self.steps]
         self.starts = [0, *accumulate(width * -(-config.trials // step)
@@ -967,11 +968,12 @@ def _helper_wanted() -> bool:
 
 class _Alone:
     """The claims of a campaign that has no helper: this process claims
-    every unit, in order."""
+    every unit, in order, in config order (_Units)."""
 
     active = False
 
-    def __init__(self):
+    def __init__(self, config: TrialConfig):
+        self.units = _Units(config)
         self.claim = count(1).__next__
 
     def collect(self, record, wait: bool) -> None:
@@ -981,13 +983,14 @@ class _Alone:
         return []
 
 
-def _claims(config: TrialConfig, units: _Units):
-    """A context manager giving the claims of one campaign: a helper's
-    (projpair._helper.claims), when the campaign has 2 units or more and
-    _helper_wanted(); else _Alone's. The helper's module is imported only
-    then."""
-    if len(units) < 2 or not _helper_wanted():
-        return nullcontext(_Alone())
+def _claims(config: TrialConfig):
+    """A context manager giving the claims of one campaign, with its units:
+    a helper's (projpair._helper.claims), when the campaign has 2 units or
+    more and _helper_wanted(); else _Alone's. The helper's module is
+    imported only then."""
+    alone = _Alone(config)
+    if len(alone.units) < 2 or not _helper_wanted():
+        return nullcontext(alone)
     from . import _helper
 
-    return _helper.claims(config, units)
+    return _helper.claims(config)

@@ -62,8 +62,8 @@ def caller_units(monkeypatch) -> list:
     return ran
 
 
-def all_units(config: TrialConfig) -> list:
-    units = verify._Units(config)
+def all_units(config: TrialConfig, largest_first: bool = False) -> list:
+    units = verify._Units(config, largest_first)
     return [units[i] for i in range(len(units))]
 
 
@@ -93,13 +93,13 @@ def test_helper_keeps_the_contract_campaigns_bytes(monkeypatch):
 
 
 def merged_units(monkeypatch) -> list:
-    """The index of each unit this process merges, from here on: its own,
-    and those the helper sends back."""
+    """The index and unit of each unit this process merges, from here on:
+    its own, and those the helper sends back."""
     real = verify._Merge.add
     merged = []
 
     def recording(merge, index, outcomes):
-        merged.append(index)
+        merged.append((index, merge.units[index]))
         return real(merge, index, outcomes)
 
     monkeypatch.setattr(verify._Merge, "add", recording)
@@ -117,7 +117,7 @@ def assert_each_unit_merged_once(config: TrialConfig, monkeypatch) -> None:
         merged.clear()
         ran.clear()
         assert run_trials(config).to_json() == expected
-        assert sorted(merged) == list(range(units))
+        assert sorted(index for index, _ in merged) == list(range(units))
         assert 0 < len(ran) < units
 
 
@@ -135,30 +135,40 @@ def test_both_processes_claim_each_check_unit_once(monkeypatch):
 
 
 def test_chunks_cover_each_dims_trials_in_stack_sized_runs():
-    # the dims with the most pairs in a chunk first, then the largest, equal
-    # dims in config order; a chunk of one pair is one unit per check,
-    # unless the campaign runs one check
+    # the dims in config order, or the largest first, equal dims in config
+    # order; a chunk of one pair is one unit per check, unless the campaign
+    # runs one check
     config = TrialConfig(dims=(2, 32, 64, 24, 32), trials=9, checks=("theorem", "nw_block"))
     whole = config.checks
-    assert all_units(config) == [
-        (2, range(0, 9), whole), (24, range(27, 34), whole), (24, range(34, 36), whole),
-        (32, range(9, 13), whole), (32, range(13, 17), whole), (32, range(17, 18), whole),
-        (32, range(36, 40), whole), (32, range(40, 44), whole), (32, range(44, 45), whole),
-        *[(64, range(i, i + 1), (check,)) for i in range(18, 27) for check in whole]]
-    assert all_units(replace(config, checks=("theorem",)))[9:] == [
+    dim_2 = [(2, range(0, 9), whole)]
+    dim_32 = [[(32, range(first, first + 4), whole), (32, range(first + 4, first + 8), whole),
+               (32, range(first + 8, first + 9), whole)] for first in (9, 36)]
+    dim_64 = [(64, range(i, i + 1), (check,)) for i in range(18, 27) for check in whole]
+    dim_24 = [(24, range(27, 34), whole), (24, range(34, 36), whole)]
+    assert all_units(config) == [*dim_2, *dim_32[0], *dim_64, *dim_24, *dim_32[1]]
+    assert all_units(config, largest_first=True) == [
+        *dim_64, *dim_32[0], *dim_32[1], *dim_24, *dim_2]
+    assert all_units(replace(config, checks=("theorem",)), largest_first=True)[:9] == [
         (64, range(i, i + 1), ("theorem",)) for i in range(18, 27)]
     assert len(verify._Units(TrialConfig(dims=(2, 64), trials=0))) == 0
 
 
-def test_caller_runs_the_largest_units_first(monkeypatch, in_caller):
-    # chunks of two pairs, the larger dims first, then the check units of
-    # one pair, the larger dims first
+def test_units_run_in_config_order_alone_and_largest_first_beside_a_helper(monkeypatch):
+    # alone, in config order, as the serial loop forms its floors; shared,
+    # the check units of one pair, the larger dims first, then the chunks of
+    # two pairs, the larger dims first. Each unit's index is its place in
+    # the order the two processes claim them
     config = TrialConfig(dims=(2, 64, 16, 96, 16), trials=2, checks=("theorem", "corollary"))
+    monkeypatch.setattr(verify, "_use_helper", False)
     ran = caller_units(monkeypatch)
     assert run_trials(config).verdict == "pass"
-    assert ran == all_units(config)
     assert [(dim, len(indices)) for dim, indices, _ in ran] == [
-        (16, 2), (16, 2), (2, 2), *[(96, 1)] * 4, *[(64, 1)] * 4]
+        (2, 2), *[(64, 1)] * 4, (16, 2), *[(96, 1)] * 4, (16, 2)]
+    monkeypatch.setattr(verify, "_use_helper", True)
+    merged = merged_units(monkeypatch)
+    assert run_trials(config).verdict == "pass"
+    assert [(dim, len(indices)) for _, (dim, indices, _) in sorted(merged, key=lambda m: m[0])] == [
+        *[(96, 1)] * 4, *[(64, 1)] * 4, (16, 2), (16, 2), (2, 2)]
 
 
 def test_helper_keeps_the_order_of_errors_and_failures(monkeypatch):
@@ -183,35 +193,55 @@ def test_helper_keeps_the_order_of_errors_and_failures(monkeypatch):
 
 
 @pytest.mark.parametrize("checks, caller_fails", [
-    # theorem's unit, the caller's first, fails first; power_expansion's
-    # fails on the helper while the caller waits in theorem
+    # the caller's first unit, theorem's, waits until power_expansion's has
+    # failed on the helper, and fails after it
     (("theorem", "corollary", "power_expansion"), "theorem"),
-    # the caller waits in corollary while the helper claims theorem's unit,
-    # and fails power_expansion's while the helper waits in theorem
+    # the caller's first unit, corollary's, waits until the helper is in
+    # theorem's, which waits until power_expansion's has failed here
     (("corollary", "theorem", "power_expansion"), "power_expansion"),
 ])
 def test_first_failing_check_wins_across_the_processes(checks, caller_fails, monkeypatch):
+    # the two processes hand off over two pipes, which the helper inherits
+    # when the campaign forks it, so each unit runs where the case says
     caller = os.getpid()
+    to_caller, to_helper = os.pipe(), os.pipe()
     real_corollary = verify.CHECKS["corollary"]
 
-    def slow_theorem(pairs, cfg, floor):
-        time.sleep(0.4 if os.getpid() == caller else 0.8)
+    def tell(pipe):
+        os.write(pipe[1], b".")
+
+    def wait_for(pipe):
+        if not select.select([pipe[0]], [], [], 60)[0]:
+            raise TimeoutError("the other process never got here")
+        os.read(pipe[0], 1)
+
+    def theorem(pairs, cfg, floor):
+        if os.getpid() == caller:
+            wait_for(to_caller)
+        else:
+            tell(to_caller)
+            wait_for(to_helper)
         raise ValueError("synthetic theorem failure")
 
-    def failing_power(pairs, cfg, floor):
+    def power_expansion(pairs, cfg, floor):
+        tell(to_helper if os.getpid() == caller else to_caller)
         raise ArithmeticError("synthetic power_expansion failure")
 
-    def slow_corollary(pairs, cfg, floor):
+    def corollary(pairs, cfg, floor):
         if os.getpid() == caller:
-            time.sleep(0.4)
+            wait_for(to_caller)
         return real_corollary(pairs, cfg, floor)
 
-    monkeypatch.setitem(verify.CHECKS, "theorem", slow_theorem)
-    monkeypatch.setitem(verify.CHECKS, "power_expansion", failing_power)
-    monkeypatch.setitem(verify.CHECKS, "corollary", slow_corollary)
+    monkeypatch.setitem(verify.CHECKS, "theorem", theorem)
+    monkeypatch.setitem(verify.CHECKS, "power_expansion", power_expansion)
+    monkeypatch.setitem(verify.CHECKS, "corollary", corollary)
     monkeypatch.setattr(verify, "_use_helper", True)
     ran = caller_units(monkeypatch)
-    report = run_trials(TrialConfig(dims=(64,), trials=1, checks=checks))
+    try:
+        report = run_trials(TrialConfig(dims=(64,), trials=1, checks=checks))
+    finally:
+        for fd in (*to_caller, *to_helper):
+            os.close(fd)
     assert [checks for _, _, checks in ran] == [(checks[0],)] + (
         [("power_expansion",)] if caller_fails == "power_expansion" else [])
     assert report.errors == [{"trial": 0, "dim": 64,

@@ -477,19 +477,20 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
 
 
 def test_large_campaign_solves_few_gap_norms(eigvalsh_calls):
-    # One dim-64 and one dim-96 trial, each a pair whose checks run as one
-    # unit each, the dim-96 trial first: 12 eigensolves for norms that are
-    # not pure gaps, and 9 for gaps, 5 in the dim-96 trial, which has no
-    # floor yet, and 4 in the dim-64 trial, floored at the dim-96 maxima.
-    # Each trial's 6 are its three pair norms, one run of
-    # lemma_product_power's eight norms (||fgf|| and (fg)^2..(fg)^8, one
-    # (8, dim, dim) eigensolve), ||u|| in lemma_commutator and ||D|| in
-    # halmos_decompose, the Frobenius bound certifying its relation gaps:
-    # the check units of one pair share its cached norms. Run dim 64 first,
-    # the dim-64 maxima covered every gap of the dim-96 trial (17 in all)
+    # One dim-64 and one dim-96 trial, each a chunk of one pair: 12
+    # eigensolves for norms that are not pure gaps, and 5 for gaps, all in
+    # the dim-64 trial: each check's floor is its campaign maximum, and the
+    # dim-64 maxima cover every gap of the dim-96 trial. Each trial's 12 are
+    # its three pair norms, one run of lemma_product_power's eight norms
+    # (||fgf|| and (fg)^2..(fg)^8, one (8, dim, dim) eigensolve), ||u|| in
+    # lemma_commutator and ||D|| in halmos_decompose, the Frobenius bound
+    # certifying its relation gaps. Measuring lemma_product_power's norms
+    # one at a time took 14 more (31 in all), measuring the relation gaps 5
+    # more again (36), measuring every gap 66 (97), and floors kept per dim
+    # 10 (41)
     report = run_trials(TrialConfig(dims=(64, 96), trials=1, base_seed=0))
     assert report.verdict == "pass"
-    assert len(eigvalsh_calls) == 21
+    assert len(eigvalsh_calls) == 17
 
 
 def exact_checks(monkeypatch):
@@ -744,10 +745,9 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch, in_caller):
     monkeypatch.setattr(verify, "random_pairs", flaky_stacked)
     monkeypatch.setitem(verify.CHECKS, "corollary", failing_corollary)
     chunked = run_trials(config)
-    # each failed chunk reruns its trials one seed at a time, the dim-8
-    # chunk first, as the larger dim
-    assert stacked_calls == [[5, 6, 7, 8, 9], [5], [6], [7], [8], [9],
-                             [0, 1, 2, 3, 4], [0], [1], [2], [3], [4]]
+    # each failed chunk reruns its trials one seed at a time
+    assert stacked_calls == [[0, 1, 2, 3, 4], [0], [1], [2], [3], [4],
+                             [5, 6, 7, 8, 9], [5], [6], [7], [8], [9]]
     assert [(e["trial"], e["dim"]) for e in chunked.errors] == [(2, 2), (7, 8)]
     assert chunked.to_json() == serial_campaign(config).to_json()
 
