@@ -788,21 +788,20 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     once, and lets them go before it builds the next unit's. With every
     unit in this process, the units come in config order, so a campaign
     forms the products and makes the eigensolves of that serial loop.
-    However many trials a campaign runs, a process holds one
-    chunk's pairs with the products their checks cache, and the stacks of
-    one check. Under the floors below, a check also holds the Grams of its
-    gap terms that can matter until its last degree, so its memory grows
-    with m_max and n_max (_Gaps).
+    However many trials a campaign runs, a process holds one chunk's pairs
+    with the products their checks cache, and the stacks of one check.
+    Under the floors below, a check also holds the Grams of its gap terms
+    that can matter until its last degree, so its memory grows with m_max
+    and n_max (_Gaps).
 
     With 2 usable CPUs or more and BLAS on one thread, a campaign of 2
     units or more runs them in this process and in one helper process
     beside it (projpair._helper). Both claim the next unit from one counter,
     the largest dims first, so the small units, claimed last, even out when
-    the two finish. The
-    helper is forked at the first such campaign and runs the package as it
-    was then: a function patched later runs in this process only, and a
-    tracer here sees only this process's share of the units. Outcomes are
-    merged as they arrive (_Merge).
+    the two finish. The helper is forked at the first such campaign and
+    runs the package as it was then: a function patched later runs in this
+    process only, and a tracer here sees only this process's share of the
+    units. Outcomes are merged as they arrive (_Merge).
 
     Only each check's largest residual and its failing trials are reported,
     so each check gets as a floor the largest residual among the whole
@@ -968,7 +967,7 @@ def _helper_wanted() -> bool:
 
 class _Alone:
     """The claims of a campaign that has no helper: this process claims
-    every unit, in order, in config order (_Units)."""
+    every unit, in config order (_Units)."""
 
     active = False
 
