@@ -16,10 +16,7 @@ HERM_TOL = 1e-10
 # pass; stack_slices splits longer sequences. Stacking pays at small dims,
 # where call overhead dominates; from dim 46 a stack holds one complex
 # matrix, and at dim >= 64 one fills the budget, so large matrices go one at
-# a time, as unstacked calls do. lemma_product_power's norms are the
-# exception: at every dim verify eigensolves their Grams in runs long enough
-# that eigvalsh releases the GIL, which below dim 64 hold up to about 1 MB,
-# flat in m_max.
+# a time, as unstacked calls do.
 STACK_BYTES = 1 << 16
 
 

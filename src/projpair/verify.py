@@ -15,7 +15,7 @@ import os
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from functools import cache, reduce
+from functools import cache
 from itertools import accumulate, count, islice, repeat
 from typing import NamedTuple
 
@@ -23,7 +23,6 @@ import numpy as np
 
 from ._jsontext import json_text
 from .linalg import (
-    UNDERFLOW_NORM,
     adjoint,
     as_stack,
     gram_bounds,
@@ -99,27 +98,6 @@ def _degree_groups(degrees: range, per_degree: int, dim: int) -> list[range]:
     """
     size = max(1, stack_capacity((dim, dim)) // per_degree)
     return [degrees[i : i + size] for i in range(0, len(degrees), size)]
-
-
-# numpy's gufuncs release the GIL only for loops longer than 500
-# (NPY_BEGIN_THREADS_THRESHOLDED), and eigvalsh's loop is (matrices in the
-# call) x n long. Two threads against one making the same eigvalsh calls (2
-# vCPU, numpy 2.4.6, BLAS on one thread): n 499 and one matrix 0.98x, n 501
-# 1.81x; n 64 and 7 matrices 0.94x, 8 1.69x; n 96 and 5 matrices 0.94x, 6 1.78x.
-# This package starts no thread, but lemma_product_power keeps its runs of
-# Grams this long: a run is one eigvalsh call where one per power would be
-# up to eight, and while it runs another thread of the calling program, such
-# as a second campaign that found the helper busy, can run Python code.
-EIGVALSH_GIL_THRESHOLD = 500
-
-
-def _runs(items: range, size: int) -> list[range]:
-    """items cut into consecutive runs of size, the last taking the
-    remainder: each run is shorter than 2 size, and none shorter than size
-    unless items is."""
-    count = max(1, len(items) // size)
-    return [items[i * size : len(items) if i == count - 1 else (i + 1) * size]
-            for i in range(count)]
 
 
 def _slices(stacks: list) -> list:
@@ -282,21 +260,17 @@ def check_lemma_product_power(pair: ProjectionPair, m_max: int = 8,
 def check_lemma_product_powers(pairs, m_max: int = 8, tol: float = DEFAULT_TOL, *,
                                floor: float | None = None) -> list[TrialReport]:
     """check_lemma_product_power for each of many equally sized pairs, in
-    order: the powers of every pair are formed as one stack, and their gaps
-    (fg)^m - (fgf)^(m-1) fg reach _Gaps one degree at a time for all the
-    pairs at once. _Gaps pools them and certifies a stack of them once it is
-    full, and the rest in finish(), so below dim 46 a short loop's gaps are
-    certified together; with a floor, they are measured only where they can
-    matter.
-
-    ||fgf|| and the norms of the powers are measured together: each Gram is
-    formed with its matrix, and the Grams are eigensolved in runs of at least
-    EIGVALSH_GIL_THRESHOLD // dim + 1 matrices, one eigvalsh call each,
-    which releases the GIL to any other thread of the program.
-    Runs are shorter than twice that, so memory stays flat in m_max: below
-    dim 64 a run holds up to about 1 MB of Grams. Their matrices are not
-    kept: one whose norm may have underflowed is formed again and measured
-    by stack_norms' rule, so every norm has spectral_norms' bits.
+    order: the powers of every pair are formed as one stack, a run of
+    degrees at a time (_degree_groups), and each run's ||fgf|| or powers
+    are measured with one spectral_norms call, so below dim 46 several
+    degrees share an eigensolve and from dim 46 up each matrix is measured
+    alone. The gaps (fg)^m - (fgf)^(m-1) fg reach _Gaps one degree at a
+    time for all the pairs at once, after that degree's norms. _Gaps pools
+    them and certifies a stack of them once it is full, and the rest in
+    finish(), so below dim 46 a short loop's gaps are certified together;
+    with a floor, they are measured only where they can matter. With no
+    floor one run of degrees is held at a time, so memory stays flat in
+    m_max.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -319,22 +293,15 @@ def check_lemma_product_powers(pairs, m_max: int = 8, tol: float = DEFAULT_TOL, 
 
     gaps = _Gaps(residuals, tol, floor)
     # m = 1 holds by construction: ||fg|| <= ||fg|| and fg = (fgf)^0 fg; in
-    # the runs it stands for fgf, as in record
+    # the first run it stands for fgf, as in record
     powers = islice(_powers(fg, m_max), 1, None)
     prefixes = _powers(fgf, m_max - 1)
-    for run in _runs(range(1, m_max + 1), -(-(EIGVALSH_GIL_THRESHOLD // dim + 1) // k)):
-        run_grams = np.empty((len(run) * k, dim, dim), dtype=np.complex128)
-        for j, m in enumerate(run):
-            mats = fgf if m == 1 else next(powers)
-            run_grams[j * k : (j + 1) * k] = grams(mats)[1]
+    for group in _degree_groups(range(1, m_max + 1), k, dim):
+        mats = [fgf if m == 1 else next(powers) for m in group]
+        for m, power, norms in zip(group, mats, _rows(spectral_norms(_slices(mats)), k)):
+            record(m, norms)
             if m > 1:
-                gaps.add(_slices([mats - next(prefixes) @ fg]), [*range(k)], [1.0] * k)
-        for j, (m, row) in enumerate(zip(run, _rows(gram_norms(run_grams), k))):
-            if min(row) < UNDERFLOW_NORM:
-                mats = fgf if m == 1 else reduce(np.matmul, repeat(fg, m))
-                row = stack_norms(mats, run_grams[j * k : (j + 1) * k])
-            record(m, row)
-        del run_grams  # before the next run's is allocated
+                gaps.add(_slices([power - next(prefixes) @ fg]), [*range(k)], [1.0] * k)
     gaps.finish()
     return [_report("lemma_product_power", pair,
                     {"norm_fg": x, "norm_fgf": norm, "m_max": m_max},

@@ -134,7 +134,7 @@ def test_both_processes_claim_each_check_unit_once(monkeypatch):
                                  monkeypatch)
 
 
-def test_chunks_cover_each_dims_trials_in_stack_sized_runs():
+def test_chunks_cover_each_dims_trials_in_stack_sized_units():
     # the dims in config order, or the largest first, equal dims in config
     # order; a chunk of one pair is one unit per check, unless the campaign
     # runs one check

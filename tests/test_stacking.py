@@ -333,10 +333,10 @@ def test_floored_checks_keep_each_chunks_maximum_and_verdicts(dim):
 
 
 def product_powers_one_norm_at_a_time(pairs, m_max, tol, floor):
-    """Each pair's (||fgf||, residual) from check_lemma_product_powers as
-    it stood before its norms were measured in runs: the powers from
-    verify._powers, each norm by its own spectral_norms call, and each
-    degree's gaps through verify._Gaps, after that degree's norms."""
+    """Each pair's (||fgf||, residual) from check_lemma_product_powers
+    measured one norm at a time: the powers from verify._powers, each norm
+    by its own spectral_norms call, and each degree's gaps through
+    verify._Gaps, after that degree's norms."""
     k = len(pairs)
     fg, fgf = as_stack([p.fg for p in pairs]), as_stack([p.fgf for p in pairs])
     a = [p.norm_fg for p in pairs]
@@ -361,43 +361,24 @@ def assert_product_powers_match(pairs, m_max, tol, floor, label):
 
 
 @pytest.mark.parametrize("dim", [64, 96])
-def test_product_power_norms_run_long_enough_to_release_the_gil(dim, eigvalsh_calls):
+def test_product_power_norms_match_at_dims_64_and_96(dim):
     # Where one matrix fills a stack, ||fgf|| and the norms of (fg)^2 ..
-    # (fg)^m_max reach eigvalsh as runs of (run, dim, dim) Grams with
-    # run * dim > 500, numpy's threshold for releasing the GIL, once there
-    # are enough of them (m_max per pair), and as one run before. Every
-    # other eigensolve is a gap's, one matrix at a time. The norms, the
-    # residuals and so the verdicts keep the bits of measuring each norm on
-    # its own, with a floor as with none.
+    # (fg)^m_max are measured one matrix at a time, as spectral_norms stacks
+    # them. The norms, the residuals and so the verdicts keep the bits of
+    # measuring each norm on its own, with a floor as with none, however
+    # long the power loop.
     pairs = random_pairs(dim, [3, 4])
-    for pair in pairs:
-        pair.norm_fg  # measured once, before the calls are counted
     for k in (1, 2):
         for m_max in (1, 2, 8, 12, 32):
             for floor in (None, 0.0, 1e-15):
-                label = f"{k} pairs, m_max {m_max}, floor {floor}"
-                eigvalsh_calls.clear()
-                check_lemma_product_powers(pairs[:k], m_max, floor=floor)
-                runs = [shape for shape in eigvalsh_calls if shape != (1, dim, dim)]
-                if k * m_max == 1:
-                    assert eigvalsh_calls == [(1, dim, dim)], label
-                    continue
-                assert sum(run for run, _, _ in runs) == k * m_max, label
-                assert all(shape[1:] == (dim, dim) for shape in runs), label
-                threshold = verify.EIGVALSH_GIL_THRESHOLD
-                if k * m_max * dim > threshold:
-                    # and shorter than twice the fewest that suffice, whatever m_max
-                    assert all(threshold < run * dim and run < 2 * (threshold // dim + k)
-                               for run, _, _ in runs), label
-                else:
-                    assert len(runs) == 1, label
-                assert_product_powers_match(pairs[:k], m_max, 1e-8, floor, label)
+                assert_product_powers_match(pairs[:k], m_max, 1e-8, floor,
+                                            f"{k} pairs, m_max {m_max}, floor {floor}")
 
 
 @pytest.mark.parametrize("dim", [2, 5, 16, 48])
 def test_product_power_norms_match_below_dim_64(dim):
-    # Below dim 64 the norms are measured in the same runs of Grams, one run
-    # holding several pairs' degrees, and keep the same bits.
+    # Below dim 46 one stack holds several pairs' degrees (at dim 48, one
+    # matrix), and their norms keep the same bits.
     pairs = random_pairs(dim, list(range(5)))
     for k in (1, 2, 5):
         for m_max in (1, 2, 8, 12):
@@ -409,28 +390,30 @@ def test_product_power_norms_match_below_dim_64(dim):
 def test_product_powers_measure_underflowing_norms_again_scaled(monkeypatch):
     # ||fg|| is about 2^-40, so ||(fg)^7|| and ||(fg)^8|| lie below
     # UNDERFLOW_NORM: their Grams underflow, to subnormals and to zero, and
-    # the run's eigensolve reads norms that have lost their digits. Each is
-    # formed again and measured scaled, as spectral_norms measures it. Their
-    # residual terms, norm - ||fg||^(2m-1), are negative either way, so the
-    # norms themselves are watched as stack_norms returns them; the gaps'
-    # norms, near 0, cannot be mistaken for them.
+    # an eigensolve of them reads norms that have lost their digits.
+    # spectral_norms measures each again scaled. Their residual terms,
+    # norm - ||fg||^(2m-1), are negative either way, so the norms themselves
+    # are watched as linalg.stack_norms returns them to spectral_norms.
     pair = pair_from_angles(AngleSpec((math.acos(2.0**-40),) + (math.pi / 2,) * 31))
     underflowing = [reduce(np.matmul, repeat(pair.fg, m)) for m in (7, 8)]
     for power in underflowing:
         [from_gram] = gram_norms(grams(power[np.newaxis])[1])
         assert from_gram < UNDERFLOW_NORM and bits(from_gram) != bits(spectral_norm(power))
     returned = []
+    real = linalg.stack_norms
 
     def watched(stack, gram):
-        norms = linalg.stack_norms(stack, gram)
+        norms = real(stack, gram)
         returned.extend(map(bits, norms))
         return norms
 
-    monkeypatch.setattr(verify, "stack_norms", watched)
     for floor in (None, 0.0):
         returned.clear()
-        assert_product_powers_match([pair], 8, 1e-8, floor, f"floor {floor}")
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "stack_norms", watched)
+            check_lemma_product_powers([pair], 8, floor=floor)
         assert {bits(spectral_norm(power)) for power in underflowing} <= set(returned)
+        assert_product_powers_match([pair], 8, 1e-8, floor, f"floor {floor}")
     report = check_lemma_product_power(pair)
     assert report.passed and report.quantities["norm_fgf"] == pytest.approx(2.0**-80)
 
@@ -986,14 +969,23 @@ def test_search_and_campaign_memory_does_not_grow_with_the_run():
                                         (check_lemma_product_powers, 48)])
 def test_unfloored_power_loops_hold_one_run_of_degrees(check, dim):
     # With no floor, each run of degrees is measured and freed before the
-    # next, so four times the loop needs no more memory. The shorter loop is
-    # as long as lemma_product_power's shortest run of Grams, 8 degrees at
-    # dim 64 and 11 at dim 48; a loop shorter than that is one shorter run,
-    # and holds fewer Grams. (Under a floor the gap terms' Grams are held to
-    # the end: power_expansion's peak on a dim-64 pair grows about 3x from 8
-    # to 32 degrees.)
+    # next, so four times the loop needs no more memory. (Under a floor the
+    # gap terms' Grams are held to the end: power_expansion's peak on a
+    # dim-64 pair grows about 3x from 8 to 32 degrees.)
     pairs = random_pairs(dim, [0])
-    degrees = verify.EIGVALSH_GIL_THRESHOLD // dim + 1
-    peaks = [traced_peak(lambda: check(pairs, n, floor=None)) for n in (degrees, 4 * degrees)]
+    peaks = [traced_peak(lambda: check(pairs, n, floor=None)) for n in (8, 32)]
     assert peaks[1] < 1.1 * peaks[0], peaks
 
+
+@pytest.mark.parametrize("dim", [48, 64, 96])
+def test_unfloored_product_powers_hold_few_matrices(dim):
+    # From dim 46 up a run is one degree, so with no floor the check holds a
+    # power, the previous one, the matching power of fgf, a gap and a Gram:
+    # about five dim x dim matrices, whatever m_max. (Eigensolving the
+    # powers' Grams in runs of 500 // dim + 1 peaked near 13, and 26 at
+    # dim 48 with m_max 32.)
+    pairs = random_pairs(dim, [0])
+    matrix_bytes = 16 * dim * dim
+    for m_max in (8, 32):
+        peak = traced_peak(lambda: check_lemma_product_powers(pairs, m_max, floor=None))
+        assert peak < 8 * matrix_bytes, (m_max, peak / matrix_bytes)

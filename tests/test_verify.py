@@ -477,20 +477,20 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
 
 
 def test_large_campaign_solves_few_gap_norms(eigvalsh_calls):
-    # One dim-64 and one dim-96 trial, each a chunk of one pair: 12
-    # eigensolves for norms that are not pure gaps, and 5 for gaps, all in
-    # the dim-64 trial: each check's floor is its campaign maximum, and the
-    # dim-64 maxima cover every gap of the dim-96 trial. Each trial's 12 are
-    # its three pair norms, one run of lemma_product_power's eight norms
-    # (||fgf|| and (fg)^2..(fg)^8, one (8, dim, dim) eigensolve), ||u|| in
-    # lemma_commutator and ||D|| in halmos_decompose, the Frobenius bound
-    # certifying its relation gaps. Measuring lemma_product_power's norms
-    # one at a time took 14 more (31 in all), measuring the relation gaps 5
-    # more again (36), measuring every gap 66 (97), and floors kept per dim
-    # 10 (41)
+    # One dim-64 and one dim-96 trial, each a chunk of one pair: 13
+    # eigensolves per trial for norms that are not pure gaps, and 5 for
+    # gaps, all in the dim-64 trial: each check's floor is its campaign
+    # maximum, and the dim-64 maxima cover every gap of the dim-96 trial.
+    # Each trial's 13 are its three pair norms, lemma_product_power's eight
+    # norms (||fgf|| and (fg)^2..(fg)^8, one matrix per stack at these
+    # dims), ||u|| in lemma_commutator and ||D|| in halmos_decompose, the
+    # Frobenius bound certifying its relation gaps. Eigensolving
+    # lemma_product_power's eight Grams as one (8, dim, dim) run took 14
+    # fewer (17 in all); measuring the relation gaps took 5 more (36),
+    # measuring every gap 66 more (97), and floors kept per dim 10 more (41)
     report = run_trials(TrialConfig(dims=(64, 96), trials=1, base_seed=0))
     assert report.verdict == "pass"
-    assert len(eigvalsh_calls) == 17
+    assert len(eigvalsh_calls) == 31
 
 
 def exact_checks(monkeypatch):

@@ -38,8 +38,8 @@ SHAPES = {
 }
 SEEDS = range(10)
 # (label, module, name): every Gram eigensolve, every eigendecomposition,
-# verify's Gram products and bounds (the gap terms' certificates, and the
-# norms of lemma_product_power), and every Horner pass
+# verify's Gram products and bounds (the gap terms' certificates), and every
+# Horner pass
 COUNTED = (
     ("np.linalg.eigvalsh", np.linalg, "eigvalsh"),
     ("np.linalg.eigh", np.linalg, "eigh"),
