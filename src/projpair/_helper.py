@@ -8,10 +8,16 @@ program that runs no such campaign never loads it.
 from __future__ import annotations
 
 import atexit
+import fcntl
 import os
 import pickle
+import select
+import signal
+import socket
 import sys
+import tempfile
 import threading
+import traceback
 from contextlib import contextmanager
 
 import numpy as np
@@ -39,10 +45,6 @@ class _Helper:
     """
 
     def __init__(self):
-        # imported only where a helper runs: socket alone takes 3-6 ms
-        import socket
-        import tempfile
-
         self.owner, self.active, self.dead = os.getpid(), False, False
         self.counter = tempfile.TemporaryFile()
         self.socket, theirs = socket.socketpair()
@@ -52,8 +54,6 @@ class _Helper:
             theirs.close()
             return
         try:  # in the helper, until it exits
-            import signal
-
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             self.socket.close()
             self.socket = theirs
@@ -62,8 +62,6 @@ class _Helper:
         except (EOFError, OSError):  # the campaign's process closed its end, or died
             os._exit(0)
         except BaseException:
-            import traceback
-
             traceback.print_exc()
         finally:
             os._exit(1)
@@ -98,8 +96,6 @@ class _Helper:
     def claim(self, record: bool = False) -> int:
         """The next unit's index, from the shared counter; with record, also
         recorded as the helper's last claim."""
-        import fcntl
-
         fd = self.counter.fileno()
         fcntl.lockf(fd, fcntl.LOCK_EX)
         try:
@@ -114,8 +110,6 @@ class _Helper:
         """record(index, outcomes) for each unit the helper has sent back;
         with wait, first block until it sends a unit or ends the campaign.
         A helper found dead is no longer active; claims() closes it."""
-        import select
-
         try:
             while self.active and (wait or select.select([self.socket], [], [], 0)[0]):
                 wait = False
@@ -143,8 +137,6 @@ class _Helper:
         self.counter.close()
         if self.owner != os.getpid():
             return
-        import signal
-
         try:
             if os.waitpid(self.pid, os.WNOHANG)[0] == 0:  # alive, and still this pid's
                 os.kill(self.pid, signal.SIGTERM)
@@ -184,18 +176,18 @@ def _start_helper(config: verify.TrialConfig, units: verify._Units) -> _Helper |
 
 
 @contextmanager
-def claims(config: verify.TrialConfig):
-    """The claims of one campaign: this process's helper's, started on its
-    units largest first, unless another campaign in this process holds the
-    helper or none can be started; then verify._Alone's. A campaign left by
-    an exception closes its helper, whose outcomes would otherwise reach
-    the next campaign, and so does one whose helper died."""
+def claims(config: verify.TrialConfig, units: verify._Units):
+    """This process's helper, started on one campaign's units, or None if
+    another campaign in this process holds the helper or none can be
+    started. A campaign left by an exception closes its helper, whose
+    outcomes would otherwise reach the next campaign, and so does one whose
+    helper died."""
     if not _helper_lock.acquire(blocking=False):
-        yield verify._Alone(config)
+        yield None
         return
     try:
-        helper = _start_helper(config, verify._Units(config, largest_first=True))
-        yield helper or verify._Alone(config)
+        helper = _start_helper(config, units)
+        yield helper
         if helper is not None and helper.dead:
             _close_helper()
     except BaseException:

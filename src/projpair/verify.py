@@ -13,7 +13,7 @@ import ctypes
 import math
 import os
 from bisect import bisect_right
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import accumulate, count, islice, repeat
@@ -330,9 +330,9 @@ def check_lemma_commutators(pairs, tol: float = DEFAULT_TOL, *,
     eye = np.eye(pairs[0].dim, dtype=np.complex128)
     comm = as_stack([pair.comm for pair in pairs])
     u = as_stack([pair.fg for pair in pairs]) @ (eye - as_stack([pair.f for pair in pairs]))
+    stack, u_u = grams(u)
     uu = u @ adjoint(u)
-    u_u = adjoint(u) @ u
-    u_norms = spectral_norms(u)
+    u_norms = stack_norms(stack, u_u)
     residuals = [max(abs(pair.norm_comm - u_norm), max(0.0, pair.norm_comm - pair.norm_fg))
                  for pair, u_norm in zip(pairs, u_norms)]
     gaps = _Gaps(residuals, tol, floor)
@@ -949,14 +949,18 @@ class _Alone:
         return []
 
 
+@contextmanager
 def _claims(config: TrialConfig):
-    """A context manager giving the claims of one campaign, with its units:
-    a helper's (projpair._helper.claims), when the campaign has 2 units or
-    more and _helper_wanted(); else _Alone's. The helper's module is
-    imported only then."""
+    """The claims of one campaign, with its units: this process's helper's,
+    started on the units largest first (projpair._helper.claims), when the
+    campaign has 2 units or more, _helper_wanted() and a helper can be
+    started; else _Alone's. The helper's module is imported only when one is
+    wanted."""
     alone = _Alone(config)
     if len(alone.units) < 2 or not _helper_wanted():
-        return nullcontext(alone)
+        yield alone
+        return
     from . import _helper
 
-    return _helper.claims(config)
+    with _helper.claims(config, _Units(config, largest_first=True)) as helper:
+        yield helper or alone

@@ -10,6 +10,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -335,6 +336,27 @@ def test_helper_ignores_sigint_and_a_busy_helper_leaves_the_campaign_here(monkey
     assert ran == all_units(config)
 
 
+def test_a_campaign_whose_helper_cannot_start_runs_every_unit_here(monkeypatch):
+    # a fork copies only the calling thread, so with another thread alive no
+    # helper is forked, and the campaign runs as it would with none wanted
+    config = TrialConfig(dims=(2, 64, 16), trials=2, base_seed=5)
+    monkeypatch.setattr(verify, "_use_helper", False)
+    alone = run_trials(config).to_json()
+    helper_process._close_helper()
+    monkeypatch.setattr(verify, "_use_helper", True)
+    ran = caller_units(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert run_trials(config).to_json() == alone
+    finally:
+        release.set()
+        other.join()
+    assert ran == all_units(config)
+    assert helper_process._helper is None
+
+
 def test_forked_child_does_not_use_its_parents_helper(monkeypatch):
     config = TrialConfig(dims=(2, 64), trials=3, base_seed=1)
     monkeypatch.setattr(verify, "_use_helper", True)
@@ -430,11 +452,13 @@ def test_helper_wanted_reads_the_blas_thread_count_per_campaign(monkeypatch):
 
 
 def test_helper_module_loads_only_for_a_campaign_that_wants_it():
-    code = "import projpair.cli, sys; print('projpair._helper' in sys.modules)"
+    # and neither do the modules only the helper uses
+    code = ("import projpair.cli, sys; print([name for name in "
+            "('projpair._helper', 'socket', 'fcntl', 'select') if name in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("tool", ["contract_digests", "call_counts"])
