@@ -161,32 +161,27 @@ class _Helper:
         return data
 
 
-def _start_helper(config: verify.TrialConfig, units: verify._Units) -> _Helper | None:
-    """This process's helper, forked if there is none and no other thread
-    is alive (a fork copies only the calling thread), and started on the
-    campaign; None if it cannot be."""
-    global _helper
-    if _helper is not None and _helper.owner != os.getpid():
-        _close_helper()  # a forked child's copy of its parent's helper
-    if _helper is None and hasattr(os, "fork") and threading.active_count() == 1:
-        _helper = _Helper()
-    if _helper is not None and not _helper.begin(config, units):
-        _close_helper()
-    return _helper
-
-
 @contextmanager
 def claims(config: verify.TrialConfig, units: verify._Units):
-    """This process's helper, started on one campaign's units, or None if
-    another campaign in this process holds the helper or none can be
-    started. A campaign left by an exception closes its helper, whose
-    outcomes would otherwise reach the next campaign, and so does one whose
-    helper died."""
+    """This process's helper, forked if there is none and no other thread
+    is alive (a fork copies only the calling thread), and started on one
+    campaign's units; None if another campaign in this process holds the
+    helper or none can be started. A forked child drops the copy of its
+    parent's helper first. A campaign left by an exception closes its
+    helper, whose outcomes would otherwise reach the next campaign, and so
+    does one whose helper died."""
+    global _helper
     if not _helper_lock.acquire(blocking=False):
         yield None
         return
     try:
-        helper = _start_helper(config, units)
+        if _helper is not None and _helper.owner != os.getpid():
+            _close_helper()
+        if _helper is None and hasattr(os, "fork") and threading.active_count() == 1:
+            _helper = _Helper()
+        if _helper is not None and not _helper.begin(config, units):
+            _close_helper()
+        helper = _helper
         yield helper
         if helper is not None and helper.dead:
             _close_helper()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import os
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -607,6 +608,15 @@ CHECKS = {
 
 ALL_CHECKS = tuple(CHECKS)
 
+
+def _integer(name: str, value) -> int:
+    """value as the int operator.index gives; a ValueError naming `name`
+    where it is a bool or no integer."""
+    if not isinstance(value, (bool, np.bool_)) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Campaign shape: `trials` pairs per entry of `dims`, checked at `tol`."""
@@ -620,20 +630,17 @@ class TrialConfig:
     n_max: int = 8
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(_integer("each of dims", d) for d in self.dims))
         object.__setattr__(self, "checks", tuple(self.checks))
         for d in self.dims:
             if d < 2:
                 raise ValueError(f"campaign dims must be >= 2, got {d}")
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        for name, least in (("trials", 0), ("base_seed", 0), ("m_max", 1), ("n_max", 1)):
+            value = _integer(name, getattr(self, name))
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
         require_tol(self.tol)
-        if self.m_max < 1:
-            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if not self.checks:
             raise ValueError("checks must name at least one check")
         unknown = [c for c in self.checks if c not in CHECKS]
@@ -752,11 +759,11 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     pair (dim >= 46) into one unit per check. Each check runs on a unit's
     pairs at once. A process keeps the pairs of the last unit it ran, so
     the check units of one pair build it and form its products and norms
-    once, and lets them go before it builds the next unit's. With every
-    unit in this process, the units come in config order, so a campaign
-    forms the products and makes the eigensolves of that serial loop.
-    However many trials a campaign runs, a process holds one chunk's pairs
-    with the products their checks cache, and the stacks of one check.
+    once, and lets them go before it builds the next unit's. The units
+    come largest dim first, equal dims in config order, whether this
+    process runs them all or shares them with a helper. However many
+    trials a campaign runs, a process holds one chunk's pairs with the
+    products their checks cache, and the stacks of one check.
     Under the floors below, a check also holds the Grams of its gap terms
     that can matter until its last degree, so its memory grows with m_max
     and n_max (_Gaps).
@@ -764,11 +771,12 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     With 2 usable CPUs or more and BLAS on one thread, a campaign of 2
     units or more runs them in this process and in one helper process
     beside it (projpair._helper). Both claim the next unit from one counter,
-    the largest dims first, so the small units, claimed last, even out when
-    the two finish. The helper is forked at the first such campaign and
-    runs the package as it was then: a function patched later runs in this
-    process only, and a tracer here sees only this process's share of the
-    units. Outcomes are merged as they arrive (_Merge).
+    so the small units, claimed last, even out when the two finish. The
+    helper is forked at the first such campaign and runs the package as it
+    was then: a function patched later runs in this process only, and a
+    tracer here sees only this process's share of the units; replace
+    _helper_wanted to keep every unit here. Outcomes are merged as they
+    arrive (_Merge).
 
     Only each check's largest residual and its failing trials are reported,
     so each check gets as a floor the largest residual among the whole
@@ -797,22 +805,19 @@ def run_trials(config: TrialConfig) -> AggregateReport:
 
 class _Units:
     """A campaign's units of work, in the order they are claimed, as (dim,
-    trial indices, checks). Each dim's trials come in chunks of
-    stack_capacity((dim, dim)). A chunk is one unit of all config.checks,
-    unless it is one pair (a stack holds one matrix: dim >= 46); then it is
-    one unit per check, in config.checks order, which two processes can
-    share. The dims come in config order, or with largest_first, for two
-    processes sharing the units, the largest first, equal ones in config
-    order, so the smallest units come last, where either process can take
-    them. Each is computed when asked for, so the campaign's list takes no
-    memory per trial."""
+    trial indices, checks). The dims come largest first, equal ones in
+    config order, so the smallest units come last, where either of two
+    processes sharing the units can take them. Each dim's trials come in
+    chunks of stack_capacity((dim, dim)). A chunk is one unit of all
+    config.checks, unless it is one pair (a stack holds one matrix: dim >=
+    46); then it is one unit per check, in config.checks order, which two
+    processes can share. Each is computed when asked for, so the campaign's
+    list takes no memory per trial."""
 
-    def __init__(self, config: TrialConfig, largest_first: bool = False):
+    def __init__(self, config: TrialConfig):
         self.trials, self.checks = config.trials, config.checks
         # each dim's position in config.dims, in the order its units come
-        self.positions = list(range(len(config.dims)))
-        if largest_first:
-            self.positions.sort(key=lambda p: -config.dims[p])
+        self.positions = sorted(range(len(config.dims)), key=lambda p: -config.dims[p])
         self.dims = [config.dims[p] for p in self.positions]
         self.steps = [stack_capacity((dim, dim)) for dim in self.dims]
         # units per chunk, and the index of each dim's first unit and the count of all of them
@@ -916,30 +921,23 @@ class _Merge:
 
 # --- the helper process --------------------------------------------------------
 
-# None: campaigns use a helper where _helper_wanted() says the host allows.
-# Tests set False to keep every unit in this process, where their spies and
-# counters see it, or True to use a helper on any host that can fork one.
-_use_helper: bool | None = None
-
-
 def _helper_wanted() -> bool:
     """Whether campaigns should run units on a helper: with 2 usable CPUs
     or more, and BLAS on one thread at the time of asking, since two
-    callers of threaded BLAS oversubscribe the cores."""
-    if _use_helper is not None:
-        return _use_helper
+    callers of threaded BLAS oversubscribe the cores. _claims looks it up
+    at each campaign, so a test or tool that replaces it decides there."""
     return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
             and _one_blas_thread(os.environ))
 
 
 class _Alone:
     """The claims of a campaign that has no helper: this process claims
-    every unit, in config order (_Units)."""
+    every unit, in order."""
 
     active = False
 
-    def __init__(self, config: TrialConfig):
-        self.units = _Units(config)
+    def __init__(self, units: _Units):
+        self.units = units
         self.claim = count(1).__next__
 
     def collect(self, record, wait: bool) -> None:
@@ -951,16 +949,16 @@ class _Alone:
 
 @contextmanager
 def _claims(config: TrialConfig):
-    """The claims of one campaign, with its units: this process's helper's,
-    started on the units largest first (projpair._helper.claims), when the
-    campaign has 2 units or more, _helper_wanted() and a helper can be
-    started; else _Alone's. The helper's module is imported only when one is
-    wanted."""
-    alone = _Alone(config)
-    if len(alone.units) < 2 or not _helper_wanted():
-        yield alone
+    """The claims of one campaign, with its units (_Units): this process's
+    helper's, started on them (projpair._helper.claims), when the campaign
+    has 2 units or more, _helper_wanted() and a helper can be started; else
+    _Alone's, on the same units in the same order. The helper's module is
+    imported only when one is wanted."""
+    units = _Units(config)
+    if len(units) < 2 or not _helper_wanted():
+        yield _Alone(units)
         return
     from . import _helper
 
-    with _helper.claims(config, _Units(config, largest_first=True)) as helper:
-        yield helper or alone
+    with _helper.claims(config, units) as helper:
+        yield helper or _Alone(units)

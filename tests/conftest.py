@@ -19,7 +19,7 @@ def fresh_helper():
 def in_caller(monkeypatch):
     """Keep every campaign unit in the test's process, where its spies and
     counters see them, never on a helper."""
-    monkeypatch.setattr(verify, "_use_helper", False)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: False)
 
 
 @pytest.fixture

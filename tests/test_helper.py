@@ -44,9 +44,9 @@ def one_blas_thread():
 
 def run_both(config: TrialConfig, monkeypatch) -> tuple[str, str]:
     """The report's JSON with every unit in this process, then with a helper."""
-    monkeypatch.setattr(verify, "_use_helper", False)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: False)
     alone = run_trials(config).to_json()
-    monkeypatch.setattr(verify, "_use_helper", True)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     return alone, run_trials(config).to_json()
 
 
@@ -63,8 +63,8 @@ def caller_units(monkeypatch) -> list:
     return ran
 
 
-def all_units(config: TrialConfig, largest_first: bool = False) -> list:
-    units = verify._Units(config, largest_first)
+def all_units(config: TrialConfig) -> list:
+    units = verify._Units(config)
     return [units[i] for i in range(len(units))]
 
 
@@ -81,7 +81,7 @@ def test_helper_keeps_the_contract_campaigns_bytes(monkeypatch):
     # among them floored campaigns of many units: dims 16 and 24 in chunks,
     # and dims 64 and 96, a unit per check of each pair, failing at tol 1e-15
     campaigns = load_contract_tool().CAMPAIGNS
-    monkeypatch.setattr(verify, "_use_helper", True)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     run_trials(TrialConfig(dims=(2, 4), trials=1))  # fork the helper before the spy
     ran = caller_units(monkeypatch)
     units = 0
@@ -110,7 +110,7 @@ def merged_units(monkeypatch) -> list:
 def assert_each_unit_merged_once(config: TrialConfig, monkeypatch) -> None:
     """Three helper runs of config: each unit is merged here once, run here
     or sent back, so no claim is lost or repeated between the processes."""
-    monkeypatch.setattr(verify, "_use_helper", True)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     expected = run_trials(config).to_json()
     merged, ran = merged_units(monkeypatch), caller_units(monkeypatch)
     units = len(verify._Units(config))
@@ -136,9 +136,8 @@ def test_both_processes_claim_each_check_unit_once(monkeypatch):
 
 
 def test_chunks_cover_each_dims_trials_in_stack_sized_units():
-    # the dims in config order, or the largest first, equal dims in config
-    # order; a chunk of one pair is one unit per check, unless the campaign
-    # runs one check
+    # the largest dims first, equal dims in config order; a chunk of one
+    # pair is one unit per check, unless the campaign runs one check
     config = TrialConfig(dims=(2, 32, 64, 24, 32), trials=9, checks=("theorem", "nw_block"))
     whole = config.checks
     dim_2 = [(2, range(0, 9), whole)]
@@ -146,30 +145,29 @@ def test_chunks_cover_each_dims_trials_in_stack_sized_units():
                (32, range(first + 8, first + 9), whole)] for first in (9, 36)]
     dim_64 = [(64, range(i, i + 1), (check,)) for i in range(18, 27) for check in whole]
     dim_24 = [(24, range(27, 34), whole), (24, range(34, 36), whole)]
-    assert all_units(config) == [*dim_2, *dim_32[0], *dim_64, *dim_24, *dim_32[1]]
-    assert all_units(config, largest_first=True) == [
-        *dim_64, *dim_32[0], *dim_32[1], *dim_24, *dim_2]
-    assert all_units(replace(config, checks=("theorem",)), largest_first=True)[:9] == [
+    assert all_units(config) == [*dim_64, *dim_32[0], *dim_32[1], *dim_24, *dim_2]
+    assert all_units(replace(config, checks=("theorem",)))[:9] == [
         (64, range(i, i + 1), ("theorem",)) for i in range(18, 27)]
     assert len(verify._Units(TrialConfig(dims=(2, 64), trials=0))) == 0
 
 
-def test_units_run_in_config_order_alone_and_largest_first_beside_a_helper(monkeypatch):
-    # alone, in config order, as the serial loop forms its floors; shared,
-    # the check units of one pair, the larger dims first, then the chunks of
-    # two pairs, the larger dims first. Each unit's index is its place in
-    # the order the two processes claim them
+def test_units_run_largest_dim_first_alone_and_beside_a_helper(monkeypatch):
+    # the check units of one pair, the larger dims first, then the chunks
+    # of two pairs, the larger dims first, equal dims in config order.
+    # Alone, this process runs them in that order; shared, each unit's
+    # index is its place in the order the two processes claim them
     config = TrialConfig(dims=(2, 64, 16, 96, 16), trials=2, checks=("theorem", "corollary"))
-    monkeypatch.setattr(verify, "_use_helper", False)
+    order = all_units(config)
+    assert [(dim, len(indices)) for dim, indices, _ in order] == [
+        *[(96, 1)] * 4, *[(64, 1)] * 4, (16, 2), (16, 2), (2, 2)]
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: False)
     ran = caller_units(monkeypatch)
     assert run_trials(config).verdict == "pass"
-    assert [(dim, len(indices)) for dim, indices, _ in ran] == [
-        (2, 2), *[(64, 1)] * 4, (16, 2), *[(96, 1)] * 4, (16, 2)]
-    monkeypatch.setattr(verify, "_use_helper", True)
+    assert ran == order
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     merged = merged_units(monkeypatch)
     assert run_trials(config).verdict == "pass"
-    assert [(dim, len(indices)) for _, (dim, indices, _) in sorted(merged, key=lambda m: m[0])] == [
-        *[(96, 1)] * 4, *[(64, 1)] * 4, (16, 2), (16, 2), (2, 2)]
+    assert [unit for _, unit in sorted(merged, key=lambda m: m[0])] == order
 
 
 def test_helper_keeps_the_order_of_errors_and_failures(monkeypatch):
@@ -236,7 +234,7 @@ def test_first_failing_check_wins_across_the_processes(checks, caller_fails, mon
     monkeypatch.setitem(verify.CHECKS, "theorem", theorem)
     monkeypatch.setitem(verify.CHECKS, "power_expansion", power_expansion)
     monkeypatch.setitem(verify.CHECKS, "corollary", corollary)
-    monkeypatch.setattr(verify, "_use_helper", True)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     ran = caller_units(monkeypatch)
     try:
         report = run_trials(TrialConfig(dims=(64,), trials=1, checks=checks))
@@ -286,7 +284,7 @@ def test_helper_runs_under_the_callers_errstate(monkeypatch):
         raise FloatingPointError(f"over={np.geterr()['over']}")
 
     monkeypatch.setitem(verify.CHECKS, "theorem", reporting)
-    monkeypatch.setattr(verify, "_use_helper", True)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     config = TrialConfig(dims=(64,), trials=4, checks=("theorem",))
     for over in ("raise", "ignore"):
         with np.errstate(over=over):
@@ -297,9 +295,9 @@ def test_helper_runs_under_the_callers_errstate(monkeypatch):
 
 def test_helper_killed_mid_campaign_leaves_its_chunks_to_the_caller(monkeypatch):
     config = TrialConfig(dims=(2, 64), trials=6, base_seed=3)
-    monkeypatch.setattr(verify, "_use_helper", False)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: False)
     alone = run_trials(config).to_json()
-    monkeypatch.setattr(verify, "_use_helper", True)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     run_trials(TrialConfig(dims=(2, 4), trials=1))
     helper = helper_process._helper
     real = verify._run_unit
@@ -324,7 +322,7 @@ def test_helper_killed_mid_campaign_leaves_its_chunks_to_the_caller(monkeypatch)
 
 def test_helper_ignores_sigint_and_a_busy_helper_leaves_the_campaign_here(monkeypatch):
     config = TrialConfig(dims=(64,), trials=3)
-    monkeypatch.setattr(verify, "_use_helper", True)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     alone = run_trials(config).to_json()
     helper = helper_process._helper
     os.kill(helper.pid, signal.SIGINT)
@@ -340,10 +338,10 @@ def test_a_campaign_whose_helper_cannot_start_runs_every_unit_here(monkeypatch):
     # a fork copies only the calling thread, so with another thread alive no
     # helper is forked, and the campaign runs as it would with none wanted
     config = TrialConfig(dims=(2, 64, 16), trials=2, base_seed=5)
-    monkeypatch.setattr(verify, "_use_helper", False)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: False)
     alone = run_trials(config).to_json()
     helper_process._close_helper()
-    monkeypatch.setattr(verify, "_use_helper", True)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     ran = caller_units(monkeypatch)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
@@ -359,7 +357,7 @@ def test_a_campaign_whose_helper_cannot_start_runs_every_unit_here(monkeypatch):
 
 def test_forked_child_does_not_use_its_parents_helper(monkeypatch):
     config = TrialConfig(dims=(2, 64), trials=3, base_seed=1)
-    monkeypatch.setattr(verify, "_use_helper", True)
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     expected = run_trials(config).to_json()
     parent_helper = helper_process._helper.pid
     read, write = os.pipe()
@@ -389,7 +387,7 @@ def test_forked_child_does_not_use_its_parents_helper(monkeypatch):
 
 
 def test_campaign_process_leaves_no_helper_behind():
-    code = ("import sys; import projpair.verify as v; v._use_helper = True; "
+    code = ("import sys; import projpair.verify as v; v._helper_wanted = lambda: True; "
             "v.run_trials(v.TrialConfig(dims=(2, 64), trials=2)); "
             "print(sys.modules['projpair._helper']._helper.pid, 'multiprocessing' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -440,7 +438,6 @@ def test_helper_wanted_reads_the_blas_thread_count_per_campaign(monkeypatch):
     set_threads = verify._openblas("scipy_openblas_set_num_threads64_", None, (ctypes.c_int,))
     if set_threads is None:
         pytest.skip("numpy's BLAS exports no scipy_openblas thread count")
-    monkeypatch.setattr(verify, "_use_helper", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert verify._helper_wanted()
     set_threads(2)

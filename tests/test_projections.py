@@ -19,7 +19,9 @@ from projpair.projections import (
     pair_from_angles,
     projection_failures,
     random_pair,
+    random_pairs,
     random_projection,
+    random_projections,
     reference_2x2_pair,
     save_pair_json,
     universal_pair_approx,
@@ -167,6 +169,17 @@ def test_random_projection_is_projection():
     for seed in range(10):
         p = random_projection(9, 4, seed)
         assert validate_projection(p, PROJ_TOL).ok
+
+
+def test_random_members_are_exactly_hermitian():
+    # random_projections adds each member's adjoint to it and halves the
+    # sum, so every member it or random_pairs builds equals its adjoint
+    # bit for bit, at every rank
+    for dim in (2, 3, 4, 5, 8, 16, 24, 45, 46, 64, 96):
+        ranks = range(dim + 1)
+        members = [*random_projections(dim, ranks, [1000 * dim + rank for rank in ranks])]
+        members += [P for pair in random_pairs(dim, range(8)) for P in (pair.f, pair.g)]
+        assert all(np.array_equal(P, adjoint(P)) for P in members), dim
 
 
 def test_random_projection_deterministic():

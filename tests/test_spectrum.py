@@ -11,6 +11,7 @@ from projpair.projections import (
     Provenance,
     Spectrum,
     pair_from_angles,
+    projection_failures,
     universal_pair_approx,
 )
 from projpair.verify import CHECKS, DEFAULT_TOL, TrialConfig
@@ -132,3 +133,32 @@ def test_dense_norms_and_checks_agree_with_the_spectrum(name):
         for check, run in CHECKS.items():
             report = run([pair], config, None)[0]
             assert report.passed, (check, pair.provenance, report.residual)
+
+
+# The pairs the proofs turn on, as Spectrum cells, each in seeded bases that
+# are not axis-aligned
+PROOF_SPECTRA = {
+    "intersecting": Spectrum.from_angles((0.0, 0.4, 1.1), only_f=1, only_g=1),
+    "orthogonal": Spectrum.from_angles((RIGHT,) * 3, only_g=2),
+    "nearly_commuting": Spectrum.from_angles((1e-7, RIGHT - 1e-7, 1e-9)),
+    "rank_1_f": Spectrum.from_angles((0.7,), only_g=5),
+    "rank_dim_minus_1_f": Spectrum.from_angles((1.1,), only_f=5),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", PROOF_SPECTRA)
+def test_proof_pairs_in_random_bases_match_their_spectrum(name, seed):
+    # Over these pairs and seeds the largest |dense norm - spectrum norm|
+    # was 11 eps (2.4e-15) and the largest residual 67 eps (1.5e-14), on a
+    # 2-vCPU x86 with numpy 2.4
+    spectrum = PROOF_SPECTRA[name]
+    pair = rotated(spectrum.realize(Provenance("angles")), seed)
+    assert projection_failures([pair.f, pair.g]) == []
+    for word, dense in (("fg", pair.norm_fg), ("anti", pair.norm_anti),
+                        ("comm", pair.norm_comm)):
+        assert abs(dense - spectrum.norm(word)) <= 1e-13, word
+    config = TrialConfig(dims=(pair.dim,))
+    for check, run in CHECKS.items():
+        report = run([pair], config, None)[0]
+        assert report.passed and report.residual <= 1e-13, (check, report.residual)

@@ -477,20 +477,21 @@ def test_run_trials_solves_few_eigenproblems_per_small_trial(eigvalsh_calls):
 
 
 def test_large_campaign_solves_few_gap_norms(eigvalsh_calls):
-    # One dim-64 and one dim-96 trial, each a chunk of one pair: 13
-    # eigensolves per trial for norms that are not pure gaps, and 5 for
-    # gaps, all in the dim-64 trial: each check's floor is its campaign
-    # maximum, and the dim-64 maxima cover every gap of the dim-96 trial.
-    # Each trial's 13 are its three pair norms, lemma_product_power's eight
-    # norms (||fgf|| and (fg)^2..(fg)^8, one matrix per stack at these
-    # dims), ||u|| in lemma_commutator and ||D|| in halmos_decompose, the
-    # Frobenius bound certifying its relation gaps. Eigensolving
-    # lemma_product_power's eight Grams as one (8, dim, dim) run took 14
-    # fewer (17 in all); measuring the relation gaps took 5 more (36),
-    # measuring every gap 66 more (97), and floors kept per dim 10 more (41)
+    # One dim-64 and one dim-96 trial, each a chunk of one pair, the dim-96
+    # trial first: 13 eigensolves per trial for norms that are not pure
+    # gaps, and 9 for gaps. Each trial's 13 are its three pair norms,
+    # lemma_product_power's eight norms (||fgf|| and (fg)^2..(fg)^8, one
+    # matrix per stack at these dims), ||u|| in lemma_commutator and ||D||
+    # in halmos_decompose, the Frobenius bound certifying its relation
+    # gaps. Each check's floor is its campaign maximum: the dim-96 trial,
+    # with none yet, measures 5 gaps (1 in lemma_product_power, 3 in
+    # power_expansion, 1 in nw_block), and the dim-64 trial, under the
+    # dim-96 maxima, 4 (1, 1 and 2). Running the dim-64 trial first took 4
+    # fewer (31), floors kept per dim 1 more (36), and measuring every gap
+    # 47 more (82)
     report = run_trials(TrialConfig(dims=(64, 96), trials=1, base_seed=0))
     assert report.verdict == "pass"
-    assert len(eigvalsh_calls) == 31
+    assert len(eigvalsh_calls) == 35
 
 
 def exact_checks(monkeypatch):
@@ -722,10 +723,10 @@ def serial_campaign(config):
 
 
 def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch, in_caller):
-    # Each dim's 5 trials are one chunk. The middle trial of the dim-2 chunk
-    # (seed 2) fails to build, so that chunk reruns trial by trial; the
-    # middle trial of the dim-8 chunk (seed 7) raises in a check, after its
-    # chunk was built and validated together.
+    # Each dim's 5 trials are one chunk, the dim-8 chunk first. The middle
+    # trial of the dim-2 chunk (seed 2) fails to build, so that chunk reruns
+    # trial by trial; the middle trial of the dim-8 chunk (seed 7) raises in
+    # a check, after its chunk was built and validated together.
     config = TrialConfig(dims=(2, 8), trials=5, base_seed=0)
     real_stacked = verify.random_pairs
     real_corollary = verify.CHECKS["corollary"]
@@ -746,8 +747,8 @@ def test_run_trials_isolates_trials_inside_a_chunk(monkeypatch, in_caller):
     monkeypatch.setitem(verify.CHECKS, "corollary", failing_corollary)
     chunked = run_trials(config)
     # each failed chunk reruns its trials one seed at a time
-    assert stacked_calls == [[0, 1, 2, 3, 4], [0], [1], [2], [3], [4],
-                             [5, 6, 7, 8, 9], [5], [6], [7], [8], [9]]
+    assert stacked_calls == [[5, 6, 7, 8, 9], [5], [6], [7], [8], [9],
+                             [0, 1, 2, 3, 4], [0], [1], [2], [3], [4]]
     assert [(e["trial"], e["dim"]) for e in chunked.errors] == [(2, 2), (7, 8)]
     assert chunked.to_json() == serial_campaign(config).to_json()
 
@@ -888,6 +889,21 @@ def test_run_trials_rejects_unknown_check():
         TrialConfig(checks=())
     with pytest.raises(ValueError, match="each check once"):
         TrialConfig(checks=("theorem", "corollary", "theorem"))
+    # each count is an integer, never a bool; a float or a string is not
+    # truncated or parsed
+    for field, value in (("dims", (2.7,)), ("dims", ("4",)), ("dims", (True,)),
+                         ("trials", 2.5), ("trials", True), ("base_seed", 1.5),
+                         ("m_max", 2.5), ("n_max", np.True_)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrialConfig(**{field: value})
+    # numpy integers are stored as ints, so the report is the same bytes
+    numpy_ints = TrialConfig(dims=(np.int64(2), np.uint32(4)), trials=np.int64(2),
+                             base_seed=np.uint32(3), m_max=np.int64(3), n_max=np.uint32(2))
+    assert all(type(value) is int for value in (*numpy_ints.dims, numpy_ints.trials,
+                                                 numpy_ints.base_seed, numpy_ints.m_max,
+                                                 numpy_ints.n_max))
+    ints = TrialConfig(dims=(2, 4), trials=2, base_seed=3, m_max=3, n_max=2)
+    assert run_trials(numpy_ints).to_json() == run_trials(ints).to_json()
 
 
 def test_aggregate_json_schema():

@@ -9,8 +9,11 @@ one counted name's mean calls per job. A name is counted where its callers
 look it up. Both Horner plan caches are cleared before each shape, so its
 plans line counts every plan the shape's jobs build. BLAS runs on one
 thread, as in the benchmark. Every unit of work runs in this process,
-where the counters are: a campaign's helper process, forked before they
-were installed, would not count its share.
+where the counters are (verify._helper_wanted is replaced for the run): a
+campaign's helper process, forked before they were installed, would not
+count its share. The units run in the order the benchmark's two processes
+claim them, largest dim first, but in one process, so each check's floors
+are those of a serial run, not of a run shared with a helper.
 The counts repeat exactly from run to run; they are not timings.
 """
 
@@ -69,9 +72,9 @@ def call_counts(shape: dict, seeds=SEEDS) -> dict[str, float]:
         return wrapper
 
     reals = [getattr(module, name) for _, module, name in COUNTED]
-    use_helper = verify._use_helper
+    helper_wanted = verify._helper_wanted
     try:
-        verify._use_helper = False
+        verify._helper_wanted = lambda: False
         for (label, module, name), real in zip(COUNTED, reals):
             setattr(module, name, counting(label, real))
         for cache in PLAN_CACHES:
@@ -79,7 +82,7 @@ def call_counts(shape: dict, seeds=SEEDS) -> dict[str, float]:
         for seed in seeds:
             run_trials(TrialConfig(**shape, base_seed=seed))
     finally:
-        verify._use_helper = use_helper
+        verify._helper_wanted = helper_wanted
         for (_, module, name), real in zip(COUNTED, reals):
             setattr(module, name, real)
     counts[PLANS] = sum(cache.cache_info().misses for cache in PLAN_CACHES)
