@@ -61,10 +61,13 @@ BOUNDS_MAX_N = 10**6
 # pass numpy's allocation check, then exhaust an 8 GiB host. A fresh process of verify
 # --dims 1024 --trials 1 --checks theorem: ~1.0 s (1.5 s at 1 BLAS thread), ~190 MiB peak RSS.
 # All checks at --dims 512 --trials 1: ~1.9 s, ~131 MiB at BLAS's default 2 threads (2 vCPU);
-# ~3.0 s, ~128 MiB at 1 BLAS thread with the checks run serially, and 0.60 of the serial time,
-# ~124 MiB in the calling process, where a forked helper process runs some of the trial's
-# checks (both measured on one host). At 256: ~0.39 s, ~62 MiB; ~0.50 s, ~61 MiB serially, and
-# 0.68 of that with the helper.
+# ~3.0 s, ~128 MiB at 1 BLAS thread with the checks run serially (both measured on one host).
+# At 256: ~0.39 s, ~62 MiB; ~0.50 s, ~61 MiB serially. A forked helper process, running some
+# of the trial's checks on the pair the calling process built, took 0.51-0.69 of the serial
+# time at 512 (~113 MiB in the calling process, ~126 MiB serially) and 0.53-0.70 at 256
+# (~58 MiB, ~61 MiB serially), in fresh-process pairs on a shared 2-vCPU host where the serial
+# run at 512 took 5.1-6.5 s. In spells when that host's second vCPU was busy, the helper, the
+# one before shared pairs too, ran 256 at 0.9-1.2 of the serial time.
 MAX_DIM = 1024
 
 

@@ -19,10 +19,12 @@ from .linalg import (
     as_stack,
     cell_bounds,
     frobenius_bounds,
+    grams,
     hermitian_eigens,
     largest_norm,
     spectral_norm,
     spectral_norms,
+    stack_norms,
     stack_slices,
 )
 from .linalg import hermitian_eigen  # noqa: F401  (unused; perfbench's tracer wraps this name)
@@ -55,8 +57,8 @@ class ProjectionPair:
     """Two projections of equal dimension plus construction metadata.
 
     The products and norms every check reads (fg, gf, fgf, fg + gf, fg - gf and
-    their norms) are computed on first access and kept, so a pair measures
-    each of them once however many checks read it.
+    their norms, and the Gram of fg - gf) are computed on first access and
+    kept, so a pair measures each of them once however many checks read it.
     """
 
     f: np.ndarray
@@ -104,8 +106,14 @@ class ProjectionPair:
         return spectral_norm(self.anti)
 
     @cached_property
+    def comm_gram(self) -> np.ndarray:
+        """(fg - gf)* (fg - gf), which norm_comm is measured from."""
+        return grams([self.comm])[1][0]
+
+    @cached_property
     def norm_comm(self) -> float:
-        return spectral_norm(self.comm)
+        """||fg - gf||, by the rule of spectral_norm, from comm_gram."""
+        return stack_norms(self.comm[np.newaxis], self.comm_gram[np.newaxis])[0]
 
 
 @dataclass(frozen=True)

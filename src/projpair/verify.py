@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import operator
 import os
 from bisect import bisect_right
@@ -323,13 +324,13 @@ def check_lemma_commutator(pair: ProjectionPair, tol: float = DEFAULT_TOL) -> Tr
 def check_lemma_commutators(pairs, tol: float = DEFAULT_TOL, *,
                             floor: float | None = None) -> list[TrialReport]:
     """check_lemma_commutator for each of many equally sized pairs, in order,
-    with every pair's matrices formed as stacks and measured together. With
+    with every pair's matrices formed as stacks and measured together; the
+    split gap reads the Gram each pair's norm_comm was measured from. With
     a floor, the split gap and the overlap are measured only where they can
     matter (_Gaps)."""
     if not pairs:
         return []
     eye = np.eye(pairs[0].dim, dtype=np.complex128)
-    comm = as_stack([pair.comm for pair in pairs])
     u = as_stack([pair.fg for pair in pairs]) @ (eye - as_stack([pair.f for pair in pairs]))
     stack, u_u = grams(u)
     uu = u @ adjoint(u)
@@ -337,7 +338,7 @@ def check_lemma_commutators(pairs, tol: float = DEFAULT_TOL, *,
     residuals = [max(abs(pair.norm_comm - u_norm), max(0.0, pair.norm_comm - pair.norm_fg))
                  for pair, u_norm in zip(pairs, u_norms)]
     gaps = _Gaps(residuals, tol, floor)
-    gaps.add(_slices([adjoint(comm) @ comm - (uu + u_u), uu @ u_u]),
+    gaps.add(_slices([as_stack([pair.comm_gram for pair in pairs]) - (uu + u_u), uu @ u_u]),
              [*range(len(pairs))] * 2, [1.0] * (2 * len(pairs)))
     gaps.finish()
     return [_report("lemma_commutator", pair,
@@ -617,6 +618,15 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _sequence(name: str, value) -> tuple:
+    """value's items as a tuple; a ValueError naming `name` where it is not
+    iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Campaign shape: `trials` pairs per entry of `dims`, checked at `tol`."""
@@ -630,8 +640,11 @@ class TrialConfig:
     n_max: int = 8
 
     def __post_init__(self):
+        for name in ("dims", "checks"):
+            object.__setattr__(self, name, _sequence(name, getattr(self, name)))
         object.__setattr__(self, "dims", tuple(_integer("each of dims", d) for d in self.dims))
-        object.__setattr__(self, "checks", tuple(self.checks))
+        if not self.dims:
+            raise ValueError("dims must name at least one dim")
         for d in self.dims:
             if d < 2:
                 raise ValueError(f"campaign dims must be >= 2, got {d}")
@@ -640,6 +653,8 @@ class TrialConfig:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
             object.__setattr__(self, name, value)
+        if isinstance(self.tol, (bool, np.bool_)) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         require_tol(self.tol)
         if not self.checks:
             raise ValueError("checks must name at least one check")
@@ -711,40 +726,62 @@ def _one_blas_thread(environ) -> bool:
     return False
 
 
+def _built_pairs(dim: int, seeds: list[int]) -> list[ProjectionPair]:
+    """The seeds' pairs, built with one random_pairs call, with every member
+    validated in one projection_failures call; the first member that fails
+    validation raises ArithmeticError."""
+    pairs = random_pairs(dim, seeds)
+    failures = projection_failures([p.f for p in pairs] + [p.g for p in pairs])
+    if failures:
+        position, report = failures[0]
+        name = "fg"[position // len(pairs)]
+        raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
+    return pairs
+
+
+class _Kept:
+    """The pairs of the last unit a process ran, with the products and norms
+    their checks cached, so that the check units of one pair build it once.
+
+    pairs() takes them where the next unit has the same pairs, and lets them
+    go before it gets another unit's. A split trial's pair (_Units) comes
+    from `slots`, where given: the pairs the two processes of a campaign
+    exchange (projpair._helper), so that a pair the other process built is
+    not built again."""
+
+    def __init__(self, slots=None):
+        self.key, self.held, self.slots = None, [], slots
+
+    def pairs(self, dim: int, seeds: list[int], split: bool) -> list[ProjectionPair]:
+        key = (dim, *seeds)
+        if key != self.key:
+            self.key, self.held = None, []  # the old pairs go before new ones are built
+            shared = split and self.slots is not None
+            self.held = [self.slots.pair(dim, seeds[0])] if shared else _built_pairs(dim, seeds)
+            self.key = key
+        return self.held
+
+
 def _check_trials(config: TrialConfig, dim: int, seeds: list[int],
                   floors: dict[str, float] | None = None, checks: tuple[str, ...] | None = None,
-                  kept: dict | None = None) -> list[dict[str, TrialReport]]:
+                  kept: _Kept | None = None) -> list[dict[str, TrialReport]]:
     """Each seed's reports by check name, for `checks` (config.checks when
-    None). The seeds' pairs are built with one random_pairs call and every
-    member is validated in one projection_failures call; the first member
-    that fails validation raises ArithmeticError. The checks run one after
+    None), on the seeds' pairs (_built_pairs). The checks run one after
     another, each on all the pairs at once with its floor from `floors`
     (exact residuals when None), so a chunk raises the error of the first
-    failing one in checks order.
-
-    `kept`, a dict, holds the last pairs built with it: pairs it holds are
-    taken from it, with the products and norms their earlier checks
-    cached; others are built once it has let its old ones go, and kept."""
-    kept = {} if kept is None else kept
-    key = (dim, *seeds)
-    if key not in kept:
-        kept.clear()
-        pairs = random_pairs(dim, seeds)
-        failures = projection_failures([p.f for p in pairs] + [p.g for p in pairs])
-        if failures:
-            position, report = failures[0]
-            name = "fg"[position // len(pairs)]
-            raise ArithmeticError(f"constructed {name} fails projection validation: {report}")
-        kept[key] = pairs
-    pairs = kept[key]
+    failing one in checks order. The pairs come from `kept` (_Kept), when
+    given."""
+    checks = config.checks if checks is None else checks
+    split = len(seeds) == 1 and checks != config.checks
+    pairs = (_Kept() if kept is None else kept).pairs(dim, seeds, split)
     by_check = {name: CHECKS[name](pairs, config, None if floors is None else floors[name])
-                for name in (config.checks if checks is None else checks)}
+                for name in checks}
     return [dict(zip(by_check, trial)) for trial in zip(*by_check.values())]
 
 
 def _run_one_trial(config: TrialConfig, dim: int, seed: int,
                    floors: dict[str, float] | None = None, checks: tuple[str, ...] | None = None,
-                   kept: dict | None = None) -> dict[str, TrialReport]:
+                   kept: _Kept | None = None) -> dict[str, TrialReport]:
     """One trial's reports by check name: _check_trials for its seed alone."""
     return _check_trials(config, dim, [seed], floors, checks, kept)[0]
 
@@ -756,27 +793,32 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     and the report is the one running the trials one after another in index
     order gives. The campaign's work is cut into units (_Units): each dim's
     trials in chunks of stack_capacity((dim, dim)) pairs, and a chunk of one
-    pair (dim >= 46) into one unit per check. Each check runs on a unit's
-    pairs at once. A process keeps the pairs of the last unit it ran, so
-    the check units of one pair build it and form its products and norms
-    once, and lets them go before it builds the next unit's. The units
-    come largest dim first, equal dims in config order, whether this
-    process runs them all or shares them with a helper. However many
-    trials a campaign runs, a process holds one chunk's pairs with the
-    products their checks cache, and the stacks of one check.
+    pair (dim >= 46) of a campaign of two checks or more, a split trial,
+    into one unit per check, costliest first. Each check runs on a unit's
+    pairs at once. A process keeps the pairs of the last unit it ran
+    (_Kept), so the check units of one pair that it runs build it and form
+    its products and norms once, and lets them go before it gets the next
+    unit's. The units come largest dim first, equal dims in config order.
+    However many trials a campaign runs, a process holds one chunk's pairs
+    with the products their checks cache, and the stacks of one check.
     Under the floors below, a check also holds the Grams of its gap terms
     that can matter until its last degree, so its memory grows with m_max
     and n_max (_Gaps).
 
     With 2 usable CPUs or more and BLAS on one thread, a campaign of 2
     units or more runs them in this process and in one helper process
-    beside it (projpair._helper). Both claim the next unit from one counter,
-    so the small units, claimed last, even out when the two finish. The
-    helper is forked at the first such campaign and runs the package as it
-    was then: a function patched later runs in this process only, and a
-    tracer here sees only this process's share of the units; replace
-    _helper_wanted to keep every unit here. Outcomes are merged as they
-    arrive (_Merge).
+    beside it (projpair._helper). This process claims units from the front.
+    The helper claims the split trials from the back, a whole trial at a
+    time, until the next one is the trial this process is on; from there
+    both claim from the front, so the small units, claimed last, even out
+    when the two finish. Each split trial's pair is thus built once: the
+    two processes pass the pairs they build to each other, and a process
+    that joins a trial the other one started reads its pair. The helper is
+    forked at the first such campaign and runs the package as it was then:
+    a function patched later runs in this process only, and a tracer here
+    sees only this process's share of the units; replace _helper_wanted to
+    keep every unit here, in the order _Units gives. Outcomes are merged as
+    they arrive (_Merge).
 
     Only each check's largest residual and its failing trials are reported,
     so each check gets as a floor the largest residual among the whole
@@ -786,7 +828,7 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     with _claims(config) as claims:
         units = claims.units
         merge = _Merge(config, units)
-        kept = {}  # the pairs of the last unit this process ran
+        kept = _Kept(claims.slots)
 
         def run(index: int) -> None:
             merge.add(index, _run_unit(config, units[index], merge.floors(), kept))
@@ -803,16 +845,23 @@ def run_trials(config: TrialConfig) -> AggregateReport:
     return merge.report()
 
 
+# The order of a split trial's check units (_Units): costliest first, so
+# that the process that builds a trial's pair starts on its longest unit.
+_SPLIT_ORDER = ("power_expansion", "lemma_product_power", "nw_block", "lemma_commutator",
+               "theorem", "corollary")
+
+
 class _Units:
-    """A campaign's units of work, in the order they are claimed, as (dim,
-    trial indices, checks). The dims come largest first, equal ones in
-    config order, so the smallest units come last, where either of two
-    processes sharing the units can take them. Each dim's trials come in
-    chunks of stack_capacity((dim, dim)). A chunk is one unit of all
-    config.checks, unless it is one pair (a stack holds one matrix: dim >=
-    46); then it is one unit per check, in config.checks order, which two
-    processes can share. Each is computed when asked for, so the campaign's
-    list takes no memory per trial."""
+    """A campaign's units of work, as (dim, trial indices, checks). The dims
+    come largest first, equal ones in config order, so the smallest units
+    come last, where either of two processes sharing the units can take
+    them. Each dim's trials come in chunks of stack_capacity((dim, dim)). A
+    chunk is one unit of all config.checks, unless it is one pair (a stack
+    holds one matrix: dim >= 46) and config.checks names two checks or
+    more; then it is a split trial, one unit per check, in _SPLIT_ORDER,
+    which two processes can share. The split trials come first: units
+    0 .. split - 1, `width` units each. Each unit is computed when asked
+    for, so the campaign's list takes no memory per trial."""
 
     def __init__(self, config: TrialConfig):
         self.trials, self.checks = config.trials, config.checks
@@ -820,10 +869,13 @@ class _Units:
         self.positions = sorted(range(len(config.dims)), key=lambda p: -config.dims[p])
         self.dims = [config.dims[p] for p in self.positions]
         self.steps = [stack_capacity((dim, dim)) for dim in self.dims]
+        self.split_checks = tuple(name for name in _SPLIT_ORDER if name in self.checks)
+        self.width = len(self.checks)
         # units per chunk, and the index of each dim's first unit and the count of all of them
-        self.widths = [len(self.checks) if step == 1 else 1 for step in self.steps]
+        self.widths = [self.width if step == 1 else 1 for step in self.steps]
         self.starts = [0, *accumulate(width * -(-config.trials // step)
                                       for step, width in zip(self.steps, self.widths))]
+        self.split = self.starts[sum(width > 1 for width in self.widths)]
 
     def __len__(self) -> int:
         return self.starts[-1]
@@ -834,11 +886,11 @@ class _Units:
         position, step = self.positions[k], self.steps[k]
         first = position * self.trials + chunk * step
         return (self.dims[k], range(first, min(first + step, (position + 1) * self.trials)),
-                self.checks if self.widths[k] == 1 else self.checks[check : check + 1])
+                self.checks if self.widths[k] == 1 else self.split_checks[check : check + 1])
 
 
 def _run_unit(config: TrialConfig, unit: tuple[int, range, tuple[str, ...]],
-              floors: dict[str, float], kept: dict) -> list:
+              floors: dict[str, float], kept: _Kept) -> list:
     """The outcome of each trial of one unit, in order: its residual and
     verdict by check name, for the unit's checks, or the message of the
     error it raised, with each check's floor from `floors` and the pairs
@@ -932,9 +984,9 @@ def _helper_wanted() -> bool:
 
 class _Alone:
     """The claims of a campaign that has no helper: this process claims
-    every unit, in order."""
+    every unit, in order, and builds every pair itself."""
 
-    active = False
+    active, slots = False, None
 
     def __init__(self, units: _Units):
         self.units = units

@@ -3,6 +3,7 @@ between the calling process and one forked helper reports the bytes it
 reports with every unit in the caller."""
 
 import ctypes
+import hashlib
 import importlib.util
 import os
 import pickle
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import pytest
 
 import projpair._helper as helper_process
 import projpair.verify as verify
+from projpair.projections import random_pair
 from projpair.verify import TrialConfig, run_trials
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,19 +71,17 @@ def all_units(config: TrialConfig) -> list:
     return [units[i] for i in range(len(units))]
 
 
-def load_contract_tool():
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        import contract_digests
-    finally:
-        sys.path.remove(str(ROOT / "tools"))
-    return contract_digests
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(f"tool_{name}", ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_helper_keeps_the_contract_campaigns_bytes(monkeypatch):
     # among them floored campaigns of many units: dims 16 and 24 in chunks,
     # and dims 64 and 96, a unit per check of each pair, failing at tol 1e-15
-    campaigns = load_contract_tool().CAMPAIGNS
+    campaigns = load_tool("contract_digests").CAMPAIGNS
     monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     run_trials(TrialConfig(dims=(2, 4), trials=1))  # fork the helper before the spy
     ran = caller_units(monkeypatch)
@@ -137,18 +138,147 @@ def test_both_processes_claim_each_check_unit_once(monkeypatch):
 
 def test_chunks_cover_each_dims_trials_in_stack_sized_units():
     # the largest dims first, equal dims in config order; a chunk of one
-    # pair is one unit per check, unless the campaign runs one check
+    # pair is a split trial, one unit per check, costliest first, unless
+    # the campaign runs one check; the split trials come first
     config = TrialConfig(dims=(2, 32, 64, 24, 32), trials=9, checks=("theorem", "nw_block"))
     whole = config.checks
     dim_2 = [(2, range(0, 9), whole)]
     dim_32 = [[(32, range(first, first + 4), whole), (32, range(first + 4, first + 8), whole),
                (32, range(first + 8, first + 9), whole)] for first in (9, 36)]
-    dim_64 = [(64, range(i, i + 1), (check,)) for i in range(18, 27) for check in whole]
+    dim_64 = [(64, range(i, i + 1), (check,)) for i in range(18, 27)
+              for check in ("nw_block", "theorem")]
     dim_24 = [(24, range(27, 34), whole), (24, range(34, 36), whole)]
     assert all_units(config) == [*dim_64, *dim_32[0], *dim_32[1], *dim_24, *dim_2]
-    assert all_units(replace(config, checks=("theorem",)))[:9] == [
+    units = verify._Units(config)
+    assert (units.split, units.width) == (18, 2)
+    one_check = verify._Units(replace(config, checks=("theorem",)))
+    assert [one_check[i] for i in range(9)] == [
         (64, range(i, i + 1), ("theorem",)) for i in range(18, 27)]
+    assert one_check.split == 0
     assert len(verify._Units(TrialConfig(dims=(2, 64), trials=0))) == 0
+    # every check has its place in a split trial's order
+    assert sorted(verify._SPLIT_ORDER) == sorted(verify.ALL_CHECKS)
+    assert verify._Units(TrialConfig(dims=(96,), trials=1))[0][2] == ("power_expansion",)
+
+
+@pytest.mark.parametrize("config, builds", [
+    # campaign_large's shape: the caller builds the dim-96 pair, the helper
+    # the dim-64 one, and then joins the caller's trial on its pair
+    (TrialConfig(dims=(64, 96), trials=1), 2),
+    (TrialConfig(dims=(64,), trials=12), 12),
+    # chunks of pairs build as before, one random_pairs call each
+    (TrialConfig(dims=(16, 64), trials=3, checks=("theorem", "nw_block")), 4),
+])
+def test_each_split_trials_pair_is_built_once(config, builds, monkeypatch):
+    timeline = load_tool("unit_timeline").timeline
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: False)
+    for seed in (0, 1, 2):
+        seeded = replace(config, base_seed=seed)
+        alone = run_trials(seeded).to_json()
+        monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
+        records, report = timeline(seeded)
+        monkeypatch.setattr(verify, "_helper_wanted", lambda: False)
+        assert report == alone
+        assert {r["process"] for r in records if "build" not in r} == {"caller", "helper"}
+        built = [(r["build"], *r["seeds"]) for r in records if "build" in r]
+        assert len(built) == builds, built
+        assert len(set(built)) == builds
+    assert helper_process._helper is None  # the tool closes the helper it forked
+
+
+def test_unit_timeline_prints_each_unit_and_each_processs_builds(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
+    load_tool("unit_timeline").main(["--base-seed", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    config = TrialConfig(dims=(64, 96), trials=1, base_seed=3)  # campaign_large's shape
+    assert len(lines) == 1 + len(verify._Units(config)) + 3
+    assert {line.split()[0] for line in lines[1:-3]} == {"caller", "helper"}
+    builds = [line.split(": ") for line in lines[-3:-1]]
+    assert [process for process, _ in builds] == ["pair builds, caller", "pair builds, helper"]
+    assert sum(int(count) for _, count in builds) == 2
+    digest = hashlib.sha256(run_trials(config).to_json().encode()).hexdigest()
+    assert lines[-1] == f"report sha256: {digest}"
+
+
+@contextmanager
+def two_slots(units: verify._Units):
+    """The caller's and the helper's views of one slots file, in this process."""
+    mine = helper_process._Slots()
+    mine.start(units, clear=True)
+    theirs = helper_process._Slots()
+    theirs.file.close()
+    theirs.file, theirs.mine, theirs.stride = mine.file, 1, mine.stride
+    with mine.file:
+        yield mine, theirs
+
+
+def counting_builds(monkeypatch) -> list:
+    real, built = verify.random_pairs, []
+
+    def counting(dim, seeds):
+        built.append((dim, *seeds))
+        return real(dim, seeds)
+
+    monkeypatch.setattr(verify, "random_pairs", counting)
+    return built
+
+
+def same_bits(a, b) -> bool:
+    return a.tobytes() == b.tobytes() and a.dtype == b.dtype and a.shape == b.shape
+
+
+def test_a_pair_read_from_the_other_slot_is_the_pair_built_again(monkeypatch):
+    with two_slots(verify._Units(TrialConfig(dims=(64, 96), trials=1))) as (mine, theirs):
+        built = counting_builds(monkeypatch)
+        ours = mine.pair(64, 5)
+        read = theirs.pair(64, 5)
+        assert built == [(64, 5)]
+        again = random_pair(64, 5)
+        for pair in (ours, read):
+            assert same_bits(pair.f, again.f) and same_bits(pair.g, again.g)
+            assert pair.provenance == again.provenance and pair.dim == 64
+            assert (pair.norm_fg, pair.norm_anti, pair.norm_comm) == (
+                again.norm_fg, again.norm_anti, again.norm_comm)
+        assert read.f.flags.writeable and read.f.flags.c_contiguous
+        # the largest dim fits too, and a slot is read back as often as wanted
+        large = mine.pair(96, 8)
+        assert same_bits(theirs.pair(96, 8).f, large.f)
+        assert same_bits(theirs.pair(96, 8).g, random_pair(96, 8).g)
+        assert built == [(64, 5), (96, 8)]
+
+
+def test_a_slot_holding_another_pair_is_ignored(monkeypatch):
+    with two_slots(verify._Units(TrialConfig(dims=(64, 96), trials=1))) as (mine, theirs):
+        built = counting_builds(monkeypatch)
+        mine.pair(64, 5)
+        for dim, seed in ((64, 6), (96, 5)):
+            pair = theirs.pair(dim, seed)
+            assert pair.provenance.params["seed"] == seed and pair.dim == dim
+            assert same_bits(pair.f, random_pair(dim, seed).f)
+        assert built == [(64, 5), (64, 6), (96, 5)]
+        # a slot announced but never written, as a process that died building
+        # leaves it, is ignored too; so are seeds a header cannot hold
+        built.clear()
+        mine._write_header(0, helper_process._BUILDING, 64, 9)
+        assert theirs.pair(64, 9).provenance.params["seed"] == 9
+        assert mine.pair(64, 2**64).provenance.params["seed"] == 2**64
+        assert theirs.pair(64, 2**64).provenance.params["seed"] == 2**64
+        assert built == [(64, 9), (64, 2**64), (64, 2**64)]
+
+
+def test_a_pair_that_fails_validation_is_never_written(monkeypatch):
+    with two_slots(verify._Units(TrialConfig(dims=(64,), trials=2))) as (mine, theirs):
+        built = counting_builds(monkeypatch)
+        real = verify.projection_failures
+        monkeypatch.setattr(verify, "projection_failures",
+                            lambda mats: [(0, "synthetic")] + real(mats))
+        with pytest.raises(ArithmeticError, match="constructed f fails projection validation"):
+            mine.pair(64, 3)
+        assert mine._header(0)[0] == helper_process._EMPTY
+        assert os.fstat(mine.file.fileno()).st_size == 2 * helper_process._HEADER.size
+        monkeypatch.setattr(verify, "projection_failures", real)
+        assert same_bits(theirs.pair(64, 3).g, random_pair(64, 3).g)
+        assert built == [(64, 3), (64, 3)]
 
 
 def test_units_run_largest_dim_first_alone_and_beside_a_helper(monkeypatch):
@@ -191,20 +321,22 @@ def test_helper_keeps_the_order_of_errors_and_failures(monkeypatch):
     assert any(s.failures for s in report.per_check)
 
 
-@pytest.mark.parametrize("checks, caller_fails", [
-    # the caller's first unit, theorem's, waits until power_expansion's has
+@pytest.mark.parametrize("checks, message", [
+    # the caller's first unit, power_expansion's, waits until the helper is
+    # in theorem's, which waits until power_expansion's has failed here
+    (("theorem", "corollary", "power_expansion"), "ValueError: synthetic theorem failure"),
+    # the caller's first unit, power_expansion's, waits until theorem's has
     # failed on the helper, and fails after it
-    (("theorem", "corollary", "power_expansion"), "theorem"),
-    # the caller's first unit, corollary's, waits until the helper is in
-    # theorem's, which waits until power_expansion's has failed here
-    (("corollary", "theorem", "power_expansion"), "power_expansion"),
+    (("power_expansion", "corollary", "theorem"),
+     "ArithmeticError: synthetic power_expansion failure"),
 ])
-def test_first_failing_check_wins_across_the_processes(checks, caller_fails, monkeypatch):
+def test_first_failing_check_wins_across_the_processes(checks, message, monkeypatch):
     # the two processes hand off over two pipes, which the helper inherits
-    # when the campaign forks it, so each unit runs where the case says
-    caller = os.getpid()
+    # when the campaign forks it, so each unit runs where the case says: the
+    # trial's units come power_expansion, theorem, corollary, and the
+    # caller runs the first of them
+    theorem_first = checks[0] == "theorem"
     to_caller, to_helper = os.pipe(), os.pipe()
-    real_corollary = verify.CHECKS["corollary"]
 
     def tell(pipe):
         os.write(pipe[1], b".")
@@ -215,25 +347,19 @@ def test_first_failing_check_wins_across_the_processes(checks, caller_fails, mon
         os.read(pipe[0], 1)
 
     def theorem(pairs, cfg, floor):
-        if os.getpid() == caller:
-            wait_for(to_caller)
-        else:
-            tell(to_caller)
+        tell(to_caller)
+        if theorem_first:
             wait_for(to_helper)
         raise ValueError("synthetic theorem failure")
 
     def power_expansion(pairs, cfg, floor):
-        tell(to_helper if os.getpid() == caller else to_caller)
+        wait_for(to_caller)
+        if theorem_first:
+            tell(to_helper)
         raise ArithmeticError("synthetic power_expansion failure")
-
-    def corollary(pairs, cfg, floor):
-        if os.getpid() == caller:
-            wait_for(to_caller)
-        return real_corollary(pairs, cfg, floor)
 
     monkeypatch.setitem(verify.CHECKS, "theorem", theorem)
     monkeypatch.setitem(verify.CHECKS, "power_expansion", power_expansion)
-    monkeypatch.setitem(verify.CHECKS, "corollary", corollary)
     monkeypatch.setattr(verify, "_helper_wanted", lambda: True)
     ran = caller_units(monkeypatch)
     try:
@@ -241,10 +367,9 @@ def test_first_failing_check_wins_across_the_processes(checks, caller_fails, mon
     finally:
         for fd in (*to_caller, *to_helper):
             os.close(fd)
-    assert [checks for _, _, checks in ran] == [(checks[0],)] + (
-        [("power_expansion",)] if caller_fails == "power_expansion" else [])
-    assert report.errors == [{"trial": 0, "dim": 64,
-                              "message": "ValueError: synthetic theorem failure"}]
+    ran_checks = [checks for _, _, checks in ran]
+    assert ran_checks[0] == ("power_expansion",) and ("theorem",) not in ran_checks
+    assert report.errors == [{"trial": 0, "dim": 64, "message": message}]
     assert all(s.trials == 0 for s in report.per_check)
 
 
@@ -458,7 +583,7 @@ def test_helper_module_loads_only_for_a_campaign_that_wants_it():
     assert out == "[]\n"
 
 
-@pytest.mark.parametrize("tool", ["contract_digests", "call_counts"])
+@pytest.mark.parametrize("tool", ["contract_digests", "call_counts", "unit_timeline"])
 def test_importing_a_tool_leaves_the_environment_alone(tool, monkeypatch):
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import projpair.projections as projections
 import projpair.verify as verify
-from projpair.linalg import mat_poly_evals, spectral_norm, spectral_norms
+from projpair.linalg import grams, mat_poly_evals, spectral_norm, spectral_norms
 from projpair.projections import (
     AngleSpec,
     DecompositionError,
@@ -169,6 +169,21 @@ def test_lemma_commutator_random_pairs():
     for seed in range(100):
         report = check_lemma_commutator(random_pair(12, seed), tol=1e-9)
         assert report.passed, (seed, report.residual)
+
+
+@pytest.mark.parametrize("dim", [4, 64])
+def test_norm_comm_and_the_split_gap_share_one_gram(dim):
+    # norm_comm measures the Gram it caches by spectral_norm's rule, bit for
+    # bit, and the split gap reads that Gram rather than forming it again:
+    # a Gram planted in the cache moves the residual by what was planted
+    pair = random_pair(dim, 7)
+    assert pair.norm_comm == spectral_norm(pair.comm)
+    assert np.array_equal(pair.comm_gram, pair.comm.conj().T @ pair.comm)
+    planted = random_pair(dim, 7)
+    assert planted.norm_comm == pair.norm_comm  # measured before the Gram is planted
+    planted.__dict__["comm_gram"] = pair.comm_gram + 1e-3 * np.eye(dim)
+    assert check_lemma_commutator(pair).residual < 1e-13
+    assert check_lemma_commutator(planted).residual == pytest.approx(1e-3, rel=1e-6)
 
 
 # --- power expansion ---------------------------------------------------------------------
@@ -421,9 +436,14 @@ def test_run_trials_measures_each_pair_norm_once(monkeypatch, in_caller):
         measured.extend(np.array(A, copy=True) for A in mats)
         return spectral_norms(mats)
 
+    def recording_grams(mats):  # norm_comm's Gram, which it measures itself
+        measured.extend(np.array(A, copy=True) for A in mats)
+        return grams(mats)
+
     for module in (verify, projections):
         monkeypatch.setattr(module, "spectral_norm", recording)
         monkeypatch.setattr(module, "spectral_norms", recording_each)
+    monkeypatch.setattr(projections, "grams", recording_grams)
     for trials in (1, 3):  # a pair alone, and a chunk of pairs
         measured.clear()
         report = run_trials(TrialConfig(dims=(4,), trials=trials, base_seed=3))
@@ -887,6 +907,15 @@ def test_run_trials_rejects_unknown_check():
             TrialConfig(tol=tol)
     with pytest.raises(ValueError, match="at least one check"):
         TrialConfig(checks=())
+    # a campaign of no dims would pass on zero trials
+    with pytest.raises(ValueError, match="dims must name at least one dim"):
+        TrialConfig(dims=())
+    for field, value in (("dims", 5), ("checks", 3)):
+        with pytest.raises(ValueError, match=f"{field} must be a sequence, got {value}"):
+            TrialConfig(**{field: value})
+    for tol in ("1e-9", True, None):  # neither parsed nor read as 1
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            TrialConfig(tol=tol)
     with pytest.raises(ValueError, match="each check once"):
         TrialConfig(checks=("theorem", "corollary", "theorem"))
     # each count is an integer, never a bool; a float or a string is not

@@ -11,9 +11,10 @@ plans line counts every plan the shape's jobs build. BLAS runs on one
 thread, as in the benchmark. Every unit of work runs in this process,
 where the counters are (verify._helper_wanted is replaced for the run): a
 campaign's helper process, forked before they were installed, would not
-count its share. The units run in the order the benchmark's two processes
-claim them, largest dim first, but in one process, so each check's floors
-are those of a serial run, not of a run shared with a helper.
+count its share. The units run in the order verify._Units gives them,
+largest dim first and a split trial's units costliest first, in one
+process, so each check's floors are those of a serial run, not of a run
+shared with a helper.
 The counts repeat exactly from run to run; they are not timings.
 """
 
