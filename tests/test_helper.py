@@ -183,6 +183,12 @@ def test_each_split_trials_pair_is_built_once(config, builds, monkeypatch):
         built = [(r["build"], *r["seeds"]) for r in records if "build" in r]
         assert len(built) == builds, built
         assert len(set(built)) == builds
+        # the two processes meet in one split trial at most
+        processes = {}
+        for r in records:
+            if "build" not in r and r["checks"] != [*config.checks]:
+                processes.setdefault(r["trials"][0], set()).add(r["process"])
+        assert sum(len(ran) > 1 for ran in processes.values()) <= 1
     assert helper_process._helper is None  # the tool closes the helper it forked
 
 
@@ -321,21 +327,20 @@ def test_helper_keeps_the_order_of_errors_and_failures(monkeypatch):
     assert any(s.failures for s in report.per_check)
 
 
-@pytest.mark.parametrize("checks, message", [
+@pytest.mark.parametrize("checks, winner", [
     # the caller's first unit, power_expansion's, waits until the helper is
     # in theorem's, which waits until power_expansion's has failed here
-    (("theorem", "corollary", "power_expansion"), "ValueError: synthetic theorem failure"),
+    (("theorem", "corollary", "power_expansion"), "theorem"),
     # the caller's first unit, power_expansion's, waits until theorem's has
     # failed on the helper, and fails after it
-    (("power_expansion", "corollary", "theorem"),
-     "ArithmeticError: synthetic power_expansion failure"),
+    (("power_expansion", "corollary", "theorem"), "power_expansion"),
 ])
-def test_first_failing_check_wins_across_the_processes(checks, message, monkeypatch):
+def test_first_failing_check_wins_across_the_processes(checks, winner, monkeypatch):
     # the two processes hand off over two pipes, which the helper inherits
     # when the campaign forks it, so each unit runs where the case says: the
     # trial's units come power_expansion, theorem, corollary, and the
     # caller runs the first of them
-    theorem_first = checks[0] == "theorem"
+    theorem_first = winner == "theorem"
     to_caller, to_helper = os.pipe(), os.pipe()
 
     def tell(pipe):
@@ -369,6 +374,8 @@ def test_first_failing_check_wins_across_the_processes(checks, message, monkeypa
             os.close(fd)
     ran_checks = [checks for _, _, checks in ran]
     assert ran_checks[0] == ("power_expansion",) and ("theorem",) not in ran_checks
+    message = {"theorem": "ValueError: synthetic theorem failure",
+               "power_expansion": "ArithmeticError: synthetic power_expansion failure"}[winner]
     assert report.errors == [{"trial": 0, "dim": 64, "message": message}]
     assert all(s.trials == 0 for s in report.per_check)
 
