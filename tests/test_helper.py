@@ -285,6 +285,17 @@ def test_a_pair_that_fails_validation_is_never_written(monkeypatch):
         monkeypatch.setattr(verify, "projection_failures", real)
         assert same_bits(theirs.pair(64, 3).g, random_pair(64, 3).g)
         assert built == [(64, 3), (64, 3)]
+        # nor is one the file has no room for, which is still returned
+        built.clear()
+
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "pwritev", full)
+        assert same_bits(mine.pair(64, 4).f, random_pair(64, 4).f)
+        assert mine._header(0)[0] == helper_process._EMPTY
+        assert theirs.pair(64, 4).provenance.params["seed"] == 4
+        assert built == [(64, 4), (64, 4)]
 
 
 def test_units_run_largest_dim_first_alone_and_beside_a_helper(monkeypatch):
